@@ -15,16 +15,9 @@
 #include "smt/Simplify.h"
 #include "smt/Solver.h"
 #include "smt/SolverContext.h"
-#include "smt/SolverFactory.h"
 #include "support/Support.h"
-#include "support/Telemetry.h"
-
-#include "BenchUtil.h"
 
 #include <benchmark/benchmark.h>
-
-#include <cstdlib>
-#include <mutex>
 
 using namespace hotg;
 using namespace hotg::smt;
@@ -225,7 +218,6 @@ struct LexerSiblingWorkload {
   std::vector<std::vector<TermId>> SiblingLiterals;
   unsigned FreshDecisions = 0;
   unsigned IncrementalDecisions = 0;
-  unsigned PortfolioDecisions = 0;
 
   LexerSiblingWorkload() {
     app::LexerApp App = app::buildKeywordLexer({6, 2});
@@ -283,46 +275,17 @@ struct LexerSiblingWorkload {
     return Decisions;
   }
 
-  /// Replays the same stream through the "portfolio" backend created via
-  /// SolverFactory: tactic variants raced with first-answer-wins
-  /// cancellation. Shared state outlives the solver (declaration order),
-  /// mirroring how DirectedSearch owns both.
-  unsigned runPortfolio(std::vector<smt::SatAnswer> *Answers = nullptr) {
-    SolverFactory &Factory = SolverFactory::global();
-    std::unique_ptr<ISolverSharedState> Shared =
-        Factory.createSharedState("portfolio");
-    std::unique_ptr<ISolver> Ctx =
-        Factory.create("portfolio", Arena, solverOptions(true), Shared.get());
-    unsigned Decisions = 0;
-    for (unsigned Round = 0; Round != Rounds; ++Round)
-      for (const std::vector<TermId> &Lits : SiblingLiterals) {
-        SolverStats QS;
-        smt::SatAnswer Answer = Ctx->checkFormula(Arena.mkAnd(Lits), QS);
-        Decisions += QS.Decisions;
-        if (Answers)
-          Answers->push_back(std::move(Answer));
-      }
-    return Decisions;
-  }
-
-  /// The acceptance gate: byte-identical answers (fresh vs incremental vs
-  /// portfolio — the portfolio determinism contract of docs/solver.md) and
-  /// >= 2x fewer decisions for the incremental arm.
+  /// The acceptance gate: byte-identical answers (fresh vs incremental)
+  /// and >= 2x fewer decisions for the incremental arm.
   void verify() {
-    std::vector<smt::SatAnswer> Fresh, Incremental, Portfolio;
+    std::vector<smt::SatAnswer> Fresh, Incremental;
     FreshDecisions = runFresh(&Fresh);
     IncrementalDecisions = runIncremental(&Incremental);
-    PortfolioDecisions = runPortfolio(&Portfolio);
     for (size_t I = 0; I != Fresh.size(); ++I) {
       if (Fresh[I].Result != Incremental[I].Result ||
           Fresh[I].ModelValue.varAssignments() !=
               Incremental[I].ModelValue.varAssignments())
         reportFatalError("bench: incremental sibling answer diverges from "
-                         "fresh solving at query " + std::to_string(I));
-      if (Fresh[I].Result != Portfolio[I].Result ||
-          Fresh[I].ModelValue.varAssignments() !=
-              Portfolio[I].ModelValue.varAssignments())
-        reportFatalError("bench: portfolio sibling answer diverges from "
                          "fresh solving at query " + std::to_string(I));
     }
     if (IncrementalDecisions * 2 > FreshDecisions)
@@ -361,37 +324,6 @@ void BM_LexerSiblingsIncrementalContext(benchmark::State &State) {
 }
 BENCHMARK(BM_LexerSiblingsIncrementalContext);
 
-void BM_LexerSiblingsPortfolio(benchmark::State &State) {
-  LexerSiblingWorkload &W = lexerSiblings();
-  telemetry::Registry &Reg = telemetry::Registry::global();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(W.runPortfolio());
-  State.counters["decisions"] = double(W.PortfolioDecisions);
-  State.counters["queries"] =
-      double(W.SiblingLiterals.size() * LexerSiblingWorkload::Rounds);
-  // Race telemetry accumulated by smt::PortfolioSolver; the same counters
-  // land in BENCH_solver.json via writeBenchStats below.
-  State.counters["races"] =
-      double(Reg.counter("solver.portfolio.races").value());
-  State.counters["cancelled_losers"] =
-      double(Reg.counter("solver.portfolio.cancelled_losers").value());
-  for (const std::string &Tactic :
-       smt::SolverFactory::global().tacticNames("portfolio"))
-    State.counters["wins_" + Tactic] = double(
-        Reg.counter("solver.portfolio.wins_by_tactic." + Tactic).value());
-}
-BENCHMARK(BM_LexerSiblingsPortfolio);
-
 } // namespace
 
-int main(int argc, char **argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  // Per-tactic race stats (solver.portfolio.*) for the CI bench-stats
-  // artifact and baseline comparison.
-  hotg::bench::writeBenchStats("solver");
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -3,9 +3,8 @@
 #include "core/Search.h"
 
 #include "core/Post.h"
-#include "smt/ISolver.h"
 #include "smt/QueryCache.h"
-#include "smt/SolverFactory.h"
+#include "smt/SolverContext.h"
 #include "support/FaultInjector.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
@@ -136,11 +135,8 @@ struct DirectedSearch::ParallelState {
     /// first, so positional prefix sharing is incidental here — the point
     /// is avoiding per-job context construction (docs/solver.md). Dropped
     /// whenever a query interns replica terms, because the post-job
-    /// truncation recycles those TermIds (see runJob). Always the "native"
-    /// backend regardless of SearchOptions::SolverBackend: portfolio state
-    /// is single-threaded, and the determinism contract makes the answers
-    /// identical anyway (docs/solver.md).
-    std::unique_ptr<smt::ISolver> Ctx;
+    /// truncation recycles those TermIds (see runJob).
+    std::unique_ptr<smt::SolverContext> Ctx;
   };
   std::vector<Worker> Workers;
 
@@ -230,8 +226,7 @@ void DirectedSearch::ParallelState::runJob(
           // queries this worker happened to run earlier — the cached stats
           // must equal what the merge path computes (docs/solver.md).
           CtxOpts.EnableRefutationMemo = false;
-          Me.Ctx = smt::SolverFactory::global().create("native", Me.Replica,
-                                                       CtxOpts);
+          Me.Ctx = std::make_unique<smt::SolverContext>(Me.Replica, CtxOpts);
         }
         Answer = Me.Ctx->checkFormulaWithTelemetry(Alt, QS);
       } else {
@@ -570,6 +565,14 @@ smt::QueryCache *DirectedSearch::queryCache() {
   return Parallel ? &Parallel->Cache : nullptr;
 }
 
+/// The fault-injection identity of a query (support::FaultScope): its
+/// query-cache key, the same on the merge path and on any worker.
+static uint64_t queryFaultKey(smt::TermFingerprint Fp, uint64_t Gen,
+                              smt::QueryKind Kind) {
+  return Fp.Hi ^ (Fp.Lo * 0x9e3779b97f4a7c15ull) ^ (Gen << 8) ^
+         uint64_t(Kind);
+}
+
 void DirectedSearch::dispatchSpeculative() {
   telemetry::ScopedSpan Span("search.dispatch");
   // Stop-control poll at worker dispatch: once tripped, no further jobs
@@ -633,15 +636,15 @@ void DirectedSearch::dispatchSpeculative() {
     ValidityOptions VOpts = Options.ValidityOpts;
     VOpts.SolverOpts = Options.SolverOpts;
     VOpts.UseIncrementalContexts = Options.UseIncrementalContexts;
-    // Workers keep the default native backend (no SolverBackend /
-    // SolverShared threading): portfolio shared state is single-threaded,
-    // and the determinism contract guarantees identical answers.
     Reg.counter("search.speculative_dispatches").add();
     PS.Inflight.emplace(
         Cand.Id, PS.Pool.submit([&PS, Alt, Fp, Gen, Kind, VOpts,
                                  SolverOpts = Options.SolverOpts,
                                  Snap = PS.SampleSnap, CandId = Cand.Id,
                                  ParentTest = Cand.ParentTest](unsigned W) {
+          // A speculation is the query's first attempt: it draws the
+          // faults the merge path's first attempt would draw.
+          support::FaultScope Scope(queryFaultKey(Fp, Gen, Kind), 0);
           // Fault site: models a worker dying before touching any shared
           // state (replica untouched, nothing published).
           support::maybeInjectFault(support::FaultSite::WorkerDispatch);
@@ -732,11 +735,7 @@ smt::SatAnswer DirectedSearch::solveSat(smt::TermId Alt) {
       // workers see a different query order) would report different
       // aggregates (docs/solver.md).
       CtxOpts.EnableRefutationMemo = false;
-      smt::SolverFactory &Factory = smt::SolverFactory::global();
-      if (!SolverShared)
-        SolverShared = Factory.createSharedState(Options.SolverBackend);
-      SatCtx = Factory.create(Options.SolverBackend, Arena, CtxOpts,
-                              SolverShared.get());
+      SatCtx = std::make_unique<smt::SolverContext>(Arena, CtxOpts);
     }
     Answer = SatCtx->checkFormulaWithTelemetry(Alt, S);
   } else {
@@ -812,17 +811,6 @@ ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
   ValidityOptions VOpts = Options.ValidityOpts;
   VOpts.SolverOpts = Options.SolverOpts;
   VOpts.UseIncrementalContexts = Options.UseIncrementalContexts;
-  // The merge path shares the search's backend (and its shared state: the
-  // portfolio's race pool and replica lanes amortize across the one solver
-  // ValiditySolver builds per support enumeration). Speculative workers
-  // stay native — see ParallelState::Worker.
-  VOpts.SolverBackend = Options.SolverBackend;
-  if (Options.SolverBackend != "native") {
-    if (!SolverShared)
-      SolverShared = smt::SolverFactory::global().createSharedState(
-          Options.SolverBackend);
-    VOpts.SolverShared = SolverShared.get();
-  }
   if (Options.SummarizeCalls)
     VOpts.Summaries = &Summaries;
   ValiditySolver Validity(Arena, Antecedent, VOpts);
@@ -848,8 +836,14 @@ ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
 
 smt::SatAnswer DirectedSearch::solveSatGuarded(smt::TermId Alt) {
   constexpr unsigned MaxInlineRetries = 3;
+  const uint64_t FaultKey =
+      support::faultInjector()
+          ? queryFaultKey(Arena.fingerprint(Alt), 0,
+                          smt::QueryKind::Satisfiability)
+          : 0;
   for (unsigned Attempt = 0;; ++Attempt) {
     try {
+      support::FaultScope Scope(FaultKey, Attempt);
       return solveSat(Alt);
     } catch (const std::exception &E) {
       // The throw may have unwound mid-retarget; drop the incremental
@@ -872,8 +866,15 @@ smt::SatAnswer DirectedSearch::solveSatGuarded(smt::TermId Alt) {
 
 ValidityAnswer DirectedSearch::solveValidityGuarded(smt::TermId Alt) {
   constexpr unsigned MaxInlineRetries = 3;
+  const uint64_t FaultKey =
+      support::faultInjector()
+          ? queryFaultKey(Arena.fingerprint(Alt),
+                          Options.UseAntecedent ? Samples.size() : 0,
+                          smt::QueryKind::Validity)
+          : 0;
   for (unsigned Attempt = 0;; ++Attempt) {
     try {
+      support::FaultScope Scope(FaultKey, Attempt);
       return solveValidity(Alt);
     } catch (const std::exception &E) {
       telemetry::Registry &Reg = telemetry::Registry::global();
@@ -1146,8 +1147,7 @@ SearchResult hotg::core::runRandomSearch(const lang::Program &Prog,
                                          std::string_view EntryName,
                                          unsigned NumTests, int64_t Lo,
                                          int64_t Hi, uint64_t Seed,
-                                         RunLimits Limits,
-                                         vm::EngineKind EngineKind) {
+                                         RunLimits Limits) {
   const lang::FunctionDecl *Entry = Prog.findFunction(EntryName);
   if (!Entry)
     reportFatalError("entry function '" + std::string(EntryName) +
@@ -1157,7 +1157,7 @@ SearchResult hotg::core::runRandomSearch(const lang::Program &Prog,
   // engine seam and stays empty on the concrete path.
   smt::TermArena Arena;
   std::unique_ptr<vm::IExecEngine> Engine =
-      vm::createEngine(EngineKind, Prog, Natives, Arena);
+      vm::createEngine(vm::EngineKind::VM, Prog, Natives, Arena);
   RandomGen Rng(Seed);
 
   SearchResult Result;

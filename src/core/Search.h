@@ -36,9 +36,8 @@
 #include <tuple>
 
 namespace hotg::smt {
-class ISolver;
-class ISolverSharedState;
 class QueryCache;
+class SolverContext;
 } // namespace hotg::smt
 
 namespace hotg::core {
@@ -65,12 +64,11 @@ struct SearchOptions {
   /// Candidate exploration order.
   enum class OrderKind : uint8_t { BreadthFirst, DepthFirst } Order =
       OrderKind::BreadthFirst;
-  /// Execution engine for program runs. Both engines emit byte-identical
-  /// search output (the VM differential suite enforces this); the VM is
-  /// ~an order of magnitude faster per run. SummarizeCalls mode silently
-  /// falls back to the interpreter engine, which is the only one that
-  /// collects intraprocedural summaries (same pattern as the Jobs
-  /// fallbacks above).
+  /// Execution engine for program runs: the bytecode VM, except under
+  /// SummarizeCalls, which needs the interpreter engine (the only one that
+  /// collects intraprocedural summaries). Both engines emit byte-identical
+  /// search output; setting Interp here exists only so the VM differential
+  /// suite can reach the reference interpreter.
   vm::EngineKind Engine = vm::EngineKind::VM;
   interp::RunLimits Limits;
   /// Initial input; random cells in [RandomLo, RandomHi] when absent.
@@ -95,15 +93,6 @@ struct SearchOptions {
   /// invariant of docs/solver.md — so this switch exists only for the
   /// differential test suite and for debugging.
   bool UseIncrementalContexts = true;
-  /// smt::SolverFactory spec ("native", "portfolio",
-  /// "portfolio:case-split,fresh", ...) behind the merge path's
-  /// satisfiability context and the validity solver's grounding contexts.
-  /// Speculative workers always run "native": shared portfolio state is
-  /// single-threaded, and the determinism contract makes the answers
-  /// identical anyway (docs/solver.md "Backends and portfolio racing").
-  /// Requires UseIncrementalContexts; the fresh-solver differential path
-  /// stays native. Invalid specs are fatal — CLI layers validate first.
-  std::string SolverBackend = "native";
   smt::SolverOptions SolverOpts;
   ValidityOptions ValidityOpts;
   /// Emit a `heartbeat` trace event (tests/s, solver checks/s, cache hit
@@ -314,17 +303,10 @@ private:
   std::set<std::tuple<uint64_t, uint64_t, uint64_t, std::vector<int64_t>>>
       EvaluatedCandidates;
   SearchResult Result;
-  /// Backend state shared across every ISolver of this search (the
-  /// portfolio's race pool and replica lanes); null for backends that
-  /// need none. Declared before SatCtx: members destroy in reverse
-  /// declaration order, and a solver's destructor detaches its lane
-  /// contexts from this state, so the state must die last.
-  std::unique_ptr<smt::ISolverSharedState> SolverShared;
   /// Long-lived incremental context for the merge path's satisfiability
-  /// queries (UseIncrementalContexts); created lazily through
-  /// smt::SolverFactory from Options.SolverBackend, refutation memo
+  /// queries (UseIncrementalContexts); created lazily, refutation memo
   /// forced off so per-query stats stay jobs-invariant (docs/solver.md).
-  std::unique_ptr<smt::ISolver> SatCtx;
+  std::unique_ptr<smt::SolverContext> SatCtx;
   uint64_t NextCandidateId = 0;
   /// Heartbeat sampling state (maybeEmitHeartbeat): search start time,
   /// plus time and counter values at the previous beat for the
@@ -338,13 +320,13 @@ private:
 };
 
 /// Blackbox random testing baseline (Section 7's comparison point): \p
-/// NumTests runs with uniformly random cells in [Lo, Hi].
+/// NumTests runs with uniformly random cells in [Lo, Hi], executed on the
+/// bytecode VM.
 SearchResult runRandomSearch(const lang::Program &Prog,
                              const interp::NativeRegistry &Natives,
                              std::string_view EntryName, unsigned NumTests,
                              int64_t Lo, int64_t Hi, uint64_t Seed = 42,
-                             interp::RunLimits Limits = {},
-                             vm::EngineKind Engine = vm::EngineKind::VM);
+                             interp::RunLimits Limits = {});
 
 /// The canonical human-readable report of a search result — the exact
 /// bytes hotg-run has always printed (summary line, bug lines, stop

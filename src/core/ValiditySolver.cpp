@@ -4,7 +4,6 @@
 
 #include "smt/Linear.h"
 #include "smt/SolverContext.h"
-#include "smt/SolverFactory.h"
 #include "smt/Subst.h"
 #include "smt/Simplify.h"
 #include "smt/Supports.h"
@@ -383,8 +382,7 @@ private:
         CtxOpts.EnableRefutationMemo = true;
         CtxOpts.ExtractUnsatCores =
             Options.CoreGuidedPruning && BlockedCores.size() < MaxBlockedCores;
-        Ctx = SolverFactory::global().create(Options.SolverBackend, Arena,
-                                             CtxOpts, Options.SolverShared);
+        Ctx = std::make_unique<SolverContext>(Arena, CtxOpts);
       }
       SolverStats QueryStats;
       Answer = Ctx->checkFormulaWithTelemetry(Arena.mkAnd(Query), QueryStats);
@@ -547,11 +545,10 @@ private:
   std::unordered_map<TermId, int> LeafCounts;
   std::vector<std::vector<TermId>> BlockedCores;
   /// Shared incremental context for every grounding query of this
-  /// enumeration (UseIncrementalContexts); created on first use through
-  /// SolverFactory from Options.SolverBackend. Lives inside one checkPost
-  /// call, so it never outlives arena truncation of parallel-search
-  /// worker replicas.
-  std::unique_ptr<ISolver> Ctx;
+  /// enumeration (UseIncrementalContexts); created on first use. Lives
+  /// inside one checkPost call, so it never outlives arena truncation of
+  /// parallel-search worker replicas.
+  std::unique_ptr<SolverContext> Ctx;
 };
 
 } // namespace

@@ -42,10 +42,6 @@
 #include <string>
 #include <vector>
 
-namespace hotg::smt {
-class ISolverSharedState;
-} // namespace hotg::smt
-
 namespace hotg::core {
 
 /// Outcome of a validity query.
@@ -129,17 +125,6 @@ struct ValidityOptions {
   /// match the pruning-off run; only the inner solver calls disappear.
   /// The switch exists for differential testing (hotg-run --no-learning).
   bool CoreGuidedPruning = true;
-  /// smt::SolverFactory backend behind the per-support incremental
-  /// grounding contexts ("native", "portfolio", ...). Only consulted when
-  /// UseIncrementalContexts is on; the non-incremental differential path
-  /// and the AdHocInversion baseline stay native. Must already be
-  /// validated (create() is fatal on unknown specs).
-  std::string SolverBackend = "native";
-  /// Backend state shared across the solvers this enumeration creates
-  /// (the portfolio's race pool and replica lanes); may be null — the
-  /// backend then builds private state per solver instance. Owned by the
-  /// caller (core::DirectedSearch) and must outlive the ValiditySolver.
-  smt::ISolverSharedState *SolverShared = nullptr;
   /// Options of the inner existential LIA+EUF solver.
   smt::SolverOptions SolverOpts;
 };

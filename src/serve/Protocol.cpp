@@ -225,12 +225,6 @@ bool hotg::serve::decodeJobRequest(std::string_view Payload,
     } else if (Key == "policy") {
       if (!decodeString(V, Out.Policy, Error, "policy"))
         return false;
-    } else if (Key == "engine") {
-      if (!decodeString(V, Out.Engine, Error, "engine"))
-        return false;
-    } else if (Key == "backend") {
-      if (!decodeString(V, Out.Backend, Error, "backend"))
-        return false;
     } else if (Key == "order") {
       if (!decodeString(V, Out.Order, Error, "order"))
         return false;

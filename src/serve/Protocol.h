@@ -14,7 +14,7 @@
 /// For hand-authored batches a bare JSON object line ("{...}\n") is also
 /// accepted on input; the daemon always writes canonical length-prefixed
 /// frames. Requests describe one test-generation job (program, entry,
-/// policy, engine, budget, deadline); responses carry a structured status
+/// policy, budget, deadline); responses carry a structured status
 /// from the taxonomy that mirrors hotg-run's exit-code contract
 /// (docs/robustness.md):
 ///
@@ -64,8 +64,6 @@ struct JobRequest {
   std::string ProgramPath;
   std::string Entry; ///< Empty: "main" when present, else first function.
   std::string Policy = "higher-order";
-  std::string Engine = "vm";
-  std::string Backend = "native";
   std::string Order = "bfs";
   unsigned MaxTests = 64;
   unsigned MultiStep = 2;

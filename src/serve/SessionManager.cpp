@@ -5,12 +5,10 @@
 #include "app/Examples.h"
 #include "core/Search.h"
 #include "lang/Parser.h"
-#include "smt/SolverFactory.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
-#include "vm/Engine.h"
 
 #include <chrono>
 #include <fstream>
@@ -96,8 +94,6 @@ uint64_t SessionManager::epochFor(const JobRequest &Request,
   D.bytes(ResolvedSource);
   D.bytes(Request.Entry);
   D.bytes(Request.Policy);
-  D.bytes(Request.Engine);
-  D.bytes(Request.Backend);
   D.bytes(Request.Order);
   D.num(Request.MaxTests);
   D.num(Request.MultiStep);
@@ -199,15 +195,8 @@ JobResponse SessionManager::runJob(const JobRequest &Request,
   if (!Policy)
     return Reject("unknown policy '" + Request.Policy +
                   "' (want unsound|sound|sound-delayed|higher-order|random)");
-  std::optional<vm::EngineKind> Engine = vm::parseEngineName(Request.Engine);
-  if (!Engine)
-    return Reject("unknown engine '" + Request.Engine + "' (want vm|interp)");
   if (Request.Order != "bfs" && Request.Order != "dfs")
     return Reject("unknown order '" + Request.Order + "' (want bfs|dfs)");
-  if (std::string SpecError =
-          smt::SolverFactory::global().validateSpec(Request.Backend);
-      !SpecError.empty())
-    return Reject("bad backend: " + SpecError);
 
   DiagnosticEngine Diags;
   std::optional<lang::Program> Prog = lang::parseAndCheck(Source, Diags);
@@ -286,7 +275,7 @@ JobResponse SessionManager::runJob(const JobRequest &Request,
         Limits.Cancel = Cancel;
         Result = core::runRandomSearch(*Prog, Natives, Entry,
                                        Request.MaxTests, 0, 99, Request.Seed,
-                                       Limits, *Engine);
+                                       Limits);
       } else {
         core::SearchOptions Options;
         Options.Policy = Policy->Policy;
@@ -308,8 +297,6 @@ JobResponse SessionManager::runJob(const JobRequest &Request,
         Options.Order = Request.Order == "dfs"
                             ? core::SearchOptions::OrderKind::DepthFirst
                             : core::SearchOptions::OrderKind::BreadthFirst;
-        Options.Engine = *Engine;
-        Options.SolverBackend = Request.Backend;
         Options.Deadline = Deadline;
         Options.Cancel = Cancel;
         Options.SharedCache = &Fabric.cache();

@@ -1383,12 +1383,15 @@ SatAnswer SolverContext::checkFormula(TermId Formula, SolverStats &QueryStats) {
   return Answer;
 }
 
-void hotg::smt::foldSolverQueryTelemetry(const SatAnswer &Answer,
-                                         const SolverStats &QueryStats,
-                                         SolverStats &CumStats,
-                                         int64_t ElapsedNs,
-                                         const char *CacheOutcome,
-                                         size_t ScopeDepth) {
+/// Folds \p QueryStats into \p CumStats and emits the per-query telemetry
+/// counters, latency-histogram sample, and SolverCheck trace event.
+/// \p CacheOutcome is "hit"/"miss" when the answer cache resolved/recorded
+/// this query, null otherwise; the event also carries \p ScopeDepth and
+/// the thread's query attribution (test / candidate / worker / grounding).
+static void foldQueryTelemetry(const SatAnswer &Answer,
+                               const SolverStats &QueryStats,
+                               SolverStats &CumStats, int64_t ElapsedNs,
+                               const char *CacheOutcome, size_t ScopeDepth) {
   telemetry::Registry &Reg = telemetry::Registry::global();
   static telemetry::Histogram &CheckHist = Reg.histogram("solver.check");
   CheckHist.note(static_cast<uint64_t>(ElapsedNs));
@@ -1448,8 +1451,9 @@ void hotg::smt::foldSolverQueryTelemetry(const SatAnswer &Answer,
   }
 }
 
-SatAnswer SolverContext::checkFormulaWithTelemetry(TermId Formula,
-                                                   SolverStats &CumStats) {
+template <typename CheckFn>
+SatAnswer SolverContext::checkWithTelemetryImpl(SolverStats &CumStats,
+                                                CheckFn Check) {
   // Fault site: before the context or the cumulative stats are touched, so
   // a recovering caller can simply retry the call (docs/robustness.md).
   support::maybeInjectFault(support::FaultSite::SolverCheck);
@@ -1463,8 +1467,8 @@ SatAnswer SolverContext::checkFormulaWithTelemetry(TermId Formula,
   uint64_t CacheHitsBefore = Stats.AnswerCacheHits;
   uint64_t CacheMissesBefore = Stats.AnswerCacheMisses;
   SolverStats QueryStats;
-  SatAnswer Answer = checkFormula(Formula, QueryStats);
-  foldSolverQueryTelemetry(
+  SatAnswer Answer = Check(QueryStats);
+  foldQueryTelemetry(
       Answer, QueryStats, CumStats, int64_t(Timer.elapsedNs()),
       Stats.AnswerCacheHits > CacheHitsBefore       ? "hit"
       : Stats.AnswerCacheMisses > CacheMissesBefore ? "miss"
@@ -1473,24 +1477,14 @@ SatAnswer SolverContext::checkFormulaWithTelemetry(TermId Formula,
   return Answer;
 }
 
-SatAnswer SolverContext::checkWithTelemetry(SolverStats &CumStats) {
-  support::maybeInjectFault(support::FaultSite::SolverCheck);
-  telemetry::Registry &Reg = telemetry::Registry::global();
-  static telemetry::PhaseTimer &CheckTimer = Reg.timer("solver.check");
-  static telemetry::Counter &Checks = Reg.counter("solver.checks");
-  telemetry::ScopedSpan Span("solver.check");
-  telemetry::ScopedTimer Timer(CheckTimer);
-  Checks.add();
+SatAnswer SolverContext::checkFormulaWithTelemetry(TermId Formula,
+                                                   SolverStats &CumStats) {
+  return checkWithTelemetryImpl(CumStats, [&](SolverStats &QueryStats) {
+    return checkFormula(Formula, QueryStats);
+  });
+}
 
-  uint64_t CacheHitsBefore = Stats.AnswerCacheHits;
-  uint64_t CacheMissesBefore = Stats.AnswerCacheMisses;
-  SolverStats QueryStats;
-  SatAnswer Answer = check(QueryStats);
-  foldSolverQueryTelemetry(
-      Answer, QueryStats, CumStats, int64_t(Timer.elapsedNs()),
-      Stats.AnswerCacheHits > CacheHitsBefore       ? "hit"
-      : Stats.AnswerCacheMisses > CacheMissesBefore ? "miss"
-                                                    : nullptr,
-      numScopes());
-  return Answer;
+SatAnswer SolverContext::checkWithTelemetry(SolverStats &CumStats) {
+  return checkWithTelemetryImpl(
+      CumStats, [&](SolverStats &QueryStats) { return check(QueryStats); });
 }

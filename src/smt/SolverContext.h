@@ -30,7 +30,6 @@
 #define HOTG_SMT_SOLVERCONTEXT_H
 
 #include "smt/CongruenceClosure.h"
-#include "smt/ISolver.h"
 #include "smt/Interval.h"
 #include "smt/Linear.h"
 #include "smt/Solver.h"
@@ -46,23 +45,44 @@
 
 namespace hotg::smt {
 
+/// Context-level reuse accounting (scheduling facts, not query work: these
+/// describe how much asserted state was shared, and may legitimately vary
+/// between serial and speculative schedules that produce identical
+/// answers).
+struct ContextStats {
+  uint64_t ScopePushes = 0;
+  uint64_t ScopePops = 0;
+  /// Literals retarget() kept asserted instead of re-asserting.
+  uint64_t PrefixLiteralsReused = 0;
+  /// Propagation rounds spent maintaining base domains at assert time
+  /// (charged here, never to per-query SolverStats).
+  uint64_t AssertPropagations = 0;
+  /// Refutation-memo traffic (EnableRefutationMemo only).
+  uint64_t MemoHits = 0;
+  uint64_t MemoProbes = 0;
+  /// Answer-cache traffic (EnableAnswerCache only).
+  uint64_t AnswerCacheHits = 0;
+  uint64_t AnswerCacheMisses = 0;
+};
+
 /// An incremental LIA+EUF context: a scoped stack of asserted comparison
-/// literals plus the theory state derived from them. The reference
-/// implementation of smt::ISolver, registered with SolverFactory as
-/// "native".
-class SolverContext : public ISolver {
+/// literals plus the theory state derived from them.
+class SolverContext {
 public:
   explicit SolverContext(TermArena &Arena, SolverOptions Options = {});
-  ~SolverContext() override;
+  ~SolverContext();
+
+  SolverContext(const SolverContext &) = delete;
+  SolverContext &operator=(const SolverContext &) = delete;
 
   /// Opens a scope. Subsequent assertLiteral() calls land in it.
-  void push() override;
+  void push();
 
   /// Discards the newest scope, restoring the exact prior state.
-  void pop() override;
+  void pop();
 
-  size_t numScopes() const override { return Frames.size(); }
-  size_t numAssertedLiterals() const override { return Lits.size(); }
+  size_t numScopes() const { return Frames.size(); }
+  size_t numAssertedLiterals() const { return Lits.size(); }
 
   /// Asserts comparison literal \p Lit in the current scope (or at the
   /// permanent base level when no scope is open), folding it into the
@@ -71,66 +91,53 @@ public:
   /// false when the literal is outside the linear fragment — the context
   /// is then poisoned (check() answers Unknown) until the owning scope
   /// pops.
-  bool assertLiteral(TermId Lit) override;
+  bool assertLiteral(TermId Lit);
 
   /// Decides the conjunction of every asserted literal. Work is charged to
   /// \p QueryStats; budgets (Options.MaxDecisions) are read from it, so
   /// sharing one QueryStats across several check() calls shares the
   /// budget, matching the one-query-many-supports accounting of
   /// Solver::check.
-  SatAnswer check(SolverStats &QueryStats) override;
+  SatAnswer check(SolverStats &QueryStats);
 
   /// Decides an arbitrary boolean formula. Flat conjunctions of
   /// comparisons retarget() this context's assertion stack (the
   /// incremental fast path); disjunctive formulas fall back to support
   /// enumeration in scratch contexts, leaving this context's assertions
   /// untouched. Semantically identical to the historic Solver::check.
-  SatAnswer checkFormula(TermId Formula, SolverStats &QueryStats) override;
+  SatAnswer checkFormula(TermId Formula, SolverStats &QueryStats);
 
   /// checkFormula plus the solver.check telemetry (timer, counters, one
   /// SolverCheck trace event) — what Solver::check emits per query.
   SatAnswer checkFormulaWithTelemetry(TermId Formula,
-                                      SolverStats &QueryStats) override;
+                                      SolverStats &QueryStats);
 
   /// check() of the asserted stack with the same per-query telemetry and
   /// cumulative-stats fold as checkFormulaWithTelemetry. For callers that
   /// manage the assertion stack themselves (core::ValiditySolver's
   /// grounding enumeration) and still want one solver.check event per
   /// query.
-  SatAnswer checkWithTelemetry(SolverStats &CumStats) override;
+  SatAnswer checkWithTelemetry(SolverStats &CumStats);
 
   /// Pops and pushes scopes until the asserted literal stack equals
   /// \p Literals, reusing the longest common prefix (one scope per
   /// literal). Only valid on contexts managed exclusively through
   /// retarget (no base-level assertions, one literal per scope).
-  void retarget(std::span<const TermId> Literals) override;
+  void retarget(std::span<const TermId> Literals);
 
   /// Drops every scope and base-level assertion; keeps the pure
   /// normalization cache (it is arena-keyed and never stale).
-  void reset() override;
+  void reset();
 
-  const SolverOptions &options() const override { return Options; }
-  const ContextStats &contextStats() const override { return Stats; }
-
-  const char *backendName() const override { return "native"; }
+  const SolverOptions &options() const { return Options; }
+  const ContextStats &contextStats() const { return Stats; }
 
   /// Toggles unsat-core extraction. Extraction never affects an answer's
   /// Result/Model — only whether SatAnswer::UnsatCore is populated — so
   /// flipping it mid-lifetime is safe; core::ValiditySolver turns it off
   /// once its blocked-core store is full to stop paying for probes.
-  void setExtractUnsatCores(bool Enable) override {
+  void setExtractUnsatCores(bool Enable) {
     Options.ExtractUnsatCores = Enable;
-  }
-
-  /// Replaces the stop controls polled by later checks. Stop controls are
-  /// not part of the folded state (they bound *when* a check stops, never
-  /// what a finished check answers), so swapping them between checks never
-  /// perturbs an answer — smt::PortfolioSolver rebinds its per-race cancel
-  /// token on persistent lane contexts this way.
-  void setStopControls(const support::Deadline &D,
-                       const support::CancelToken &C) {
-    Options.Deadline = D;
-    Options.Cancel = C;
   }
 
   /// Flattens simplify(\p Formula) into its comparison literals, in
@@ -186,13 +193,15 @@ private:
 
   void registerAtom(TermId Atom);
   void setDomain(size_t Idx, const Interval &NewDom);
-  /// Folds \p QueryStats into \p CumStats and emits the per-query telemetry
-  /// counters, latency-histogram sample, and trace event (shared tail of
-  /// the *WithTelemetry entries). \p CacheOutcome is "hit"/"miss" when the
-  /// answer cache resolved/recorded this query, null otherwise; the event
-  /// also carries the current scope depth and the thread's query
-  /// attribution (test / candidate / worker / grounding).
+  /// Propagates the asserted rows to their interval fixpoint and records
+  /// the tightened base domains; false on an empty domain.
   bool propagateBase();
+  /// The shared body of the *WithTelemetry entries: runs \p Check (one
+  /// check or checkFormula call) under the solver-check fault site and the
+  /// solver.check span and timer, then folds its work into \p CumStats
+  /// and emits the per-query telemetry.
+  template <typename CheckFn>
+  SatAnswer checkWithTelemetryImpl(SolverStats &CumStats, CheckFn Check);
   /// Memo lookup: was (Atom = Value) proven refuted by a still-asserted
   /// prefix?
   bool memoRefuted(TermId Atom, int64_t Value) const;
@@ -275,19 +284,6 @@ private:
   };
   std::map<std::pair<std::vector<TermId>, size_t>, CachedAnswer> AnswerCache;
 };
-
-/// Folds \p QueryStats into \p CumStats and emits the per-query telemetry
-/// counters, latency-histogram sample, and SolverCheck trace event (the
-/// shared tail of every *WithTelemetry entry point). \p CacheOutcome is
-/// "hit"/"miss" when an answer cache resolved/recorded this query, null
-/// otherwise; the event also carries \p ScopeDepth and the thread's query
-/// attribution (test / candidate / worker / grounding). Shared by
-/// SolverContext and PortfolioSolver so a portfolio-served query emits
-/// exactly one solver.check sample, like a native one.
-void foldSolverQueryTelemetry(const SatAnswer &Answer,
-                              const SolverStats &QueryStats,
-                              SolverStats &CumStats, int64_t ElapsedNs,
-                              const char *CacheOutcome, size_t ScopeDepth);
 
 } // namespace hotg::smt
 

@@ -57,8 +57,8 @@ std::optional<FaultSite> siteByName(std::string_view Name) {
 
 /// splitmix64 finalizer — a full-avalanche 64-bit mixer. The probe
 /// decision is the mixed (seed, site, index) triple compared against the
-/// probability threshold, so it is reproducible across platforms and
-/// thread schedules.
+/// probability threshold, where the index is the FaultScope's (key,
+/// attempt) pair or, outside a scope, the per-site probe ordinal.
 uint64_t mix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ull;
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -71,7 +71,17 @@ uint64_t probeHash(uint64_t Seed, FaultSite Site, uint64_t Index) {
                Index);
 }
 
+/// The innermost FaultScope of this thread; null outside any scope.
+thread_local const FaultScope *CurrentScope = nullptr;
+
 } // namespace
+
+FaultScope::FaultScope(uint64_t Key, unsigned Attempt)
+    : Outer(CurrentScope), Key(Key), Attempt(Attempt) {
+  CurrentScope = this;
+}
+
+FaultScope::~FaultScope() { CurrentScope = Outer; }
 
 std::unique_ptr<FaultInjector> FaultInjector::parse(const std::string &Spec,
                                                     std::string &Error) {
@@ -140,6 +150,8 @@ bool FaultInjector::shouldFail(FaultSite Site) {
   if (!S.Armed)
     return false;
   uint64_t Index = S.Probes.fetch_add(1, std::memory_order_relaxed);
+  if (const FaultScope *Scope = CurrentScope)
+    Index = mix64(Scope->Key ^ mix64(Scope->Attempt));
   bool Fail = S.Threshold == UINT64_MAX ||
               probeHash(S.Seed, Site, Index) < S.Threshold;
   if (Fail)

@@ -19,12 +19,15 @@
 ///   HOTG_FAULT_SPEC="worker-dispatch:0.2:7"  (site : probability : seed)
 ///
 /// and the marked call then throws FaultInjected on a deterministic
-/// subset of its executions: the n-th probe of a site fires iff
-/// hash(seed, site, n) maps below the probability threshold. The decision
-/// depends only on (seed, site, per-site probe index) — never on wall
-/// clock, thread identity, or global ordering — so a single-threaded run
-/// is exactly reproducible and a multi-threaded run fires the same total
-/// set of faults per site regardless of how probes interleave.
+/// subset of its executions. Code that computes an identifiable unit of
+/// work (the directed search's queries) names it with a FaultScope; every
+/// probe inside the scope fires iff hash(seed, site, key, attempt) maps
+/// below the probability threshold. The decision never depends on wall
+/// clock, thread identity or how threads interleave, so a multi-threaded
+/// search faults exactly the same query attempts on every run, and a
+/// retry (the next attempt ordinal) draws afresh. A probe outside any
+/// scope is keyed by its per-site probe index instead, which is
+/// reproducible only when a single thread probes that site.
 ///
 /// Multiple sites are comma-separated: "site:p:s,site2:p2:s2".
 ///
@@ -76,7 +79,8 @@ private:
 
 /// Per-process fault configuration: probability + seed per site, with
 /// per-site atomic probe counters. Thread-safe; decisions are a pure
-/// function of (seed, site, probe index).
+/// function of (seed, site, FaultScope key and attempt), or of (seed,
+/// site, probe index) outside a scope.
 class FaultInjector {
 public:
   /// Parses "site:prob:seed[,site:prob:seed...]" (e.g.
@@ -111,6 +115,26 @@ private:
     std::atomic<uint64_t> Fired{0};
   };
   std::array<SiteState, NumFaultSites> Sites;
+};
+
+/// Names the unit of work the calling thread computes while the scope
+/// lives: \p Key identifies it deterministically (the same work gets the
+/// same key on any thread and in any run) and \p Attempt counts its
+/// retries. Every probe of one site inside the scope makes the same
+/// decision, so an attempt either faults at its first probe of that site
+/// or not at all. Scopes nest; the innermost one applies.
+class FaultScope {
+public:
+  FaultScope(uint64_t Key, unsigned Attempt);
+  ~FaultScope();
+  FaultScope(const FaultScope &) = delete;
+  FaultScope &operator=(const FaultScope &) = delete;
+
+private:
+  const FaultScope *Outer;
+  uint64_t Key;
+  unsigned Attempt;
+  friend class FaultInjector;
 };
 
 namespace detail {

@@ -262,8 +262,6 @@ const char *hotg::telemetry::eventKindName(EventKind Kind) {
     return "span_end";
   case EventKind::Heartbeat:
     return "heartbeat";
-  case EventKind::PortfolioRace:
-    return "portfolio_race";
   }
   HOTG_UNREACHABLE("unknown event kind");
 }

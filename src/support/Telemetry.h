@@ -252,7 +252,6 @@ enum class EventKind : uint8_t {
   SpanBegin,     ///< A ScopedSpan opened (id, parent, thread, name, ts).
   SpanEnd,       ///< The matching close (id, ts, duration).
   Heartbeat,     ///< Sampled live progress (hotg-run --progress-ms).
-  PortfolioRace, ///< One smt::PortfolioSolver first-answer-wins race.
 };
 
 /// Returns the JSONL name: "test_run", "solver_check", ...

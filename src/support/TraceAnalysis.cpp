@@ -173,18 +173,6 @@ const std::vector<KindSpec> &schema() {
         {"name", FieldType::Str, true},
         {"ts_ns", FieldType::Int, true},
         {"dur_ns", FieldType::Int, true}}},
-      {"portfolio_race",
-       {{"winner", FieldType::Str, true},
-        {"result", FieldType::Str, true},
-        {"tactics", FieldType::Int, true},
-        {"cancelled_losers", FieldType::Int, true},
-        {"faulted", FieldType::Int, true},
-        {"ns", FieldType::Int, true},
-        {"test", FieldType::Int, true},
-        {"candidate", FieldType::Int, false},
-        {"worker", FieldType::Int, false},
-        {"grounding", FieldType::Str, false},
-        {"span", FieldType::Int, false}}},
       {"heartbeat",
        {{"ts_ns", FieldType::Int, true},
         {"elapsed_ms", FieldType::Int, true},
@@ -451,23 +439,6 @@ Report hotg::trace::buildReport(const Trace &T, unsigned TopK) {
       ++R.Divergences;
     } else if (E.Kind == "heartbeat") {
       ++R.Heartbeats;
-    } else if (E.Kind == "portfolio_race") {
-      ++R.PortfolioRaces;
-      R.PortfolioCancelledLosers =
-          R.PortfolioCancelledLosers +
-          static_cast<uint64_t>(E.Json.getInt("cancelled_losers"));
-      R.PortfolioFaultedLanes =
-          R.PortfolioFaultedLanes +
-          static_cast<uint64_t>(E.Json.getInt("faulted"));
-      std::string Winner(E.Json.getString("winner"));
-      if (Winner != "none") {
-        auto It = std::find_if(R.PortfolioWins.begin(), R.PortfolioWins.end(),
-                               [&](const auto &P) { return P.first == Winner; });
-        if (It == R.PortfolioWins.end())
-          R.PortfolioWins.emplace_back(std::move(Winner), 1);
-        else
-          ++It->second;
-      }
     } else if (E.Kind == "search_summary") {
       R.WorkerFailures =
           static_cast<uint64_t>(E.Json.getInt("worker_failures"));
@@ -533,22 +504,6 @@ std::string hotg::trace::renderReport(const Report &R) {
                           P.Name.c_str(),
                           static_cast<unsigned long long>(P.Count),
                           Ms(P.TotalNs), Ms(P.SelfNs), Ms(P.MaxNs));
-  }
-
-  if (R.PortfolioRaces) {
-    Out += "== portfolio races ==\n";
-    Out += formatString("  races %llu  losers cancelled %llu  "
-                        "lanes faulted %llu\n",
-                        static_cast<unsigned long long>(R.PortfolioRaces),
-                        static_cast<unsigned long long>(
-                            R.PortfolioCancelledLosers),
-                        static_cast<unsigned long long>(
-                            R.PortfolioFaultedLanes));
-    for (const auto &[Tactic, Wins] : R.PortfolioWins)
-      Out += formatString("  wins %-18s %llu (%.1f%%)\n", Tactic.c_str(),
-                          static_cast<unsigned long long>(Wins),
-                          100.0 * static_cast<double>(Wins) /
-                              static_cast<double>(R.PortfolioRaces));
   }
 
   Out += "== cache ==\n";

@@ -23,7 +23,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace hotg::trace {
@@ -146,13 +145,6 @@ struct Report {
   /// From search_summary (0 when the trace has none).
   uint64_t WorkerFailures = 0, InlineRetries = 0;
   std::string StopReason;
-  /// Portfolio race totals across portfolio_race events (all 0 when the
-  /// run used the native backend): races run, losers cancelled
-  /// mid-flight, lanes that threw, and per-tactic win counts in
-  /// first-seen order.
-  uint64_t PortfolioRaces = 0, PortfolioCancelledLosers = 0,
-           PortfolioFaultedLanes = 0;
-  std::vector<std::pair<std::string, uint64_t>> PortfolioWins;
 };
 
 /// Builds the report; \p TopK bounds SlowQueries.

@@ -19,14 +19,6 @@ const char *hotg::vm::engineName(EngineKind Kind) {
   HOTG_UNREACHABLE("unknown engine kind");
 }
 
-std::optional<EngineKind> hotg::vm::parseEngineName(std::string_view Name) {
-  if (Name == "vm")
-    return EngineKind::VM;
-  if (Name == "interp")
-    return EngineKind::Interp;
-  return std::nullopt;
-}
-
 namespace {
 
 /// Reference engine: the tree-walking co-executor for shadow runs and the

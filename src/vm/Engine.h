@@ -7,9 +7,9 @@
 /// \file
 /// A uniform seam over the two execution engines: the register bytecode VM
 /// (vm/VM.h, the default) and the tree-walking reference pair
-/// (dse::SymbolicExecutor + interp::Interpreter). The directed search, the
-/// random baseline, hotg-run and the benches pick an engine through this
-/// interface; both engines emit byte-identical search output (the VM
+/// (dse::SymbolicExecutor + interp::Interpreter). The directed search picks
+/// the engine itself (the VM, or the interpreter pair when it collects §8
+/// summaries); both engines emit byte-identical search output (the VM
 /// differential suite enforces this).
 ///
 //===----------------------------------------------------------------------===//
@@ -20,7 +20,6 @@
 #include "vm/VM.h"
 
 #include <memory>
-#include <optional>
 
 namespace hotg::vm {
 
@@ -30,12 +29,9 @@ enum class EngineKind : uint8_t {
   Interp, ///< Tree-walking SymbolicExecutor / Interpreter pair.
 };
 
-/// Returns the stable engine name ("vm", "interp") used by --engine,
-/// --stats and the search_summary trace event.
+/// Returns the stable engine name ("vm", "interp") used by --stats and
+/// the search_summary trace event.
 const char *engineName(EngineKind Kind);
-
-/// Parses an --engine value; nullopt for unknown names.
-std::optional<EngineKind> parseEngineName(std::string_view Name);
 
 /// One execution engine bound to a program, a native registry and a term
 /// arena. Not thread-safe: one engine per search worker, like

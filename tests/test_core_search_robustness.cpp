@@ -178,6 +178,21 @@ TEST_F(SearchRobustnessTest, SerialSolverFaultsRetryInline) {
   EXPECT_GE(Faulty.Tests.size(), 1u);
 }
 
+TEST_F(SearchRobustnessTest, QueryFaultsRecoverIdenticallyOnAnySchedule) {
+  // Faults inside queries are keyed by the query and its attempt ordinal
+  // (support::FaultScope), never by how worker threads interleave, so the
+  // serial run and every parallel run fault the same query attempts; a
+  // bounded retry redraws, and every run recovers to the clean result.
+  SearchResult Baseline = runWith(baseOptions(1));
+  for (const char *Spec : {"solver-check:0.05:7", "validity-ground:0.05:13"})
+    for (unsigned Jobs : {1u, 4u, 4u, 4u}) {
+      ScopedInjector Injector(Spec);
+      SearchResult Faulty = runWith(baseOptions(Jobs));
+      expectSameResult(Baseline, Faulty, Spec);
+      EXPECT_GT(Faulty.InlineRetries, 0u) << Spec << " jobs " << Jobs;
+    }
+}
+
 TEST_F(SearchRobustnessTest, PreExpiredDeadlineYieldsPartialResult) {
   SearchOptions Options = baseOptions(1);
   Options.Deadline = Deadline::afterNanos(0);

@@ -26,6 +26,13 @@ struct SweepParam {
   ConcretizationPolicy Policy;
 };
 
+// How gtest shows a parameter in test listings. Without it gtest dumps the
+// struct's raw bytes -- a string-literal address and uninitialised padding --
+// so the listed test names would change from one build or run to the next.
+void PrintTo(const SweepParam &Param, std::ostream *OS) {
+  *OS << Param.Example << '/' << policyName(Param.Policy);
+}
+
 std::string paramName(const ::testing::TestParamInfo<SweepParam> &Info) {
   std::string Name = Info.param.Example;
   Name += "_";

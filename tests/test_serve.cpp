@@ -240,7 +240,6 @@ TEST(ServeProtocolTest, DecodeFillsDefaultsAndRejectsStructuralErrors) {
       Req, Error))
       << Error;
   EXPECT_EQ(Req.Policy, "higher-order");
-  EXPECT_EQ(Req.Engine, "vm");
   EXPECT_EQ(Req.MaxTests, 64u);
   EXPECT_FALSE(Req.Input.has_value());
 
@@ -270,6 +269,29 @@ TEST(ServeProtocolTest, DecodeFillsDefaultsAndRejectsStructuralErrors) {
   EXPECT_FALSE(decodeJobRequest(R"({"id":"keep","program":"x","jobs":0})",
                                 Limits, Req, Error));
   EXPECT_EQ(Req.Id, "keep");
+}
+
+/// The daemon has no engine selector (the search picks its execution
+/// engine itself), so strict decoding rejects the field like any typo.
+TEST(ServeProtocolTest, EngineFieldIsRejectedAsUnknown) {
+  json::ParseLimits Limits;
+  JobRequest Req;
+  std::string Error;
+  EXPECT_FALSE(decodeJobRequest(R"({"id":"j","program":"x","engine":"vm"})",
+                                Limits, Req, Error));
+  EXPECT_EQ(Error, "unknown field 'engine'");
+  EXPECT_EQ(Req.Id, "j");
+}
+
+/// Likewise there is one solver and no backend selector.
+TEST(ServeProtocolTest, BackendFieldIsRejectedAsUnknown) {
+  json::ParseLimits Limits;
+  JobRequest Req;
+  std::string Error;
+  EXPECT_FALSE(decodeJobRequest(
+      R"({"id":"j","program":"x","backend":"native"})", Limits, Req, Error));
+  EXPECT_EQ(Error, "unknown field 'backend'");
+  EXPECT_EQ(Req.Id, "j");
 }
 
 TEST(ServeProtocolTest, EncodeResponseCarriesTaxonomy) {
@@ -321,6 +343,20 @@ TEST(ServeSessionTest, InvalidJobsAreRejectedNotFatal) {
   }
   // A malformed neighbor never poisons a valid job.
   EXPECT_EQ(ById["survivor"].Status, "bugs");
+}
+
+TEST(ServeSessionTest, SelectorFieldsAreStructuredRejections) {
+  Server Daemon(withWorkers(1));
+  auto ById = byId(runBatch(
+      Daemon, {obscureRequest("engine", ",\"engine\":\"interp\""),
+               obscureRequest("backend", ",\"backend\":\"native\""),
+               obscureRequest("plain")}));
+  ASSERT_EQ(ById.size(), 3u);
+  EXPECT_EQ(ById["engine"].Status, "rejected");
+  EXPECT_EQ(ById["engine"].Reason, "bad request: unknown field 'engine'");
+  EXPECT_EQ(ById["backend"].Status, "rejected");
+  EXPECT_EQ(ById["backend"].Reason, "bad request: unknown field 'backend'");
+  EXPECT_EQ(ById["plain"].Status, "bugs");
 }
 
 TEST(ServeSessionTest, StatusesMapTheExitCodeContract) {

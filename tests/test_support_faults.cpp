@@ -4,7 +4,9 @@
 // monotonic Deadline / CancelToken stop controls and the deterministic
 // FaultInjector harness. The central property pinned down here is
 // determinism: a fault decision is a pure function of (seed, site, probe
-// index), so re-parsing the same spec replays the exact same fire set.
+// index), or of (seed, site, scope key, attempt) inside a FaultScope, so
+// re-parsing the same spec replays the exact same fire set whatever the
+// thread schedule.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 using namespace hotg;
@@ -177,6 +180,84 @@ TEST(FaultInjectorTest, SummaryListsArmedSitesWithCounts) {
   EXPECT_NE(Summary.find("solver-check"), std::string::npos);
   EXPECT_NE(Summary.find("2"), std::string::npos);
   EXPECT_EQ(Summary.find("worker-dispatch"), std::string::npos);
+}
+
+/// Inside a FaultScope the decision depends on the scope's key and attempt
+/// only: probing the same keys on other threads, in another order and
+/// after unrelated probes replays the same decisions.
+TEST(FaultScopeTest, DecisionIgnoresProbeOrderAndThreads) {
+  FaultInjector Injector;
+  Injector.arm(FaultSite::SolverCheck, 0.3, 7);
+  constexpr uint64_t Keys = 256;
+  std::vector<bool> Serial;
+  for (uint64_t Key = 0; Key != Keys; ++Key) {
+    FaultScope Scope(Key, 0);
+    Serial.push_back(Injector.shouldFail(FaultSite::SolverCheck));
+  }
+  std::vector<char> Parallel(Keys);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != 4; ++T)
+    Threads.emplace_back([&, T] {
+      for (uint64_t Key = Keys; Key-- != 0;)
+        if (Key % 4 == T) {
+          FaultScope Scope(Key, 0);
+          (void)Injector.shouldFail(FaultSite::SolverCheck);
+          Parallel[Key] = Injector.shouldFail(FaultSite::SolverCheck);
+        }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (uint64_t Key = 0; Key != Keys; ++Key)
+    EXPECT_EQ(bool(Parallel[Key]), Serial[Key]) << "key " << Key;
+  EXPECT_GT(Injector.fired(FaultSite::SolverCheck), 0u);
+}
+
+/// Every probe of an attempt decides alike; the next attempt draws afresh,
+/// so a bounded retry of a faulted attempt can succeed.
+TEST(FaultScopeTest, RetryAttemptDrawsAfresh) {
+  FaultInjector Injector;
+  Injector.arm(FaultSite::ValidityGround, 0.5, 3);
+  unsigned Recovered = 0;
+  for (uint64_t Key = 0; Key != 64; ++Key) {
+    bool First;
+    {
+      FaultScope Scope(Key, 0);
+      First = Injector.shouldFail(FaultSite::ValidityGround);
+      for (int Probe = 0; Probe != 8; ++Probe)
+        EXPECT_EQ(Injector.shouldFail(FaultSite::ValidityGround), First);
+    }
+    if (!First)
+      continue;
+    for (unsigned Attempt = 1; Attempt != 8; ++Attempt) {
+      FaultScope Scope(Key, Attempt);
+      if (!Injector.shouldFail(FaultSite::ValidityGround)) {
+        ++Recovered;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(Recovered, 16u);
+}
+
+/// Scopes nest: the innermost applies, and leaving it restores the outer.
+TEST(FaultScopeTest, InnermostScopeApplies) {
+  FaultInjector Injector;
+  Injector.arm(FaultSite::ArenaDelta, 0.5, 11);
+  auto Decide = [&](uint64_t Key) {
+    FaultScope Scope(Key, 0);
+    return Injector.shouldFail(FaultSite::ArenaDelta);
+  };
+  uint64_t Fires = 0, Spares = 0;
+  while (!Decide(Fires))
+    ++Fires;
+  while (Decide(Spares))
+    ++Spares;
+  FaultScope Outer(Fires, 0);
+  {
+    FaultScope Inner(Spares, 0);
+    EXPECT_FALSE(Injector.shouldFail(FaultSite::ArenaDelta));
+  }
+  EXPECT_TRUE(Injector.shouldFail(FaultSite::ArenaDelta));
 }
 
 } // namespace

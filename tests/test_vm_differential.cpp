@@ -14,6 +14,7 @@
 #include "core/Search.h"
 #include "dse/SymbolicExecutor.h"
 #include "lang/Parser.h"
+#include "support/FaultInjector.h"
 #include "vm/Compiler.h"
 #include "vm/VM.h"
 
@@ -117,6 +118,38 @@ SearchResult runSearch(const lang::Program &Prog,
   return Search.run();
 }
 
+/// The faulted lexer search of the CLI fault contract (hotg-run lexer.ml
+/// --entry lex_main --explore-paths --max-tests 48), on \p Engine, with
+/// \p FaultSpec armed for its duration ("" runs it clean).
+SearchResult runFaultedLexer(const NativeRegistry &Natives, unsigned Jobs,
+                             vm::EngineKind Engine,
+                             const std::string &FaultSpec) {
+  lang::Program Prog =
+      loadProgram(std::filesystem::path(HOTG_EXAMPLES_DIR) / "lexer.ml");
+  SearchOptions Options;
+  Options.Policy = ConcretizationPolicy::HigherOrder;
+  Options.MaxTests = 48;
+  Options.SkipCoveredTargets = false;
+  Options.Jobs = Jobs;
+  Options.Engine = Engine;
+  std::unique_ptr<support::FaultInjector> Injector;
+  if (!FaultSpec.empty()) {
+    std::string Error;
+    Injector = support::FaultInjector::parse(FaultSpec, Error);
+    EXPECT_TRUE(Injector) << Error;
+  }
+  support::setFaultInjector(Injector.get());
+  SearchResult Result;
+  {
+    // Destroyed before disarming: its pool may still be running
+    // speculative jobs that probe the injector.
+    DirectedSearch Search(Prog, Natives, "lex_main", Options);
+    Result = Search.run();
+  }
+  support::setFaultInjector(nullptr);
+  return Result;
+}
+
 /// TSan-friendly fixture name: the thread-sanitizer CI leg filters on
 /// VmDifferentialTest.* to exercise the engine seam under Jobs > 1.
 class VmDifferentialTest : public ::testing::Test {
@@ -175,6 +208,36 @@ TEST_F(VmDifferentialTest, EngineAndJobsCommute) {
                                vm::EngineKind::VM);
     expectIdentical(A, B, Path.filename().string() + " / cross jobs");
   }
+}
+
+/// Faults hit the query side; the engine must not perturb how recovery
+/// replays tests. Serial searches under solver-check faults are identical
+/// on both engines, and identical to the clean search.
+TEST_F(VmDifferentialTest, FaultedSearchIdenticalAcrossEnginesSerial) {
+  SearchResult Clean = runFaultedLexer(Natives, 1, vm::EngineKind::VM, "");
+  for (const char *Spec : {"solver-check:0.05:7", "solver-check:0.05:19"}) {
+    SearchResult Interp =
+        runFaultedLexer(Natives, 1, vm::EngineKind::Interp, Spec);
+    SearchResult VM = runFaultedLexer(Natives, 1, vm::EngineKind::VM, Spec);
+    expectIdentical(Interp, VM, std::string(Spec) + " / interp vs vm");
+    expectIdentical(Clean, Interp, std::string(Spec) + " / interp vs clean");
+    EXPECT_GT(Interp.InlineRetries, 0u) << Spec;
+  }
+}
+
+/// The interpreter engine recovers from every search fault site at
+/// --jobs 4 to the clean VM search.
+TEST_F(VmDifferentialTest, FaultedInterpreterMatchesCleanVmAtEverySite) {
+  SearchResult Clean = runFaultedLexer(Natives, 4, vm::EngineKind::VM, "");
+  for (const char *Site :
+       {"worker-dispatch:0.2", "cache-publish:0.2", "arena-delta:0.2",
+        "solver-check:0.05"})
+    for (const char *Seed : {":7", ":19"}) {
+      std::string Spec = std::string(Site) + Seed;
+      expectIdentical(
+          Clean, runFaultedLexer(Natives, 4, vm::EngineKind::Interp, Spec),
+          Spec + " / interp jobs 4");
+    }
 }
 
 //===----------------------------------------------------------------------===//

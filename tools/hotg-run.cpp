@@ -8,12 +8,6 @@
 //                      otherwise the first function)
 //   --policy P         unsound | sound | sound-delayed | higher-order
 //                      (default) | random
-//   --engine E         execution engine for program runs: "vm" (default,
-//                      the register bytecode VM with shadow symbolic
-//                      tracing) or "interp" (the tree-walking reference
-//                      pair). Search output is byte-identical either way
-//                      (docs/minilang.md "Bytecode VM"); --summarize
-//                      always runs on the interpreter engine
 //   --max-tests N      execution budget (default 64)
 //   --multistep K      learning-run bound for higher-order (default 2)
 //   --jobs N           worker threads for speculative candidate evaluation
@@ -31,12 +25,6 @@
 //                      unsat-core-guided grounding pruning in the
 //                      validity solver (for differential runs; answers
 //                      are identical either way, see docs/solver.md)
-//   --backend SPEC     solver backend behind the search's incremental
-//                      contexts: "native" (default), "portfolio", or
-//                      "portfolio:tac1,tac2" to race a tactic subset
-//                      (see docs/solver.md "Backends and portfolio
-//                      racing"; answers are byte-identical to native)
-//   --portfolio        shorthand for --backend portfolio
 //   --dump-tests       print every executed test
 //   --dump-pc          print the AST and per-test path constraints
 //   --stats            print the telemetry counter/timer table to stderr
@@ -54,6 +42,9 @@
 //   --fault-spec S     arm the deterministic fault injector, e.g.
 //                      "worker-dispatch:0.2:7"; overrides HOTG_FAULT_SPEC
 //
+// Programs run on the register bytecode VM, or on the tree-walking
+// interpreter pair under --summarize (docs/minilang.md "Bytecode VM").
+//
 // Available natives: hash(1), hash2(1), hash4(4), fstep(1).
 //
 // Exit codes: 0 = search completed (bugs found or not), 1 = usage or
@@ -64,7 +55,6 @@
 
 #include "app/Examples.h"
 #include "core/Search.h"
-#include "smt/SolverFactory.h"
 #include "dse/SymbolicExecutor.h"
 #include "lang/Parser.h"
 #include "support/Deadline.h"
@@ -94,12 +84,11 @@ namespace {
   std::fprintf(stderr,
                "usage: hotg-run <file.ml> [--entry NAME] "
                "[--policy unsound|sound|sound-delayed|higher-order|random] "
-               "[--engine vm|interp] "
                "[--max-tests N] [--multistep K] [--jobs N] [--input a,b,c] "
                "[--seed-input a,b,c] [--seed N] [--samples-in F] "
                "[--samples-out F] [--summarize] [--explore-paths] "
                "[--order bfs|dfs] [--no-learning] "
-               "[--backend SPEC] [--portfolio] [--dump-tests] "
+               "[--dump-tests] "
                "[--dump-pc] [--stats] "
                "[--stats-json F] [--trace-out F] [--progress-ms N] "
                "[--deadline-ms N] [--fault-spec site:prob:seed[,...]]\n");
@@ -132,8 +121,6 @@ int runTool(int Argc, char **Argv) {
   bool ExplorePaths = false, DumpTests = false, DumpPc = false;
   bool DepthFirst = false, Summarize = false, PrintStats = false;
   bool NoLearning = false;
-  std::string Backend = "native";
-  std::string EngineName = "vm";
   uint64_t DeadlineMs = 0;
   uint64_t ProgressMs = 0;
   std::string SamplesIn, SamplesOut, StatsJsonPath, TracePath, FaultSpec;
@@ -148,8 +135,6 @@ int runTool(int Argc, char **Argv) {
       Entry = NextArg("--entry");
     else if (!std::strcmp(Argv[I], "--policy"))
       Policy = NextArg("--policy");
-    else if (!std::strcmp(Argv[I], "--engine"))
-      EngineName = NextArg("--engine");
     else if (!std::strcmp(Argv[I], "--max-tests"))
       MaxTests = static_cast<unsigned>(
           std::strtoul(NextArg("--max-tests"), nullptr, 10));
@@ -185,10 +170,6 @@ int runTool(int Argc, char **Argv) {
     }
     else if (!std::strcmp(Argv[I], "--no-learning"))
       NoLearning = true;
-    else if (!std::strcmp(Argv[I], "--backend"))
-      Backend = NextArg("--backend");
-    else if (!std::strcmp(Argv[I], "--portfolio"))
-      Backend = "portfolio";
     else if (!std::strcmp(Argv[I], "--dump-tests"))
       DumpTests = true;
     else if (!std::strcmp(Argv[I], "--dump-pc"))
@@ -220,22 +201,6 @@ int runTool(int Argc, char **Argv) {
   }
   if (!Path)
     usageError("missing input file");
-
-  // Validate the backend spec up front: a typo must be a usage error that
-  // lists the registered vocabulary, not a fatal error mid-search.
-  {
-    std::string SpecError = smt::SolverFactory::global().validateSpec(Backend);
-    if (!SpecError.empty())
-      usageError(SpecError.c_str());
-  }
-
-  // Same early validation for the engine name.
-  std::optional<vm::EngineKind> Engine = vm::parseEngineName(EngineName);
-  if (!Engine)
-    usageError(formatString("unknown engine '%s'; available engines: "
-                            "vm, interp",
-                            EngineName.c_str())
-                   .c_str());
 
   // --fault-spec wins over the HOTG_FAULT_SPEC environment variable so a
   // CI matrix can export a default and individual steps can override it.
@@ -328,7 +293,7 @@ int runTool(int Argc, char **Argv) {
     RunLimits Limits;
     Limits.Deadline = Deadline;
     Result = runRandomSearch(*Prog, Natives, Entry, MaxTests, 0, 99, Seed,
-                             Limits, *Engine);
+                             Limits);
   } else {
     SearchOptions Options;
     if (Policy == "unsound")
@@ -351,8 +316,6 @@ int runTool(int Argc, char **Argv) {
     Options.SummarizeCalls = Summarize;
     Options.ProgressEveryMs = ProgressMs;
     Options.Deadline = Deadline;
-    Options.SolverBackend = Backend;
-    Options.Engine = *Engine;
     if (NoLearning) {
       Options.SolverOpts.ConflictLearning = false;
       Options.ValidityOpts.CoreGuidedPruning = false;
@@ -410,8 +373,8 @@ int runTool(int Argc, char **Argv) {
     // interpreter pair; docs/minilang.md "Bytecode VM").
     bool SummaryMode = Policy != "random" && Summarize;
     std::fprintf(stderr, "engine: %s\n",
-                 SummaryMode ? vm::engineName(vm::EngineKind::Interp)
-                             : vm::engineName(*Engine));
+                 vm::engineName(SummaryMode ? vm::EngineKind::Interp
+                                            : vm::EngineKind::VM));
     // Execution throughput of the bytecode VM: instructions retired per
     // second of vm.exec wall time (concrete and shadow runs combined).
     uint64_t VmInsns = Reg.counter("vm.instructions").value();
@@ -440,26 +403,6 @@ int runTool(int Argc, char **Argv) {
                    "grounding pruning: %.1f%% (%llu pruned, %llu tried)\n",
                    100.0 * double(Pruned) / double(Tried + Pruned),
                    (unsigned long long)Pruned, (unsigned long long)Tried);
-    // Portfolio race summary: races run, wins per tactic, and losers that
-    // were cancelled mid-flight (see docs/solver.md "Backends and
-    // portfolio racing"). Per-tactic wall time lives in the stats table
-    // above as the solver.portfolio.tactic.<name> timers.
-    uint64_t Races = Reg.counter("solver.portfolio.races").value();
-    if (Races != 0) {
-      uint64_t Cancelled =
-          Reg.counter("solver.portfolio.cancelled_losers").value();
-      std::fprintf(stderr,
-                   "portfolio races: %llu (%llu losers cancelled); wins:",
-                   (unsigned long long)Races, (unsigned long long)Cancelled);
-      for (const std::string &Tactic :
-           smt::SolverFactory::global().tacticNames("portfolio")) {
-        uint64_t Wins =
-            Reg.counter("solver.portfolio.wins_by_tactic." + Tactic).value();
-        std::fprintf(stderr, " %s=%llu", Tactic.c_str(),
-                     (unsigned long long)Wins);
-      }
-      std::fprintf(stderr, "\n");
-    }
     if (Injector)
       std::fprintf(stderr, "fault injection (per armed site):\n%s",
                    Injector->summary().c_str());

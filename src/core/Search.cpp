@@ -75,9 +75,6 @@ smt::PortableAnswer encodeSat(const smt::SatAnswer &Answer,
   PA.SupportsExplored = S.SupportsExplored;
   PA.Decisions = S.Decisions;
   PA.Propagations = S.Propagations;
-  PA.LearnedClauses = S.LearnedClauses;
-  PA.LearnedClauseHits = S.LearnedClauseHits;
-  PA.Backjumps = S.Backjumps;
   return PA;
 }
 
@@ -139,9 +136,6 @@ struct DirectedSearch::ParallelState {
     std::unique_ptr<smt::SolverContext> Ctx;
   };
   std::vector<Worker> Workers;
-
-  /// Mirrors SearchOptions::UseIncrementalContexts (set at construction).
-  bool UseIncremental = true;
 
   /// Speculations in flight, by Candidate::Id (main thread only).
   std::unordered_map<uint64_t, std::future<void>> Inflight;
@@ -217,23 +211,16 @@ void DirectedSearch::ParallelState::runJob(
     smt::PortableAnswer PA;
     bool Unfinished = false; // Unknown answer (may encode a deadline).
     if (Kind == smt::QueryKind::Satisfiability) {
-      smt::SolverStats QS;
-      smt::SatAnswer Answer;
-      if (UseIncremental) {
-        if (!Me.Ctx) {
-          smt::SolverOptions CtxOpts = SolverOpts;
-          // The memo would make per-query decision counts depend on which
-          // queries this worker happened to run earlier — the cached stats
-          // must equal what the merge path computes (docs/solver.md).
-          CtxOpts.EnableRefutationMemo = false;
-          Me.Ctx = std::make_unique<smt::SolverContext>(Me.Replica, CtxOpts);
-        }
-        Answer = Me.Ctx->checkFormulaWithTelemetry(Alt, QS);
-      } else {
-        smt::Solver Solver(Me.Replica, SolverOpts);
-        Answer = Solver.check(Alt);
-        QS = Solver.stats();
+      if (!Me.Ctx) {
+        smt::SolverOptions CtxOpts = SolverOpts;
+        // The memo would make per-query decision counts depend on which
+        // queries this worker happened to run earlier — the cached stats
+        // must equal what the merge path computes (docs/solver.md).
+        CtxOpts.EnableRefutationMemo = false;
+        Me.Ctx = std::make_unique<smt::SolverContext>(Me.Replica, CtxOpts);
       }
+      smt::SolverStats QS;
+      smt::SatAnswer Answer = Me.Ctx->checkFormulaWithTelemetry(Alt, QS);
       Unfinished = Answer.Result == smt::SatResult::Unknown;
       PA = encodeSat(Answer, QS, Me.Replica);
     } else {
@@ -550,7 +537,6 @@ void DirectedSearch::initParallel() {
   unsigned Jobs = effectiveJobs();
   if (Jobs > 1) {
     Parallel = std::make_unique<ParallelState>(Jobs);
-    Parallel->UseIncremental = Options.UseIncrementalContexts;
     if (Options.SharedCache) {
       Parallel->Active = Options.SharedCache;
       Parallel->SharedActive = true;
@@ -635,7 +621,6 @@ void DirectedSearch::dispatchSpeculative() {
 
     ValidityOptions VOpts = Options.ValidityOpts;
     VOpts.SolverOpts = Options.SolverOpts;
-    VOpts.UseIncrementalContexts = Options.UseIncrementalContexts;
     Reg.counter("search.speculative_dispatches").add();
     PS.Inflight.emplace(
         Cand.Id, PS.Pool.submit([&PS, Alt, Fp, Gen, Kind, VOpts,
@@ -653,7 +638,8 @@ void DirectedSearch::dispatchSpeculative() {
         }));
   }
   // Sampled gauge: count = dispatch rounds, max = peak depth.
-  Reg.timer("search.queue_depth").note(PS.Pool.queueDepth());
+  static telemetry::PhaseTimer &QueueDepth = Reg.gauge("search.queue_depth");
+  QueueDepth.note(PS.Pool.queueDepth());
 }
 
 void DirectedSearch::awaitSpeculation(const Candidate &Cand) {
@@ -709,47 +695,33 @@ smt::SatAnswer DirectedSearch::solveSat(smt::TermId Alt) {
       Result.SolverQueryStats.SupportsExplored += Hit->SupportsExplored;
       Result.SolverQueryStats.Decisions += Hit->Decisions;
       Result.SolverQueryStats.Propagations += Hit->Propagations;
-      Result.SolverQueryStats.LearnedClauses += Hit->LearnedClauses;
-      Result.SolverQueryStats.LearnedClauseHits += Hit->LearnedClauseHits;
-      Result.SolverQueryStats.Backjumps += Hit->Backjumps;
       smt::SatAnswer Answer;
       Answer.Result = static_cast<smt::SatResult>(Hit->Status);
       Answer.ModelValue = decodeModel(Hit->Model, Arena);
       return Answer;
     }
   }
-  // Budgets (MaxDecisions, MaxSupports) are per-query either way: the
-  // incremental context charges each query to a fresh SolverStats, and the
-  // fallback constructs a fresh solver. Work is aggregated into the
+  // Budgets (MaxDecisions, MaxSupports) are per-query: the context
+  // charges each query to a fresh SolverStats. Work is aggregated into the
   // search-owned stats below.
   if (Parallel)
     noteInlineRetryIfPending(Parallel->PendingInlineRetry,
                              Result.InlineRetries);
-  smt::SolverStats S;
-  smt::SatAnswer Answer;
-  if (Options.UseIncrementalContexts) {
-    if (!SatCtx) {
-      smt::SolverOptions CtxOpts = Options.SolverOpts;
-      // Memo off: per-query decision counts must not depend on which
-      // queries ran earlier in this context, or parallel runs (whose
-      // workers see a different query order) would report different
-      // aggregates (docs/solver.md).
-      CtxOpts.EnableRefutationMemo = false;
-      SatCtx = std::make_unique<smt::SolverContext>(Arena, CtxOpts);
-    }
-    Answer = SatCtx->checkFormulaWithTelemetry(Alt, S);
-  } else {
-    smt::Solver Solver(Arena, Options.SolverOpts);
-    Answer = Solver.check(Alt);
-    S = Solver.stats();
+  if (!SatCtx) {
+    smt::SolverOptions CtxOpts = Options.SolverOpts;
+    // Memo off: per-query decision counts must not depend on which
+    // queries ran earlier in this context, or parallel runs (whose
+    // workers see a different query order) would report different
+    // aggregates (docs/solver.md).
+    CtxOpts.EnableRefutationMemo = false;
+    SatCtx = std::make_unique<smt::SolverContext>(Arena, CtxOpts);
   }
+  smt::SolverStats S;
+  smt::SatAnswer Answer = SatCtx->checkFormulaWithTelemetry(Alt, S);
   Result.SolverQueryStats.Checks += S.Checks;
   Result.SolverQueryStats.SupportsExplored += S.SupportsExplored;
   Result.SolverQueryStats.Decisions += S.Decisions;
   Result.SolverQueryStats.Propagations += S.Propagations;
-  Result.SolverQueryStats.LearnedClauses += S.LearnedClauses;
-  Result.SolverQueryStats.LearnedClauseHits += S.LearnedClauseHits;
-  Result.SolverQueryStats.Backjumps += S.Backjumps;
   // Computed on the main arena, so any atoms it interned are permanent:
   // the answer is transferable to every later consumer. Unknown answers
   // stay out of a cross-session SharedCache, though: an Unknown computed
@@ -810,7 +782,6 @@ ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
       Options.UseAntecedent ? Samples : EmptySamples;
   ValidityOptions VOpts = Options.ValidityOpts;
   VOpts.SolverOpts = Options.SolverOpts;
-  VOpts.UseIncrementalContexts = Options.UseIncrementalContexts;
   if (Options.SummarizeCalls)
     VOpts.Summaries = &Summaries;
   ValiditySolver Validity(Arena, Antecedent, VOpts);

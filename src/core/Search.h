@@ -86,13 +86,6 @@ struct SearchOptions {
   /// speculate for (SummarizeCalls, a user-supplied SolverOpts.Samples
   /// table) silently fall back to 1.
   unsigned Jobs = 1;
-  /// Route satisfiability queries through long-lived incremental
-  /// smt::SolverContexts (one for the merge loop, one per worker) that
-  /// share asserted path-constraint prefixes across sibling candidates.
-  /// Answers and per-query work stats are identical either way — the fold
-  /// invariant of docs/solver.md — so this switch exists only for the
-  /// differential test suite and for debugging.
-  bool UseIncrementalContexts = true;
   smt::SolverOptions SolverOpts;
   ValidityOptions ValidityOpts;
   /// Emit a `heartbeat` trace event (tests/s, solver checks/s, cache hit
@@ -304,7 +297,7 @@ private:
       EvaluatedCandidates;
   SearchResult Result;
   /// Long-lived incremental context for the merge path's satisfiability
-  /// queries (UseIncrementalContexts); created lazily, refutation memo
+  /// queries; created lazily, refutation memo
   /// forced off so per-query stats stay jobs-invariant (docs/solver.md).
   std::unique_ptr<smt::SolverContext> SatCtx;
   uint64_t NextCandidateId = 0;

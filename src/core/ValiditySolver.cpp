@@ -365,43 +365,32 @@ private:
       Attribution.emplace();
       telemetry::queryAttribution().GroundingFamily = groundingFamily();
     }
-    SatAnswer Answer;
-    if (Options.UseIncrementalContexts) {
-      // One long-lived context serves every grounding of this support
-      // enumeration. checkFormula's conjunctive fast path retargets the
-      // context's assertion stack onto the query's literal sequence, so
-      // consecutive groundings — which share the support literals plus a
-      // common choice prefix — keep that prefix asserted instead of
-      // re-asserting it, and refutation-memo entries recorded against the
-      // surviving prefix frames carry over. The fold invariant
-      // (docs/solver.md) makes the answer and per-query work stats
-      // byte-identical to the fresh-solver path below.
-      if (!Ctx) {
-        SolverOptions CtxOpts = Options.SolverOpts;
-        CtxOpts.Samples = &Samples;
-        CtxOpts.EnableRefutationMemo = true;
-        CtxOpts.ExtractUnsatCores =
-            Options.CoreGuidedPruning && BlockedCores.size() < MaxBlockedCores;
-        Ctx = std::make_unique<SolverContext>(Arena, CtxOpts);
-      }
-      SolverStats QueryStats;
-      Answer = Ctx->checkFormulaWithTelemetry(Arena.mkAnd(Query), QueryStats);
-    } else {
-      SolverOptions InnerOpts = Options.SolverOpts;
-      InnerOpts.Samples = &Samples;
-      InnerOpts.ExtractUnsatCores =
+    // One long-lived context serves every grounding of this support
+    // enumeration. checkFormula's conjunctive fast path retargets the
+    // context's assertion stack onto the query's literal sequence, so
+    // consecutive groundings — which share the support literals plus a
+    // common choice prefix — keep that prefix asserted instead of
+    // re-asserting it, and refutation-memo entries recorded against the
+    // surviving prefix frames carry over (docs/solver.md).
+    if (!Ctx) {
+      SolverOptions CtxOpts = Options.SolverOpts;
+      CtxOpts.Samples = &Samples;
+      CtxOpts.EnableRefutationMemo = true;
+      CtxOpts.ExtractUnsatCores =
           Options.CoreGuidedPruning && BlockedCores.size() < MaxBlockedCores;
-      Solver Inner(Arena, InnerOpts);
-      Answer = Inner.checkConjunction(Query);
+      Ctx = std::make_unique<SolverContext>(Arena, CtxOpts);
     }
+    SolverStats QueryStats;
+    SatAnswer Answer =
+        Ctx->checkFormulaWithTelemetry(Arena.mkAnd(Query), QueryStats);
     if (Answer.Result == SatResult::Unknown)
       SawUnknown = true;
     if (Answer.Result == SatResult::Unsat && Options.CoreGuidedPruning &&
         !Answer.UnsatCore.empty()) {
       recordBlockedCore(Answer.UnsatCore);
-      // Once the store is full, stop paying for extraction (the probe
-      // solves behind minimizeCore); extraction never affects answers.
-      if (BlockedCores.size() >= MaxBlockedCores && Ctx)
+      // Once the store is full, stop paying for extraction (the
+      // verification probe); extraction never affects answers.
+      if (BlockedCores.size() >= MaxBlockedCores)
         Ctx->setExtractUnsatCores(false);
     }
     if (Answer.Result != SatResult::Sat)
@@ -545,7 +534,7 @@ private:
   std::unordered_map<TermId, int> LeafCounts;
   std::vector<std::vector<TermId>> BlockedCores;
   /// Shared incremental context for every grounding query of this
-  /// enumeration (UseIncrementalContexts); created on first use. Lives
+  /// enumeration; created on first use. Lives
   /// inside one checkPost call, so it never outlives arena truncation of
   /// parallel-search worker replicas.
   std::unique_ptr<SolverContext> Ctx;

@@ -106,15 +106,6 @@ struct ValidityOptions {
   /// instantiating a recorded disjunct instead of a concrete sample.
   /// Null disables compositional grounding.
   const dse::SummaryTable *Summaries = nullptr;
-  /// Route the existential queries of grounding enumeration through one
-  /// long-lived smt::SolverContext per support enumeration (seeded with
-  /// the sample antecedent). Sibling groundings share their asserted
-  /// support-literal prefix via retarget(), and the refutation memo is
-  /// enabled on the shared context (sound within one query). Answers and
-  /// the ValidityStats counters are identical either way — the fold
-  /// invariant of docs/solver.md — so this switch exists only for the
-  /// differential test suite and for debugging.
-  bool UseIncrementalContexts = true;
   /// Unsat-core-guided grounding pruning: request unsat cores from the
   /// inner solver (SolverOptions::ExtractUnsatCores), record each refuted
   /// grounding's core, and skip — before the inner solver is called — any
@@ -123,7 +114,7 @@ struct ValidityOptions {
   /// pruned grounding behaves exactly like an Unsat answer and spends one
   /// unit of the grounding budget, so the enumeration and its outcome
   /// match the pruning-off run; only the inner solver calls disappear.
-  /// The switch exists for differential testing (hotg-run --no-learning).
+  /// The switch exists for differential testing.
   bool CoreGuidedPruning = true;
   /// Options of the inner existential LIA+EUF solver.
   smt::SolverOptions SolverOpts;

@@ -56,7 +56,9 @@ ServerStats Server::serveStream(std::istream &In, std::ostream &Out) {
     FrameReadResult Read = readFrame(In, Payload, Error, Options.Frame);
     if (Read == FrameReadResult::Eof)
       break;
-    ++Stats.FramesRead;
+    // Arrival ordinal of this frame: the fault-injection identity of its
+    // decode and of its session's attempts (support::FaultScope).
+    const uint64_t Frame = Stats.FramesRead++;
 
     auto RejectInline = [&](std::string Id, std::string Reason) {
       JobResponse Resp;
@@ -80,7 +82,10 @@ ServerStats Server::serveStream(std::istream &In, std::ostream &Out) {
       // Fault site: a frame that dies in decoding. The decoder is pure,
       // so the failure is answered (structured rejection) and the stream
       // keeps serving — no quarantine, nothing was admitted.
-      support::maybeInjectFault(support::FaultSite::JobDecode);
+      {
+        support::FaultScope Scope(Frame, 0);
+        support::maybeInjectFault(support::FaultSite::JobDecode);
+      }
       Decoded = decodeJobRequest(Payload, Options.Decode, Request,
                                  DecodeError);
     } catch (const support::FaultInjected &E) {
@@ -105,12 +110,14 @@ ServerStats Server::serveStream(std::istream &In, std::ostream &Out) {
 
     ++Stats.Admitted;
     Reg.counter("serve.jobs_admitted").add();
-    Reg.histogram("serve.queue_depth").note(Gate.inFlight());
+    static telemetry::Histogram &QueueDepth =
+        Reg.valueHistogram("serve.queue_depth");
+    QueueDepth.note(Gate.inFlight());
 
     Pending.push_back(
-        Pool.submit([this, &Out, &Stats, Request = std::move(Request)](
+        Pool.submit([this, &Out, &Stats, Frame, Request = std::move(Request)](
                         unsigned /*Worker*/) {
-          JobResponse Resp = Sessions.runJob(Request, Cancel);
+          JobResponse Resp = Sessions.runJob(Request, Frame, Cancel);
           Gate.release();
           writeResponse(Out, Resp, Stats);
         }));

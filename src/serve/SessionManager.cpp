@@ -151,7 +151,7 @@ std::optional<PolicySpec> parsePolicy(std::string_view Name) {
 
 } // namespace
 
-JobResponse SessionManager::runJob(const JobRequest &Request,
+JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
                                    support::CancelToken Cancel) {
   telemetry::Registry &Reg = telemetry::Registry::global();
   const uint64_t StartNs = telemetry::monotonicNanos();
@@ -255,7 +255,11 @@ JobResponse SessionManager::runJob(const JobRequest &Request,
     try {
       // Fault site: a session that dies before (or while) constructing
       // its search — the protocol-level transient failure CI exercises.
-      support::maybeInjectFault(support::FaultSite::SessionSpawn);
+      // Keyed by (frame, attempt), so a retry draws afresh.
+      {
+        support::FaultScope Scope(Frame, Retries);
+        support::maybeInjectFault(support::FaultSite::SessionSpawn);
+      }
 
       // Per-attempt epoch: deadline-armed streams are clock-dependent, so
       // a retried attempt must not consume validity entries published by

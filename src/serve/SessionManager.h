@@ -93,10 +93,14 @@ public:
       : Fabric(Fabric), Config(std::move(Config)) {}
 
   /// Validates and runs one job, including the retry/quarantine loop.
-  /// Never throws; every outcome is a structured JobResponse. \p Cancel
-  /// is the server's drain token — cancelling it degrades the session at
-  /// its next poll point.
-  JobResponse runJob(const JobRequest &Request, support::CancelToken Cancel);
+  /// Never throws; every outcome is a structured JobResponse. \p Frame is
+  /// the job's arrival ordinal in its stream; with the retry attempt it
+  /// keys the serve.session-spawn fault decision, so which attempt faults
+  /// does not depend on how pool workers interleave. \p Cancel is the
+  /// server's drain token — cancelling it degrades the session at its
+  /// next poll point.
+  JobResponse runJob(const JobRequest &Request, uint64_t Frame,
+                     support::CancelToken Cancel);
 
   /// The cache epoch of a job configuration: a digest of every field that
   /// influences search results, plus the imported sample text. Jobs with

@@ -68,9 +68,6 @@ struct PortableAnswer {
   uint32_t SupportsExplored = 0;
   uint32_t Decisions = 0;
   uint32_t Propagations = 0;
-  uint32_t LearnedClauses = 0;
-  uint32_t LearnedClauseHits = 0;
-  uint32_t Backjumps = 0;
   /// Validity-query work (zero for satisfiability answers).
   uint32_t ValiditySupports = 0;
   uint32_t GroundingsTried = 0;

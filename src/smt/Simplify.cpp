@@ -238,8 +238,8 @@ private:
         // negated literal is the discriminating one, and asserting it first
         // steers the engine's atom order toward it (~18x fewer decisions on
         // the lexer workload than prefix-first order). The cost is that
-        // positional prefix sharing rarely fires on ALT queries; cross-query
-        // reuse there comes from the answer cache instead (docs/solver.md).
+        // positional prefix sharing rarely fires on ALT queries
+        // (docs/solver.md).
         auto Ops = Arena.operands(Op);
         Work.insert(Work.end(), Ops.begin(), Ops.end());
         continue;

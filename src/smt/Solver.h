@@ -67,31 +67,12 @@ struct SolverOptions {
   /// core::DirectedSearch keeps it off to preserve the jobs-invariant
   /// stats (docs/solver.md).
   bool EnableRefutationMemo = false;
-  /// CDCL-style conflict learning in the case-split search: propagation
-  /// conflicts are analysed over the implication trail (decision-level
-  /// masks threaded through interval/UF propagation), producing learned
-  /// nogoods over case-split assignments that prune sibling branches and
-  /// drive non-chronological backjumping. Learning only ever skips work
-  /// the search would have refuted anyway, so answers and models are
-  /// identical with the flag on or off (the flag exists for differential
-  /// testing and ablation benches); decision counts drop, which is the
-  /// point. See docs/solver.md.
-  bool ConflictLearning = true;
-  /// Populate SatAnswer::UnsatCore on Unsat answers: the subset of
-  /// asserted literals actually used by the refutation, shrunk by
-  /// deletion-based minimization over the propagation-only layer. Off by
-  /// default (extraction costs probe work); core::ValiditySolver turns it
-  /// on to drive core-guided grounding pruning.
+  /// Populate SatAnswer::UnsatCore on Unsat answers: a probe-verified
+  /// subset of the asserted literals that refutes on its own (see
+  /// SatAnswer::UnsatCore). Off by default (extraction costs a probe);
+  /// core::ValiditySolver turns it on to drive core-guided grounding
+  /// pruning.
   bool ExtractUnsatCores = false;
-  /// SolverContext only: cache the answer (and model) of each decided
-  /// assertion-stack state, keyed on the exact literal sequence and the
-  /// sample-table generation, and replay it when the frontier re-issues an
-  /// identical query. Sound because check() is a deterministic function of
-  /// that state and the sample table is append-only; a replay is
-  /// byte-identical to recomputation. Off by default for the same reason
-  /// as the memo: replays spend zero decisions, so per-query stats depend
-  /// on which checks ran earlier in the same context (docs/solver.md).
-  bool EnableAnswerCache = false;
   /// Wall-clock stop controls (docs/robustness.md). Both are inactive by
   /// default, in which case the search loop never reads the clock and the
   /// solver stays fully deterministic. When the deadline expires (or the
@@ -110,8 +91,10 @@ struct SatAnswer {
   /// Human-readable explanation for Unknown answers.
   std::string Reason;
   /// SolverOptions::ExtractUnsatCores only: on Unsat, a subset of the
-  /// asserted literals whose conjunction is itself unsatisfiable (the
-  /// refutation's footprint), in assertion order. Empty otherwise. For
+  /// asserted literals whose conjunction is itself unsatisfiable, in
+  /// assertion order: the literals of a probe-verified congruence
+  /// conflict, else the asserted prefix up to the refuting literal, else
+  /// every literal. The core is not minimized. Empty otherwise. For
   /// disjunctive queries the core is the union of the per-support cores
   /// (each support was refuted, so each per-support core — and hence the
   /// union — is standalone-unsat).
@@ -136,13 +119,6 @@ struct SolverStats {
   unsigned SupportsExplored = 0;
   unsigned Decisions = 0;
   unsigned Propagations = 0;
-  /// Nogoods learned from propagation conflicts (ConflictLearning only).
-  unsigned LearnedClauses = 0;
-  /// Candidates skipped because a learned nogood already refuted them.
-  unsigned LearnedClauseHits = 0;
-  /// Non-chronological backjumps: sibling branches abandoned because the
-  /// conflict did not involve the current decision level.
-  unsigned Backjumps = 0;
   uint64_t ScopePushes = 0;
   uint64_t ScopePops = 0;
   uint64_t PrefixLiteralsReused = 0;

@@ -186,36 +186,14 @@ public:
     Exhausted ///< Budget or candidate exhaustion; no conclusion.
   };
 
-  /// \p PristineRows: Rows is the context's own (un-eliminated) row list.
-  /// Conflict learning is enabled only then — learned nogoods assume the
-  /// row system of later checks extends the one they were learned under,
-  /// which holds for the append-only context rows but not for a
-  /// Gauss–Jordan-rewritten copy.
   Engine(SolverContext &Ctx, const std::vector<LinearAtom> &Rows,
-         size_t NumAtoms, SolverStats &Stats, bool UseMemo,
-         bool PristineRows = false)
+         size_t NumAtoms, SolverStats &Stats, bool UseMemo)
       : Ctx(Ctx), Arena(Ctx.Arena), Options(Ctx.Options), Rows(Rows),
-        NumAtoms(NumAtoms), Stats(Stats), UseMemo(UseMemo),
-        Learn(PristineRows && Ctx.Options.ConflictLearning) {}
+        NumAtoms(NumAtoms), Stats(Stats), UseMemo(UseMemo) {}
 
   /// Bound propagation to a fixpoint. Returns false when a domain empties
   /// (a sound refutation of the rows).
   bool propagate(std::vector<Interval> &Domains) {
-    return propagateTracked(Domains, nullptr, nullptr);
-  }
-
-  /// propagate() with conflict provenance: \p Masks (parallel to
-  /// \p Domains) carries, per atom, the set of case-split decision levels
-  /// its current bounds transitively depend on (bit d = decision at depth
-  /// d; depths >= 63 share the saturated bit 63). Every narrowing unions
-  /// the masks of its antecedents into the narrowed atom, so a mask
-  /// over-approximates the decisions a fact's derivation used. On failure
-  /// \p ConflictOut receives the mask of the failing derivation: a
-  /// conflict whose mask lacks bit d is derivable without the decision at
-  /// depth d — the backjumping and nogood-soundness argument
-  /// (docs/solver.md).
-  bool propagateTracked(std::vector<Interval> &Domains,
-                        std::vector<uint64_t> *Masks, uint64_t *ConflictOut) {
     bool Changed = true;
     unsigned Rounds = 0;
     while (Changed && Rounds < 64) {
@@ -223,29 +201,17 @@ public:
       ++Rounds;
       ++Stats.Propagations;
       for (const LinearAtom &LA : Rows)
-        if (!propagateAtom(LA, Domains, Changed, Masks, ConflictOut))
+        if (!propagateAtom(LA, Domains, Changed))
           return false;
-      if (!propagateUF(Domains, Changed, Masks, ConflictOut))
+      if (!propagateUF(Domains, Changed))
         return false;
     }
     return true;
   }
 
-  /// Entry point for check(): allocates the decision-mask vector when
-  /// learning is on (all-zero: base facts depend on no decision).
-  Outcome searchRoot(std::vector<Interval> Domains, Model &ModelOut) {
-    std::vector<uint64_t> Masks(Learn ? Domains.size() : 0, 0);
-    uint64_t ConflictOut = 0;
-    return search(std::move(Domains), std::move(Masks), 0, ModelOut,
-                  ConflictOut);
-  }
-
-  /// \p ConflictOut is meaningful only for Outcome::Refuted with learning
-  /// on: the union of decision bits the refutation depended on, restricted
-  /// to depths above this node (its own decision bit is stripped).
-  Outcome search(std::vector<Interval> Domains, std::vector<uint64_t> Masks,
-                 unsigned Depth, Model &ModelOut, uint64_t &ConflictOut) {
-    ConflictOut = 0;
+  /// Case-split search: branches on the undetermined atom with the
+  /// smallest domain, propagating after each candidate value.
+  Outcome search(std::vector<Interval> Domains, Model &ModelOut) {
     if (Stats.Decisions >= Options.MaxDecisions)
       return Outcome::Exhausted;
     // Wall-clock stop controls: polled once per search node, but only when
@@ -283,163 +249,38 @@ public:
         Domains[BestIdx].width() <= static_cast<int64_t>(Candidates.size());
 
     TermId Atom = Ctx.Atoms[BestIdx];
-    const uint64_t DecisionBit = decisionBit(Depth);
-    // The exhaustiveness proof depends on how this atom's domain was
-    // narrowed, so the node's own conflict starts from its mask.
-    uint64_t NodeConflict = Learn ? Masks[BestIdx] : 0;
     bool AllRefuted = true;
     for (int64_t Value : Candidates) {
       // A candidate the asserted prefix already refuted stays refuted under
       // the full assertion set: skip it without spending a decision. The
       // skip counts as a refutation for Exhaustive purposes (the memo holds
-      // only sound refutations). Its conflict depends on no decision but
-      // this one (the prefix alone refutes it), so it contributes nothing
-      // to NodeConflict.
+      // only sound refutations).
       if (UseMemo && Ctx.memoRefuted(Atom, Value)) {
         ++Ctx.Stats.MemoHits;
         continue;
       }
-      uint64_t BranchConflict = 0;
-      bool BranchRefuted = false;
-      if (Learn && matchesNogood(Atom, Value, Domains, Masks, DecisionBit,
-                                 BranchConflict)) {
-        // A learned nogood covers this assignment: the recorded conflict
-        // chain replays under it, so the branch is refuted without the
-        // propagate pass a plain search would spend on it.
-        ++Stats.LearnedClauseHits;
-        BranchRefuted = true;
-      } else {
-        ++Stats.Decisions;
-        std::vector<Interval> Next = Domains;
-        std::vector<uint64_t> NextMasks = Masks;
-        Next[BestIdx] = Interval::point(Value);
-        if (Learn) {
-          NextMasks[BestIdx] |= DecisionBit;
-          if (DecisionPath.size() <= Depth)
-            DecisionPath.resize(Depth + 1);
-          DecisionPath[Depth] = {Atom, Value};
-        }
-        if (!propagateTracked(Next, Learn ? &NextMasks : nullptr,
-                              Learn ? &BranchConflict : nullptr)) {
-          if (UseMemo)
-            Ctx.notePrefixCandidate(Atom, Value);
-          BranchRefuted = true;
-          if (Learn)
-            learnNogood(BranchConflict, Depth);
-        } else {
-          uint64_t SubConflict = 0;
-          Outcome Sub = search(std::move(Next), std::move(NextMasks),
-                               Depth + 1, ModelOut, SubConflict);
-          if (Sub == Outcome::Sat)
-            return Outcome::Sat;
-          if (Sub == Outcome::Refuted) {
-            BranchRefuted = true;
-            BranchConflict = SubConflict;
-            if (Learn)
-              learnNogood(BranchConflict | DecisionBit, Depth);
-          } else {
-            AllRefuted = false;
-          }
-        }
+      ++Stats.Decisions;
+      std::vector<Interval> Next = Domains;
+      Next[BestIdx] = Interval::point(Value);
+      if (!propagate(Next)) {
+        if (UseMemo)
+          Ctx.notePrefixCandidate(Atom, Value);
+        continue;
       }
-      if (Learn && BranchRefuted) {
-        if (!(BranchConflict & DecisionBit)) {
-          // Non-chronological backjump: the refutation never used this
-          // node's decision, so it holds for every sibling. A plain search
-          // would refute each sibling by the same (replayed) propagation
-          // chain, so skipping them preserves the node's outcome exactly:
-          // Refuted when the enumeration was exhaustive, Exhausted
-          // otherwise.
-          ++Stats.Backjumps;
-          ConflictOut = BranchConflict;
-          return Exhaustive ? Outcome::Refuted : Outcome::Exhausted;
-        }
-        NodeConflict |= BranchConflict & ~DecisionBit;
-      }
+      Outcome Sub = search(std::move(Next), ModelOut);
+      if (Sub == Outcome::Sat)
+        return Outcome::Sat;
+      if (Sub != Outcome::Refuted)
+        AllRefuted = false;
     }
     // Candidate sampling proves unsatisfiability only when it enumerated
     // the whole (finite) domain and every branch was refuted.
-    if (Exhaustive && AllRefuted) {
-      ConflictOut = NodeConflict;
+    if (Exhaustive && AllRefuted)
       return Outcome::Refuted;
-    }
     return Outcome::Exhausted;
   }
 
 private:
-  /// Decision-level bit for \p Depth; depths >= 63 share a saturated
-  /// sentinel bit, which only ever widens conflict masks (deep conflicts
-  /// can never be mistaken for decision-free ones).
-  static uint64_t decisionBit(unsigned Depth) {
-    return uint64_t(1) << (Depth >= 63 ? 63 : Depth);
-  }
-
-  /// Records the case-split assignments named by \p ConflictMask as a
-  /// nogood in the context store. Skipped when the mask saturated (bit
-  /// 63: ambiguous deep decisions), when it names too many decisions to
-  /// be a useful clause, or when the store is full (deterministic cap).
-  void learnNogood(uint64_t ConflictMask, unsigned Depth) {
-    if (ConflictMask & decisionBit(63))
-      return;
-    if (__builtin_popcountll(ConflictMask) > 8)
-      return;
-    if (Ctx.Nogoods.size() >= 64)
-      return;
-    SolverContext::Nogood N;
-    N.OwnerFrames = Ctx.Frames.size();
-    for (unsigned D = 0; D <= Depth && D < 63; ++D)
-      if (ConflictMask & decisionBit(D))
-        N.Pairs.push_back(DecisionPath[D]);
-    if (N.Pairs.empty())
-      return;
-    for (const SolverContext::Nogood &Old : Ctx.Nogoods)
-      if (Old.Pairs == N.Pairs)
-        return;
-    Ctx.Nogoods.push_back(std::move(N));
-    ++Stats.LearnedClauses;
-  }
-
-  /// True when a learned nogood covers candidate (\p Atom = \p Value)
-  /// under the current \p Domains: every recorded assignment is either
-  /// the candidate itself or already forced (point domain). The conflict
-  /// chain recorded by the nogood replays under those conditions, so the
-  /// branch is refuted; \p ConflictOut receives the union of the matched
-  /// facts' decision masks plus the candidate's own bit.
-  bool matchesNogood(TermId Atom, int64_t Value,
-                     const std::vector<Interval> &Domains,
-                     const std::vector<uint64_t> &Masks, uint64_t DecisionBit,
-                     uint64_t &ConflictOut) {
-    for (const SolverContext::Nogood &N : Ctx.Nogoods) {
-      bool Match = true;
-      uint64_t M = DecisionBit;
-      for (const auto &[A, V] : N.Pairs) {
-        if (A == Atom) {
-          if (V != Value) {
-            Match = false;
-            break;
-          }
-          continue;
-        }
-        auto It = Ctx.AtomIndex.find(A);
-        if (It == Ctx.AtomIndex.end() || It->second >= NumAtoms) {
-          Match = false;
-          break;
-        }
-        const Interval &D = Domains[It->second];
-        if (!(D.isPoint() && D.Lo == V)) {
-          Match = false;
-          break;
-        }
-        M |= Masks[It->second];
-      }
-      if (Match) {
-        ConflictOut = M;
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Interval evaluation of a linear expression under current domains.
   Interval evalExpr(const LinearExpr &Expr,
                     const std::vector<Interval> &Domains) const {
@@ -451,42 +292,22 @@ private:
     return Acc;
   }
 
-  /// Union of the decision masks of every atom in \p Expr.
-  uint64_t exprMask(const LinearExpr &Expr,
-                    const std::vector<uint64_t> &Masks) const {
-    uint64_t M = 0;
-    for (const LinearMonomial &Mono : Expr.Monomials)
-      M |= Masks[Ctx.AtomIndex.at(Mono.Atom)];
-    return M;
-  }
-
   bool propagateAtom(const LinearAtom &LA, std::vector<Interval> &Domains,
-                     bool &Changed, std::vector<uint64_t> *Masks,
-                     uint64_t *ConflictOut) {
-    // Provenance of everything this row can derive: the decision masks of
-    // every atom feeding it (an over-approximation of the decisions any
-    // single derivation step here depends on).
-    const uint64_t RowMask = Masks ? exprMask(LA.Expr, *Masks) : 0;
-    auto Fail = [&] {
-      if (ConflictOut)
-        *ConflictOut = RowMask;
-      return false;
-    };
-
+                     bool &Changed) {
     // Expr ⋈ 0 with ⋈ ∈ {=, ≠, ≤}.
     Interval Whole = evalExpr(LA.Expr, Domains);
     switch (LA.Rel) {
     case LinearRelKind::Eq:
       if (Whole.Lo > 0 || Whole.Hi < 0)
-        return Fail();
+        return false;
       break;
     case LinearRelKind::Le:
       if (Whole.Lo > 0)
-        return Fail();
+        return false;
       break;
     case LinearRelKind::Ne:
       if (Whole.isPoint() && Whole.Lo == 0)
-        return Fail();
+        return false;
       // Ne prunes only singleton complements below.
       break;
     }
@@ -529,37 +350,19 @@ private:
           NewDom = NewDom.without(Forbidden);
         }
       }
-      if (NewDom.isEmpty()) {
-        if (ConflictOut)
-          *ConflictOut = RowMask | (*Masks)[Idx];
+      if (NewDom.isEmpty())
         return false;
-      }
       if (!(NewDom == Domains[Idx])) {
         Domains[Idx] = NewDom;
-        if (Masks)
-          (*Masks)[Idx] |= RowMask;
         Changed = true;
       }
     }
     return true;
   }
 
-  /// Union of the decision masks of every atom feeding \p App's argument
-  /// expressions (the provenance of a determinedArgs() evaluation).
-  uint64_t argsMask(TermId App, const std::vector<uint64_t> &Masks) const {
-    uint64_t M = 0;
-    for (TermId Arg : Arena.operands(App)) {
-      auto Lin = extractLinear(Arena, Arg);
-      assert(Lin && "UF argument outside linear fragment");
-      M |= exprMask(*Lin, Masks);
-    }
-    return M;
-  }
-
   /// UF consistency: sampled points pin application outputs; syntactic
   /// congruence (same func, same determined args) links outputs.
-  bool propagateUF(std::vector<Interval> &Domains, bool &Changed,
-                   std::vector<uint64_t> *Masks, uint64_t *ConflictOut) {
+  bool propagateUF(std::vector<Interval> &Domains, bool &Changed) {
     for (size_t I = 0; I != NumAtoms; ++I) {
       TermId App = Ctx.Atoms[I];
       if (Arena.kind(App) != TermKind::UFApp)
@@ -567,19 +370,13 @@ private:
       auto ArgsOpt = determinedArgs(App, Domains);
       if (!ArgsOpt)
         continue;
-      const uint64_t AppArgsMask = Masks ? argsMask(App, *Masks) : 0;
       if (Options.Samples) {
         if (auto Out = Options.Samples->lookup(Arena.funcIdOf(App), *ArgsOpt)) {
           Interval NewDom = Domains[I].intersect(Interval::point(*Out));
-          if (NewDom.isEmpty()) {
-            if (ConflictOut)
-              *ConflictOut = AppArgsMask | (*Masks)[I];
+          if (NewDom.isEmpty())
             return false;
-          }
           if (!(NewDom == Domains[I])) {
             Domains[I] = NewDom;
-            if (Masks)
-              (*Masks)[I] |= AppArgsMask;
             Changed = true;
           }
         }
@@ -593,23 +390,12 @@ private:
         auto OtherArgs = determinedArgs(Other, Domains);
         if (!OtherArgs || *OtherArgs != *ArgsOpt)
           continue;
-        const uint64_t JointMask =
-            Masks ? (AppArgsMask | argsMask(Other, *Masks) | (*Masks)[I] |
-                     (*Masks)[J])
-                  : 0;
         Interval Joint = Domains[I].intersect(Domains[J]);
-        if (Joint.isEmpty()) {
-          if (ConflictOut)
-            *ConflictOut = JointMask;
+        if (Joint.isEmpty())
           return false;
-        }
         if (!(Joint == Domains[I]) || !(Joint == Domains[J])) {
           Domains[I] = Joint;
           Domains[J] = Joint;
-          if (Masks) {
-            (*Masks)[I] |= JointMask;
-            (*Masks)[J] |= JointMask;
-          }
           Changed = true;
         }
       }
@@ -758,12 +544,6 @@ private:
   size_t NumAtoms;
   SolverStats &Stats;
   bool UseMemo;
-  /// Conflict learning active for this engine (ConflictLearning option on
-  /// a pristine row system; see the constructor).
-  bool Learn;
-  /// Case-split assignment per decision depth (indexed by depth, valid up
-  /// to the current recursion); the pairs a learned nogood records.
-  std::vector<std::pair<TermId, int64_t>> DecisionPath;
 };
 
 //===----------------------------------------------------------------------===//
@@ -809,11 +589,6 @@ void SolverContext::pop() {
   if (RefutedAt && *RefutedAt >= Depth)
     RefutedAt.reset();
   Frames.pop_back();
-  // Nogoods learned under the dying scope assumed its literals stay
-  // asserted; learning is append-only and pops are LIFO, so they form a
-  // suffix of the store.
-  while (!Nogoods.empty() && Nogoods.back().OwnerFrames > Frames.size())
-    Nogoods.pop_back();
   ++Stats.ScopePops;
   static telemetry::Counter &Pops =
       telemetry::Registry::global().counter("solver.scope_pops");
@@ -999,12 +774,9 @@ static const char *unknownReasonSlug(const SatAnswer &Answer) {
 SatAnswer SolverContext::check(SolverStats &QueryStats) {
   SatAnswer Answer = checkImpl(QueryStats);
   if (Answer.isUnsat() && Options.ExtractUnsatCores) {
-    // Cores are recomputed on answer-cache replays (the cache stores the
-    // impl answer): extraction is a deterministic function of the literal
-    // sequence, so the replayed core is identical.
     Answer.UnsatCore = extractCore();
     static telemetry::Histogram &CoreSize =
-        telemetry::Registry::global().histogram("solver.core_size");
+        telemetry::Registry::global().valueHistogram("solver.core_size");
     CoreSize.note(Answer.UnsatCore.size());
   }
   return Answer;
@@ -1042,9 +814,7 @@ bool SolverContext::probeRefutes(std::span<const TermId> Literals) {
   if (!CoreProbe) {
     SolverOptions ProbeOpts = Options;
     ProbeOpts.ExtractUnsatCores = false; // No recursive extraction.
-    ProbeOpts.ConflictLearning = false;
     ProbeOpts.EnableRefutationMemo = false;
-    ProbeOpts.EnableAnswerCache = false;
     // Samples stay: propagateUF narrowing is part of quick refutation.
     CoreProbe = std::make_unique<SolverContext>(Arena, ProbeOpts);
   }
@@ -1053,63 +823,32 @@ bool SolverContext::probeRefutes(std::span<const TermId> Literals) {
 }
 
 std::vector<TermId> SolverContext::extractCore() {
-  // Callers reach here only on an Unsat answer, so one of the candidate
-  // sets below is a proven-unsat subset by construction: the asserted
-  // prefix up to the refuting literal (the fold invariant makes that
-  // prefix standalone-unsat), or — for a check-time refutation — the full
-  // literal list the check just refuted.
-  std::vector<TermId> Candidate;
-  if (RefutedAt) {
-    Candidate.assign(Lits.begin(), Lits.begin() + RefutedLitIdx + 1);
-    if (!RefuteTags.empty() && Candidate.size() > 2) {
-      // Congruence conflict-tag fast path: the clashing assertions' literal
-      // indices, probe-verified (tags do not explain equality chains, so
-      // the hint can be incomplete — fall back to the prefix then).
-      std::set<uint32_t> Indices(RefuteTags.begin(), RefuteTags.end());
-      Indices.insert(static_cast<uint32_t>(RefutedLitIdx));
-      std::vector<TermId> Hint;
-      for (uint32_t I : Indices)
-        if (I < Lits.size())
-          Hint.push_back(Lits[I]);
-      if (Hint.size() < Candidate.size() && probeRefutes(Hint))
-        return minimizeCore(std::move(Hint));
-    }
-  } else {
-    Candidate = Lits;
-  }
-  return minimizeCore(std::move(Candidate));
-}
-
-std::vector<TermId> SolverContext::minimizeCore(std::vector<TermId> Candidate) {
-  if (Candidate.size() <= 1)
-    return Candidate;
-  if (Candidate.size() > 48)
-    return Candidate; // Minimization cost cap; the candidate stays sound.
-  // When the probe cannot reproduce the refutation (it came from the value
-  // search, which the probe deliberately skips), deletion probes can never
-  // certify a removal — return the candidate unshrunk.
-  if (!probeRefutes(Candidate))
-    return Candidate;
-  for (size_t I = Candidate.size(); Candidate.size() > 1 && I-- > 0;) {
-    std::vector<TermId> Trial;
-    Trial.reserve(Candidate.size() - 1);
-    for (size_t J = 0; J != Candidate.size(); ++J)
-      if (J != I)
-        Trial.push_back(Candidate[J]);
-    if (probeRefutes(Trial))
-      Candidate = std::move(Trial);
+  // Callers reach here only on an Unsat answer, so the candidate below is
+  // a proven-unsat subset by construction: the asserted prefix up to the
+  // refuting literal (the fold invariant makes that prefix
+  // standalone-unsat), or — for a check-time refutation — the full literal
+  // list the check just refuted.
+  if (!RefutedAt)
+    return Lits;
+  std::vector<TermId> Candidate(Lits.begin(),
+                                Lits.begin() + RefutedLitIdx + 1);
+  if (!RefuteTags.empty() && Candidate.size() > 2) {
+    // Congruence conflict-tag fast path: the clashing assertions' literal
+    // indices, probe-verified (tags do not explain equality chains, so the
+    // hint can be incomplete — fall back to the prefix then).
+    std::set<uint32_t> Indices(RefuteTags.begin(), RefuteTags.end());
+    Indices.insert(static_cast<uint32_t>(RefutedLitIdx));
+    std::vector<TermId> Hint;
+    for (uint32_t I : Indices)
+      if (I < Lits.size())
+        Hint.push_back(Lits[I]);
+    if (Hint.size() < Candidate.size() && probeRefutes(Hint))
+      return Hint;
   }
   return Candidate;
 }
 
 SatAnswer SolverContext::checkImpl(SolverStats &QueryStats) {
-  // Without the memo gate, learned nogoods must not outlive the query:
-  // cross-check retention would make later answers' decision counts depend
-  // on which checks ran earlier in this context (the same schedule-
-  // dependence argument as the refutation memo, docs/solver.md).
-  if (!Options.EnableRefutationMemo && !Nogoods.empty())
-    Nogoods.clear();
-
   SatAnswer Answer;
   if (PoisonedAt) {
     Answer.Result = SatResult::Unknown;
@@ -1121,36 +860,6 @@ SatAnswer SolverContext::checkImpl(SolverStats &QueryStats) {
     return Answer;
   }
 
-  // Answer-cache replay: the frontier re-issues identical sibling queries
-  // (distinct parent inputs reaching the same branch points between sample
-  // generations; dedup only collapses same-parent candidates). check() is a
-  // deterministic function of (literal sequence, sample table), so a replay
-  // is byte-identical to recomputing — provided a fresh run would not have
-  // hit the decision budget first, hence the Spent guard.
-  const size_t SampleGen = Options.Samples ? Options.Samples->size() : 0;
-  if (Options.EnableAnswerCache) {
-    auto It = AnswerCache.find({Lits, SampleGen});
-    if (It != AnswerCache.end() &&
-        QueryStats.Decisions + It->second.Spent <= Options.MaxDecisions) {
-      ++Stats.AnswerCacheHits;
-      static telemetry::Counter &CacheHits =
-          telemetry::Registry::global().counter("solver.answer_cache_hits");
-      CacheHits.add();
-      return It->second.Answer;
-    }
-    ++Stats.AnswerCacheMisses;
-  }
-  const unsigned DecisionsBefore = QueryStats.Decisions;
-  auto CacheResult = [&](const SatAnswer &A) {
-    if (!Options.EnableAnswerCache || A.Result == SatResult::Unknown)
-      return;
-    if (AnswerCache.size() >= 4096) // Backstop for pathological contexts.
-      return;
-    AnswerCache.emplace(
-        std::make_pair(Lits, SampleGen),
-        CachedAnswer{A, QueryStats.Decisions - DecisionsBefore});
-  };
-
   // Gauss–Jordan elimination over the equality subsystem runs on a copy at
   // check time: interval propagation alone cannot combine equations, but
   // keeping the elimination incremental would mean re-running it on every
@@ -1159,12 +868,10 @@ SatAnswer SolverContext::checkImpl(SolverStats &QueryStats) {
   std::vector<LinearAtom> Work = Rows;
   if (!eliminateEqualities(Work)) {
     Answer.Result = SatResult::Unsat;
-    CacheResult(Answer);
     return Answer;
   }
   if (fourierMotzkinRefutes(Work)) {
     Answer.Result = SatResult::Unsat;
-    CacheResult(Answer);
     return Answer;
   }
 
@@ -1175,15 +882,13 @@ SatAnswer SolverContext::checkImpl(SolverStats &QueryStats) {
     // Fast path: elimination was the identity, so the base domains (the
     // assert-time fixpoint over exactly these rows, with congruence
     // constants folded in) are the search's starting point.
-    Engine E(*this, Rows, Atoms.size(), QueryStats, UseMemo,
-             /*PristineRows=*/true);
+    Engine E(*this, Rows, Atoms.size(), QueryStats, UseMemo);
     std::vector<Interval> Doms = Domains;
     if (!E.propagate(Doms)) {
       Answer.Result = SatResult::Unsat;
-      CacheResult(Answer);
       return Answer;
     }
-    Out = E.searchRoot(std::move(Doms), M);
+    Out = E.search(std::move(Doms), M);
   } else {
     // Slow path: elimination rewrote rows, so congruence constants and
     // domains are rebuilt against the echelon system, exactly like a
@@ -1192,7 +897,6 @@ SatAnswer SolverContext::checkImpl(SolverStats &QueryStats) {
     for (const LinearAtom &LA : Work)
       if (!assertRowInCC(Arena, ScratchCC, LA)) {
         Answer.Result = SatResult::Unsat;
-        CacheResult(Answer);
         return Answer;
       }
     std::vector<Interval> Doms(Atoms.size(), Interval::full());
@@ -1202,10 +906,9 @@ SatAnswer SolverContext::checkImpl(SolverStats &QueryStats) {
     Engine E(*this, Work, Atoms.size(), QueryStats, UseMemo);
     if (!E.propagate(Doms)) {
       Answer.Result = SatResult::Unsat;
-      CacheResult(Answer);
       return Answer;
     }
-    Out = E.searchRoot(std::move(Doms), M);
+    Out = E.search(std::move(Doms), M);
   }
 
   switch (Out) {
@@ -1226,12 +929,10 @@ SatAnswer SolverContext::checkImpl(SolverStats &QueryStats) {
       Answer.Result = SatResult::Unknown;
       Answer.Reason = unknownReason(Options, QueryStats);
     }
-    CacheResult(Answer);
     return Answer;
   }
   case Engine::Outcome::Refuted:
     Answer.Result = SatResult::Unsat;
-    CacheResult(Answer);
     return Answer;
   case Engine::Outcome::Exhausted:
     Answer.Result = SatResult::Unknown;
@@ -1296,7 +997,6 @@ void SolverContext::reset() {
   CC.clear();
   PoisonedAt.reset();
   RefutedAt.reset();
-  Nogoods.clear();
   BaseMemoRefuted.clear();
   BaseMemoUnknown.clear();
   // NormCache survives: it is a pure function of arena terms.
@@ -1384,14 +1084,13 @@ SatAnswer SolverContext::checkFormula(TermId Formula, SolverStats &QueryStats) {
 }
 
 /// Folds \p QueryStats into \p CumStats and emits the per-query telemetry
-/// counters, latency-histogram sample, and SolverCheck trace event.
-/// \p CacheOutcome is "hit"/"miss" when the answer cache resolved/recorded
-/// this query, null otherwise; the event also carries \p ScopeDepth and
-/// the thread's query attribution (test / candidate / worker / grounding).
+/// counters, latency-histogram sample, and SolverCheck trace event. The
+/// event also carries \p ScopeDepth and the thread's query attribution
+/// (test / candidate / worker / grounding).
 static void foldQueryTelemetry(const SatAnswer &Answer,
                                const SolverStats &QueryStats,
                                SolverStats &CumStats, int64_t ElapsedNs,
-                               const char *CacheOutcome, size_t ScopeDepth) {
+                               size_t ScopeDepth) {
   telemetry::Registry &Reg = telemetry::Registry::global();
   static telemetry::Histogram &CheckHist = Reg.histogram("solver.check");
   CheckHist.note(static_cast<uint64_t>(ElapsedNs));
@@ -1399,25 +1098,9 @@ static void foldQueryTelemetry(const SatAnswer &Answer,
   CumStats.SupportsExplored += QueryStats.SupportsExplored;
   CumStats.Decisions += QueryStats.Decisions;
   CumStats.Propagations += QueryStats.Propagations;
-  CumStats.LearnedClauses += QueryStats.LearnedClauses;
-  CumStats.LearnedClauseHits += QueryStats.LearnedClauseHits;
-  CumStats.Backjumps += QueryStats.Backjumps;
   Reg.counter("solver.decisions").add(QueryStats.Decisions);
   Reg.counter("solver.propagations").add(QueryStats.Propagations);
   Reg.counter("solver.supports_explored").add(QueryStats.SupportsExplored);
-  if (QueryStats.LearnedClauses) {
-    static telemetry::Counter &Learned = Reg.counter("solver.learned_clauses");
-    Learned.add(QueryStats.LearnedClauses);
-  }
-  if (QueryStats.LearnedClauseHits) {
-    static telemetry::Counter &Hits =
-        Reg.counter("solver.learned_clause_hits");
-    Hits.add(QueryStats.LearnedClauseHits);
-  }
-  if (QueryStats.Backjumps) {
-    static telemetry::Counter &Backjumps = Reg.counter("solver.backjumps");
-    Backjumps.add(QueryStats.Backjumps);
-  }
   switch (Answer.Result) {
   case SatResult::Sat:
     Reg.counter("solver.sat").add();
@@ -1444,8 +1127,6 @@ static void foldQueryTelemetry(const SatAnswer &Answer,
     if (!Answer.Reason.empty())
       E.set("reason", Answer.Reason);
     E.set("scope_depth", int64_t(ScopeDepth));
-    if (CacheOutcome)
-      E.set("cache", CacheOutcome);
     telemetry::attachAttribution(E);
     S->handle(E);
   }
@@ -1464,16 +1145,10 @@ SatAnswer SolverContext::checkWithTelemetryImpl(SolverStats &CumStats,
   telemetry::ScopedTimer Timer(CheckTimer);
   Checks.add();
 
-  uint64_t CacheHitsBefore = Stats.AnswerCacheHits;
-  uint64_t CacheMissesBefore = Stats.AnswerCacheMisses;
   SolverStats QueryStats;
   SatAnswer Answer = Check(QueryStats);
-  foldQueryTelemetry(
-      Answer, QueryStats, CumStats, int64_t(Timer.elapsedNs()),
-      Stats.AnswerCacheHits > CacheHitsBefore       ? "hit"
-      : Stats.AnswerCacheMisses > CacheMissesBefore ? "miss"
-                                                    : nullptr,
-      numScopes());
+  foldQueryTelemetry(Answer, QueryStats, CumStats, int64_t(Timer.elapsedNs()),
+                     numScopes());
   return Answer;
 }
 

@@ -20,9 +20,9 @@
 ///
 /// and the marked call then throws FaultInjected on a deterministic
 /// subset of its executions. Code that computes an identifiable unit of
-/// work (the directed search's queries) names it with a FaultScope; every
-/// probe inside the scope fires iff hash(seed, site, key, attempt) maps
-/// below the probability threshold. The decision never depends on wall
+/// work (the directed search's queries, hotg-serve's frames) names it
+/// with a FaultScope; every probe inside the scope fires iff
+/// hash(seed, site, key, attempt) maps below the probability threshold. The decision never depends on wall
 /// clock, thread identity or how threads interleave, so a multi-threaded
 /// search faults exactly the same query attempts on every run, and a
 /// retry (the next attempt ordinal) draws afresh. A probe outside any

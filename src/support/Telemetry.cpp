@@ -106,6 +106,20 @@ Histogram &Registry::histogram(std::string_view Name) {
   return It->second;
 }
 
+PhaseTimer &Registry::gauge(std::string_view Name) {
+  PhaseTimer &T = timer(Name);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  CountNames.emplace(Name);
+  return T;
+}
+
+Histogram &Registry::valueHistogram(std::string_view Name) {
+  Histogram &H = histogram(Name);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  CountNames.emplace(Name);
+  return H;
+}
+
 void Registry::reset() {
   std::lock_guard<std::mutex> Lock(Mutex);
   for (auto &[Name, C] : Counters)
@@ -126,12 +140,14 @@ RegistrySnapshot Registry::snapshot() const {
     Snap.Counters.emplace_back(Name, C.value());
   Snap.Timers.reserve(Timers.size());
   for (const auto &[Name, T] : Timers)
-    Snap.Timers.push_back({Name, T.count(), T.totalNs(), T.maxNs()});
+    Snap.Timers.push_back({Name, T.count(), T.totalNs(), T.maxNs(),
+                           CountNames.count(Name) != 0});
   Snap.Histograms.reserve(Histograms.size());
   for (const auto &[Name, H] : Histograms)
     Snap.Histograms.push_back({Name, H.count(), H.maxNs(),
                                H.percentileNs(50), H.percentileNs(90),
-                               H.percentileNs(99)});
+                               H.percentileNs(99),
+                               CountNames.count(Name) != 0});
   return Snap;
 }
 
@@ -152,35 +168,62 @@ std::string Registry::statsTable() const {
   for (const auto &[Name, Value] : Snap.Counters)
     Out += formatString("  %-*s %12llu\n", W, Name.c_str(),
                         static_cast<unsigned long long>(Value));
-  Out += "== telemetry timers (ms) ==\n";
-  if (Snap.Timers.empty())
-    Out += "  (none)\n";
-  else
-    Out += formatString("  %-*s %12s %12s %12s %12s\n", W, "name", "count",
-                        "total", "max", "mean");
+  // Durations print in milliseconds. Count-valued entries (gauge(),
+  // valueHistogram()) print as plain values in their own tables, which
+  // are omitted when empty.
+  auto Ms = [](uint64_t Ns) { return static_cast<double>(Ns) / 1e6; };
+  std::string Timers, Gauges;
   for (const auto &T : Snap.Timers) {
-    double TotalMs = static_cast<double>(T.TotalNs) / 1e6;
-    double MaxMs = static_cast<double>(T.MaxNs) / 1e6;
-    double MeanMs = T.Count ? TotalMs / static_cast<double>(T.Count) : 0;
-    Out += formatString("  %-*s %12llu %12.3f %12.3f %12.3f\n", W,
-                        T.Name.c_str(),
-                        static_cast<unsigned long long>(T.Count), TotalMs,
-                        MaxMs, MeanMs);
+    double Mean = T.Count ? static_cast<double>(T.TotalNs) /
+                                static_cast<double>(T.Count)
+                          : 0;
+    if (T.Counts)
+      Gauges += formatString("  %-*s %12llu %12llu %12.3f\n", W,
+                             T.Name.c_str(),
+                             static_cast<unsigned long long>(T.Count),
+                             static_cast<unsigned long long>(T.MaxNs), Mean);
+    else
+      Timers += formatString("  %-*s %12llu %12.3f %12.3f %12.3f\n", W,
+                             T.Name.c_str(),
+                             static_cast<unsigned long long>(T.Count),
+                             Ms(T.TotalNs), Ms(T.MaxNs), Mean / 1e6);
   }
+  std::string Latencies, Values;
+  for (const auto &H : Snap.Histograms) {
+    if (H.Counts)
+      Values += formatString("  %-*s %12llu %12llu %12llu %12llu %12llu\n",
+                             W, H.Name.c_str(),
+                             static_cast<unsigned long long>(H.Count),
+                             static_cast<unsigned long long>(H.P50Ns),
+                             static_cast<unsigned long long>(H.P90Ns),
+                             static_cast<unsigned long long>(H.P99Ns),
+                             static_cast<unsigned long long>(H.MaxNs));
+    else
+      Latencies += formatString("  %-*s %12llu %12.3f %12.3f %12.3f %12.3f\n",
+                                W, H.Name.c_str(),
+                                static_cast<unsigned long long>(H.Count),
+                                Ms(H.P50Ns), Ms(H.P90Ns), Ms(H.P99Ns),
+                                Ms(H.MaxNs));
+  }
+  const std::string HistHeader = formatString(
+      "  %-*s %12s %12s %12s %12s %12s\n", W, "name", "count", "p50", "p90",
+      "p99", "max");
+
+  Out += "== telemetry timers (ms) ==\n";
+  Out += Timers.empty() ? "  (none)\n"
+                        : formatString("  %-*s %12s %12s %12s %12s\n", W,
+                                       "name", "count", "total", "max",
+                                       "mean") +
+                              Timers;
+  if (!Gauges.empty())
+    Out += "== telemetry gauges ==\n" +
+           formatString("  %-*s %12s %12s %12s\n", W, "name", "samples",
+                        "max", "mean") +
+           Gauges;
   Out += "== telemetry latency histograms (ms) ==\n";
-  if (Snap.Histograms.empty())
-    Out += "  (none)\n";
-  else
-    Out += formatString("  %-*s %12s %12s %12s %12s %12s\n", W, "name",
-                        "count", "p50", "p90", "p99", "max");
-  for (const auto &H : Snap.Histograms)
-    Out += formatString("  %-*s %12llu %12.3f %12.3f %12.3f %12.3f\n", W,
-                        H.Name.c_str(),
-                        static_cast<unsigned long long>(H.Count),
-                        static_cast<double>(H.P50Ns) / 1e6,
-                        static_cast<double>(H.P90Ns) / 1e6,
-                        static_cast<double>(H.P99Ns) / 1e6,
-                        static_cast<double>(H.MaxNs) / 1e6);
+  Out += Latencies.empty() ? "  (none)\n" : HistHeader + Latencies;
+  if (!Values.empty())
+    Out += "== telemetry value histograms ==\n" + HistHeader + Values;
   return Out;
 }
 

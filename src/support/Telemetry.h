@@ -68,6 +68,7 @@
 #include <iosfwd>
 #include <map>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -184,13 +185,17 @@ private:
 /// once the instrumented code has quiesced, approximate while it runs —
 /// good enough for heartbeats).
 struct RegistrySnapshot {
+  /// \c Counts marks entries registered through gauge() /
+  /// valueHistogram(): their "Ns" fields hold counts, not durations.
   struct TimerRow {
     std::string Name;
     uint64_t Count = 0, TotalNs = 0, MaxNs = 0;
+    bool Counts = false;
   };
   struct HistogramRow {
     std::string Name;
     uint64_t Count = 0, MaxNs = 0, P50Ns = 0, P90Ns = 0, P99Ns = 0;
+    bool Counts = false;
   };
   std::vector<std::pair<std::string, uint64_t>> Counters;
   std::vector<TimerRow> Timers;
@@ -212,6 +217,14 @@ public:
   Counter &counter(std::string_view Name);
   PhaseTimer &timer(std::string_view Name);
   Histogram &histogram(std::string_view Name);
+  /// A PhaseTimer whose notes are sampled counts (a queue depth), not
+  /// durations. Same storage and --stats-json keys as timer(); --stats
+  /// prints it as a plain-valued gauge instead of milliseconds.
+  PhaseTimer &gauge(std::string_view Name);
+  /// A Histogram of counts (a core size, a queue depth), not durations.
+  /// Same storage and --stats-json keys as histogram(); --stats prints
+  /// its percentiles as plain values instead of milliseconds.
+  Histogram &valueHistogram(std::string_view Name);
 
   void reset();
 
@@ -231,6 +244,8 @@ private:
   std::map<std::string, Counter, std::less<>> Counters;
   std::map<std::string, PhaseTimer, std::less<>> Timers;
   std::map<std::string, Histogram, std::less<>> Histograms;
+  /// Names registered through gauge() / valueHistogram().
+  std::set<std::string, std::less<>> CountNames;
 };
 
 //===----------------------------------------------------------------------===//

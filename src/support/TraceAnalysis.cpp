@@ -117,7 +117,6 @@ const std::vector<KindSpec> &schema() {
         {"ns", FieldType::Int, true},
         {"reason", FieldType::Str, false},
         {"scope_depth", FieldType::Int, false},
-        {"cache", FieldType::Str, false},
         {"test", FieldType::Int, false},
         {"candidate", FieldType::Int, false},
         {"worker", FieldType::Int, false},
@@ -403,11 +402,6 @@ Report hotg::trace::buildReport(const Trace &T, unsigned TopK) {
     if (E.Kind == "solver_check" || E.Kind == "validity_query") {
       if (E.Kind == "solver_check") {
         ++R.SolverChecks;
-        std::string_view Cache = E.Json.getString("cache");
-        if (Cache == "hit")
-          ++R.CacheHits;
-        else if (Cache == "miss")
-          ++R.CacheMisses;
       } else {
         ++R.ValidityQueries;
         R.GroundingsTried +=
@@ -425,7 +419,6 @@ Report hotg::trace::buildReport(const Trace &T, unsigned TopK) {
       Q.Worker = E.Json.getInt("worker", -1);
       Q.Grounding = std::string(E.Json.getString("grounding"));
       Q.ScopeDepth = E.Json.getInt("scope_depth", -1);
-      Q.Cache = std::string(E.Json.getString("cache"));
       if (E.Kind == "validity_query") {
         Q.GroundingsTried = E.Json.getInt("groundings_tried");
         Q.GroundingsPruned = E.Json.getInt("groundings_pruned");
@@ -506,18 +499,6 @@ std::string hotg::trace::renderReport(const Report &R) {
                           Ms(P.TotalNs), Ms(P.SelfNs), Ms(P.MaxNs));
   }
 
-  Out += "== cache ==\n";
-  uint64_t CacheTotal = R.CacheHits + R.CacheMisses;
-  if (CacheTotal)
-    Out += formatString("  answer cache: %llu hits / %llu misses "
-                        "(%.1f%% hit rate)\n",
-                        static_cast<unsigned long long>(R.CacheHits),
-                        static_cast<unsigned long long>(R.CacheMisses),
-                        100.0 * static_cast<double>(R.CacheHits) /
-                            static_cast<double>(CacheTotal));
-  else
-    Out += "  (no cache-annotated solver checks)\n";
-
   Out += formatString("== top %zu slowest queries ==\n",
                       R.SlowQueries.size());
   if (R.SlowQueries.empty())
@@ -539,8 +520,6 @@ std::string hotg::trace::renderReport(const Report &R) {
     if (Q.ScopeDepth >= 0)
       Out += formatString("  depth %lld",
                           static_cast<long long>(Q.ScopeDepth));
-    if (!Q.Cache.empty())
-      Out += formatString("  cache %s", Q.Cache.c_str());
     Out += "\n";
   }
   return Out;

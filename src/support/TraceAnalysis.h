@@ -114,7 +114,6 @@ struct SlowQuery {
   int64_t Worker = -1;
   std::string Grounding;
   int64_t ScopeDepth = -1;
-  std::string Cache; ///< "hit"/"miss"/"" (fresh-solver checks).
   /// validity_query only (-1 for solver checks): enumeration size split
   /// into inner-solver calls and core-guided skips.
   int64_t GroundingsTried = -1;
@@ -133,8 +132,6 @@ struct Report {
   /// (the ISSUE's ">= 95% of search wall time attributed" metric); 0 when
   /// there is no root span.
   double SpanCoverage = 0;
-  /// solver_check cache-outcome tallies.
-  uint64_t CacheHits = 0, CacheMisses = 0;
   /// Counts of interesting events.
   uint64_t Tests = 0, Candidates = 0, SolverChecks = 0, ValidityQueries = 0,
            Divergences = 0, Heartbeats = 0;

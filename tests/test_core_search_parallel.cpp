@@ -4,13 +4,15 @@
 // scheduling optimization: for ANY --jobs value the SearchResult must be
 // bit-identical to the serial search — same test sequence, bugs, coverage,
 // divergences, and per-query work aggregates. These tests sweep Jobs over
-// {1, 2, 4} on the Section 7 keyword lexer under all four concretization
-// policies, and pin down the search-owned solver-stat aggregation
+// {1, 2, 4} on the Section 7 keyword lexer and over {1, 4} on every
+// example program, under all four concretization policies, and pin down
+// the search-owned solver-stat aggregation
 // (SolverQueryStats / ValidityQueryStats) that replaced the throwaway
 // per-candidate stats.
 //
 //===----------------------------------------------------------------------===//
 
+#include "app/Examples.h"
 #include "app/KeywordLexer.h"
 #include "app/PacketParser.h"
 #include "core/Search.h"
@@ -129,6 +131,50 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return Name + (std::get<1>(Info.param) ? "_dfs" : "_bfs");
     });
+
+/// Every example program at jobs 1 and 4: identical results and work
+/// aggregates, and identical exported IOF sample tables.
+class ExampleJobsSweep : public ::testing::TestWithParam<ConcretizationPolicy> {
+};
+
+TEST_P(ExampleJobsSweep, SameWorkAtJobs1And4) {
+  for (const ExampleProgram &Example : allExamples()) {
+    lang::Program Prog = compileExample(Example);
+    NativeRegistry Natives;
+    registerExampleNatives(Natives);
+
+    auto Run = [&](unsigned Jobs) {
+      SearchOptions Options;
+      Options.Policy = GetParam();
+      Options.MaxTests = 24;
+      Options.Jobs = Jobs;
+      Options.InitialInput = Example.InitialInput;
+      Options.SkipCoveredTargets = false;
+      DirectedSearch Search(Prog, Natives, Example.Entry, Options);
+      SearchResult Result = Search.run();
+      return std::make_pair(std::move(Result), Search.exportSamples());
+    };
+
+    auto [Serial, SerialSamples] = Run(1);
+    auto [Parallel, ParallelSamples] = Run(4);
+    expectSameResult(Serial, Parallel, Example.Name.c_str());
+    EXPECT_EQ(SerialSamples, ParallelSamples)
+        << Example.Name << ": learned IOF tables must match";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ExampleJobsSweep,
+                         ::testing::Values(ConcretizationPolicy::Unsound,
+                                           ConcretizationPolicy::Sound,
+                                           ConcretizationPolicy::SoundDelayed,
+                                           ConcretizationPolicy::HigherOrder),
+                         [](const auto &Info) {
+                           std::string Name = policyName(Info.param);
+                           for (char &C : Name)
+                             if (C == '-')
+                               C = '_';
+                           return Name;
+                         });
 
 TEST(SearchQueryStats, ClassicAggregatesAcrossTheWholeSearch) {
   // Satellite fix: processCandidate used to construct a throwaway

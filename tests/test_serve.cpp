@@ -505,19 +505,23 @@ TEST(ServeAdmissionTest, OverloadShedsWithStructuredRejections) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServeFaultTest, TransientSpawnFaultRetriesThenSucceeds) {
-  // Seed 3 at p=0.5 fires the first session-spawn probe and spares the
-  // second (the decision is a pure function of (seed, site, probe index),
-  // see test_support_faults), so the one job fails once and then succeeds
-  // on its first retry.
+  // Seed 26 at p=0.5 fires the session-spawn fault for frame 0's first
+  // attempt and spares its retry (the decision is a pure function of
+  // (seed, site, frame, attempt), see test_support_faults), so the one job
+  // fails once and then succeeds on its first retry.
   {
     std::string Error;
     auto Probe =
-        support::FaultInjector::parse("serve.session-spawn:0.5:3", Error);
+        support::FaultInjector::parse("serve.session-spawn:0.5:26", Error);
     ASSERT_TRUE(Probe) << Error;
-    ASSERT_TRUE(Probe->shouldFail(support::FaultSite::SessionSpawn));
+    {
+      support::FaultScope FirstAttempt(/*Frame=*/0, /*Attempt=*/0);
+      ASSERT_TRUE(Probe->shouldFail(support::FaultSite::SessionSpawn));
+    }
+    support::FaultScope Retry(/*Frame=*/0, /*Attempt=*/1);
     ASSERT_FALSE(Probe->shouldFail(support::FaultSite::SessionSpawn));
   }
-  ScopedInjector Injector("serve.session-spawn:0.5:3");
+  ScopedInjector Injector("serve.session-spawn:0.5:26");
   ServerOptions Options;
   Options.Workers = 1;
   Options.Session.Retry.BaseBackoffMs = 1;

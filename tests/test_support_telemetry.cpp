@@ -183,6 +183,42 @@ TEST(RegistryTest, RendersTableAndJson) {
             std::string::npos);
 }
 
+TEST(RegistryTest, CountValuedEntriesPrintAsPlainValues) {
+  Registry &Reg = Registry::global();
+  Reg.reset();
+  Reg.valueHistogram("test.render.sizes").note(7);
+  Reg.gauge("test.render.depth").note(7);
+  std::string Table = Reg.statsTable();
+  size_t Values = Table.find("== telemetry value histograms ==");
+  ASSERT_NE(Values, std::string::npos) << Table;
+  size_t Row = Table.find("test.render.sizes", Values);
+  ASSERT_NE(Row, std::string::npos) << Table;
+  std::string Line = Table.substr(Row, Table.find('\n', Row) - Row);
+  // count 1, then p50/p90/p99/max of the single noted value 7.
+  EXPECT_NE(Line.find(" 1            7            7            7            7"),
+            std::string::npos)
+      << Line;
+  EXPECT_EQ(Line.find("0.000"), std::string::npos) << Line;
+
+  size_t Gauges = Table.find("== telemetry gauges ==");
+  ASSERT_NE(Gauges, std::string::npos) << Table;
+  Row = Table.find("test.render.depth", Gauges);
+  ASSERT_NE(Row, std::string::npos) << Table;
+  Line = Table.substr(Row, Table.find('\n', Row) - Row);
+  // samples 1, max 7, mean 7.000.
+  EXPECT_NE(Line.find(" 1            7        7.000"), std::string::npos)
+      << Line;
+
+  // --stats-json keeps the timer/histogram keys.
+  std::string Json = Reg.statsJson();
+  EXPECT_NE(Json.find("\"test.render.sizes\":{\"count\":1,\"p50_ns\":7,"),
+            std::string::npos)
+      << Json;
+  EXPECT_NE(Json.find("\"test.render.depth\":{\"count\":1,\"total_ns\":7,"),
+            std::string::npos)
+      << Json;
+}
+
 TEST(RegistryTest, StatsJsonIncludesHistogramPercentiles) {
   Registry &Reg = Registry::global();
   Reg.reset();

@@ -123,8 +123,8 @@ trace::Trace load(const std::string &Text) {
 const char *miniTrace() {
   return R"({"event":"span_begin","span":1,"parent":0,"thread":1,"name":"search.run","ts_ns":0}
 {"event":"span_begin","span":2,"parent":1,"thread":1,"name":"search.candidate","ts_ns":100}
-{"event":"solver_check","result":"sat","supports":1,"decisions":4,"propagations":9,"ns":5000,"scope_depth":2,"cache":"hit","test":3,"candidate":7,"span":2}
-{"event":"solver_check","result":"unsat","supports":0,"decisions":1,"propagations":2,"ns":300,"cache":"miss"}
+{"event":"solver_check","result":"sat","supports":1,"decisions":4,"propagations":9,"ns":5000,"scope_depth":2,"test":3,"candidate":7,"span":2}
+{"event":"solver_check","result":"unsat","supports":0,"decisions":1,"propagations":2,"ns":300}
 {"event":"validity_query","status":"valid","supports":1,"groundings_tried":2,"groundings_pruned":3,"learn_requests":0,"ns":9000,"test":2,"candidate":5,"worker":1,"grounding":"d1s0p0u0","span":2}
 {"event":"span_end","span":2,"parent":1,"thread":1,"name":"search.candidate","ts_ns":700,"dur_ns":600}
 {"event":"span_begin","span":3,"parent":1,"thread":1,"name":"search.test","ts_ns":700}
@@ -236,8 +236,6 @@ TEST(ReportTest, ComputesCoverageSelfTimeAndSlowQueries) {
   EXPECT_EQ(R.SolverChecks, 2u);
   EXPECT_EQ(R.ValidityQueries, 1u);
   EXPECT_EQ(R.Heartbeats, 1u);
-  EXPECT_EQ(R.CacheHits, 1u);
-  EXPECT_EQ(R.CacheMisses, 1u);
 
   // Phases sorted by total, self excludes child spans.
   ASSERT_FALSE(R.Phases.empty());
@@ -254,7 +252,6 @@ TEST(ReportTest, ComputesCoverageSelfTimeAndSlowQueries) {
   EXPECT_EQ(R.SlowQueries[0].Grounding, "d1s0p0u0");
   EXPECT_EQ(R.SlowQueries[1].Kind, "solver_check");
   EXPECT_EQ(R.SlowQueries[1].Ns, 5000);
-  EXPECT_EQ(R.SlowQueries[1].Cache, "hit");
   EXPECT_EQ(R.SlowQueries[1].ScopeDepth, 2);
 
   std::string Text = trace::renderReport(R);

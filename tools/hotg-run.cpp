@@ -21,10 +21,6 @@
 //   --summarize        compositional mode: summarize helper calls (§8)
 //   --explore-paths    do not skip already-covered branch targets
 //   --order bfs|dfs    candidate exploration order (default bfs)
-//   --no-learning      disable conflict learning in the inner solver and
-//                      unsat-core-guided grounding pruning in the
-//                      validity solver (for differential runs; answers
-//                      are identical either way, see docs/solver.md)
 //   --dump-tests       print every executed test
 //   --dump-pc          print the AST and per-test path constraints
 //   --stats            print the telemetry counter/timer table to stderr
@@ -87,8 +83,7 @@ namespace {
                "[--max-tests N] [--multistep K] [--jobs N] [--input a,b,c] "
                "[--seed-input a,b,c] [--seed N] [--samples-in F] "
                "[--samples-out F] [--summarize] [--explore-paths] "
-               "[--order bfs|dfs] [--no-learning] "
-               "[--dump-tests] "
+               "[--order bfs|dfs] [--dump-tests] "
                "[--dump-pc] [--stats] "
                "[--stats-json F] [--trace-out F] [--progress-ms N] "
                "[--deadline-ms N] [--fault-spec site:prob:seed[,...]]\n");
@@ -120,7 +115,6 @@ int runTool(int Argc, char **Argv) {
   std::vector<TestInput> Seeds;
   bool ExplorePaths = false, DumpTests = false, DumpPc = false;
   bool DepthFirst = false, Summarize = false, PrintStats = false;
-  bool NoLearning = false;
   uint64_t DeadlineMs = 0;
   uint64_t ProgressMs = 0;
   std::string SamplesIn, SamplesOut, StatsJsonPath, TracePath, FaultSpec;
@@ -168,8 +162,6 @@ int runTool(int Argc, char **Argv) {
       else if (std::strcmp(Order, "bfs"))
         usageError("--order expects bfs or dfs");
     }
-    else if (!std::strcmp(Argv[I], "--no-learning"))
-      NoLearning = true;
     else if (!std::strcmp(Argv[I], "--dump-tests"))
       DumpTests = true;
     else if (!std::strcmp(Argv[I], "--dump-pc"))
@@ -316,10 +308,6 @@ int runTool(int Argc, char **Argv) {
     Options.SummarizeCalls = Summarize;
     Options.ProgressEveryMs = ProgressMs;
     Options.Deadline = Deadline;
-    if (NoLearning) {
-      Options.SolverOpts.ConflictLearning = false;
-      Options.ValidityOpts.CoreGuidedPruning = false;
-    }
     if (DepthFirst)
       Options.Order = SearchOptions::OrderKind::DepthFirst;
 

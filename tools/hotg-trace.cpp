@@ -8,7 +8,7 @@
 //                            span pairing/nesting); exit 1 on violations
 //   report                   per-phase time breakdown with self/child
 //                            split, top-K slowest solver/validity queries
-//                            with attribution, cache/retry summaries
+//                            with attribution, pruning/retry summaries
 //     --top N                number of slowest queries (default 10)
 //     --min-coverage P       exit 1 unless at least P percent of the
 //                            search.run span is covered by child spans

@@ -16,9 +16,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace hotg;
@@ -65,7 +63,8 @@ class SupportValidity {
 public:
   SupportValidity(TermArena &Arena, const SampleTable &Samples,
                   const ValidityOptions &Options, ValidityStats &Stats)
-      : Arena(Arena), Samples(Samples), Options(Options), Stats(Stats) {}
+      : Arena(Arena), Samples(Samples), Options(Options), Stats(Stats),
+        Ctx(Arena, contextOptions(Options, Samples)) {}
 
   /// Per-support outcome.
   struct Outcome {
@@ -75,6 +74,11 @@ public:
   };
 
   Outcome solve(const std::vector<TermId> &Literals) {
+    // Fault site: once per support enumeration, before anything is
+    // asserted, so a throw leaves no state behind (the caller retries the
+    // whole checkPost) and fires whether or not any grounding reaches the
+    // inner solver.
+    support::maybeInjectFault(support::FaultSite::ValidityGround);
     Outcome Result;
 
     // Seed the worklist with the support's UF applications and the query
@@ -86,13 +90,9 @@ public:
     AppDisjuncts.clear();
     AppPeers.clear();
     Choices.clear();
-    Query.clear();
+    Query = Literals;
     DeterminedApps.clear();
-    QueryLeaves.clear();
-    LeafCounts.clear();
-    // BlockedCores survives across supports on purpose: a recorded core is
-    // standalone-unsat, independent of which support's query produced it.
-    appendQuery(Literals);
+    OpaqueEntries = 0;
 
     std::vector<TermId> Seen;
     for (TermId Lit : Literals)
@@ -102,7 +102,13 @@ public:
 
     bool SawUnknown = false;
     std::optional<Outcome> Learnable;
-    bool Found = enumerate(Literals, 0, Result, Learnable, SawUnknown);
+    bool Found = false;
+    if (assertQuerySince(0))
+      Found = enumerate(0, Result, Learnable, SawUnknown);
+    else
+      pruneSubtree(0, SawUnknown);
+    while (Ctx.numScopes() != 0)
+      Ctx.pop();
     if (Found)
       return Result;
     if (Learnable && Options.AllowLearning) {
@@ -118,77 +124,13 @@ private:
   /// Maximum applications considered in one support (bounds nested-summary
   /// expansion).
   static constexpr size_t MaxApps = 24;
-  /// Maximum recorded unsat cores (deterministic first-come cap).
-  static constexpr size_t MaxBlockedCores = 32;
 
-  /// Appends \p Terms to the query, maintaining the mandatory-leaf index
-  /// used by core matching: for each conjunctive entry, its comparison
-  /// literals (every model of the query satisfies all of them); a
-  /// disjunctive entry pins none of its leaves and contributes nothing.
-  void appendQuery(const std::vector<TermId> &Terms) {
-    for (TermId T : Terms)
-      Query.push_back(T);
-    indexNewLeaves();
-  }
-
-  /// Indexes query entries appended since the last call.
-  void indexNewLeaves() {
-    if (!Options.CoreGuidedPruning)
-      return;
-    while (QueryLeaves.size() < Query.size()) {
-      TermId Entry = Query[QueryLeaves.size()];
-      auto Leaves = SolverContext::conjunctiveLiterals(Arena, Entry);
-      QueryLeaves.push_back(Leaves ? std::move(*Leaves)
-                                   : std::vector<TermId>{});
-      for (TermId L : QueryLeaves.back())
-        ++LeafCounts[L];
-    }
-  }
-
-  /// Rolls the leaf index back in sync with Query.resize(\p QMark).
-  void dropQueryLeaves(size_t QMark) {
-    if (!Options.CoreGuidedPruning)
-      return;
-    while (QueryLeaves.size() > QMark) {
-      for (TermId L : QueryLeaves.back()) {
-        auto It = LeafCounts.find(L);
-        if (--It->second == 0)
-          LeafCounts.erase(It);
-      }
-      QueryLeaves.pop_back();
-    }
-  }
-
-  /// True when a recorded core is contained in the query's mandatory
-  /// leaves: the query implies the core's conjunction, which is
-  /// standalone-unsat, so the query is unsatisfiable.
-  bool matchesBlockedCore() const {
-    for (const std::vector<TermId> &Core : BlockedCores) {
-      bool Contained = true;
-      for (TermId L : Core)
-        if (!LeafCounts.count(L)) {
-          Contained = false;
-          break;
-        }
-      if (Contained)
-        return true;
-    }
-    return false;
-  }
-
-  /// Records the (deduplicated, sorted) core of a refuted grounding.
-  void recordBlockedCore(const std::vector<TermId> &UnsatCore) {
-    if (BlockedCores.size() >= MaxBlockedCores)
-      return;
-    std::vector<TermId> Core = UnsatCore;
-    std::sort(Core.begin(), Core.end());
-    Core.erase(std::unique(Core.begin(), Core.end()), Core.end());
-    if (Core.empty())
-      return;
-    if (std::find(BlockedCores.begin(), BlockedCores.end(), Core) !=
-        BlockedCores.end())
-      return;
-    BlockedCores.push_back(std::move(Core));
+  static SolverOptions contextOptions(const ValidityOptions &Options,
+                                      const SampleTable &Samples) {
+    SolverOptions CtxOpts = Options.SolverOpts;
+    CtxOpts.Samples = &Samples;
+    CtxOpts.EnableRefutationMemo = true;
+    return CtxOpts;
   }
 
   /// Adds \p App to the worklist if new. Returns false when the cap is
@@ -217,9 +159,10 @@ private:
 
   /// Appends the constraints of choosing \p C for Apps[Index] to the
   /// query and registers any applications those constraints introduce.
-  /// Returns false when the application cap is exceeded.
+  /// Asserts nothing. Returns false when the application cap is exceeded.
   bool pushChoice(size_t Index, const GroundingChoice &C) {
     size_t QMark = Query.size();
+    Choices[Index] = C;
     // Copy the argument spans: the mkEq/mkIntConst/substituteVars calls
     // below intern terms, which may reallocate the arena's shared operand
     // pool under a live operands() span.
@@ -249,7 +192,6 @@ private:
       for (size_t A = 0; A != Args.size(); ++A)
         Query.push_back(Arena.mkEq(Args[A], PeerArgs[A]));
     }
-    indexNewLeaves();
     // Nested applications introduced by the instantiation join the
     // worklist so they get grounded too (the compositional recursion).
     std::vector<TermId> Fresh;
@@ -261,16 +203,112 @@ private:
     return true;
   }
 
-  /// Depth-first enumeration over grounding choices for Apps[Index...].
-  /// Returns true when a Valid outcome was found (stored in Result).
-  bool enumerate(const std::vector<TermId> &Literals, size_t Index,
-                 Outcome &Result, std::optional<Outcome> &Learnable,
-                 bool &SawUnknown) {
-    if (Stats.GroundingsTried + Stats.GroundingsPruned >=
-        Options.MaxGroundings) {
-      SawUnknown = true;
-      return false;
+  /// How far to roll back when a grounding choice is undone.
+  struct ChoiceMark {
+    size_t QuerySize;
+    size_t NumApps;
+    size_t NumScopes;
+    size_t OpaqueEntries;
+  };
+
+  ChoiceMark mark() const {
+    return {Query.size(), Apps.size(), Ctx.numScopes(), OpaqueEntries};
+  }
+
+  /// Undoes choice \p C for Apps[Index]: pops its scopes, shrinks the
+  /// query and drops worklist growth.
+  void undo(const ChoiceMark &M, size_t Index, const GroundingChoice &C) {
+    while (Ctx.numScopes() > M.NumScopes)
+      Ctx.pop();
+    OpaqueEntries = M.OpaqueEntries;
+    Query.resize(M.QuerySize);
+    if (C.ChoiceKind == GroundingChoice::Kind::Disjunct)
+      DeterminedApps.erase(Apps[Index]);
+    Apps.resize(M.NumApps);
+    AppSamples.resize(M.NumApps);
+    AppDisjuncts.resize(M.NumApps);
+    AppPeers.resize(M.NumApps);
+    Choices.resize(M.NumApps);
+  }
+
+  /// Asserts the query entries Query[From...] on the context, one literal
+  /// per scope, in the order simplify(mkAnd(Query)) lists them: a `true`
+  /// literal is dropped, a literal already on the stack is skipped, and a
+  /// conjunction contributes its conjuncts in place (the one departure
+  /// from that order: simplify would list a summary precondition's
+  /// conjuncts after every other entry). A disjunction cannot be asserted;
+  /// it makes the grounding opaque, and its leaves are then checked as a
+  /// formula. Returns false when the stack is refuted — by a `false`
+  /// literal or at assert time — which refutes every grounding below.
+  bool assertQuerySince(size_t From) {
+    std::vector<TermId> Work;
+    for (size_t Q = From; Q != Query.size(); ++Q) {
+      Work.assign(1, toNNF(Arena, Query[Q]));
+      while (!Work.empty()) {
+        TermId T = Work.back();
+        Work.pop_back();
+        switch (Arena.kind(T)) {
+        case TermKind::BoolConst:
+          if (!Arena.boolConstValue(T))
+            return false;
+          continue;
+        case TermKind::And: {
+          auto Ops = Arena.operands(T);
+          Work.insert(Work.end(), Ops.rbegin(), Ops.rend());
+          continue;
+        }
+        case TermKind::Or:
+          ++OpaqueEntries;
+          continue;
+        default:
+          break;
+        }
+        std::span<const TermId> Stack = Ctx.literals();
+        if (std::find(Stack.begin(), Stack.end(), T) != Stack.end())
+          continue;
+        Ctx.push();
+        Ctx.assertLiteral(T);
+        if (Ctx.refuted())
+          return false;
+      }
     }
+    return true;
+  }
+
+  /// True (and SawUnknown set) once the grounding budget is spent: every
+  /// node of the enumeration checks this on entry.
+  bool budgetSpent(bool &SawUnknown) const {
+    if (Stats.GroundingsTried + Stats.GroundingsPruned < Options.MaxGroundings)
+      return false;
+    SawUnknown = true;
+    return true;
+  }
+
+  /// Calls \p Visit on each grounding choice for Apps[Index] in
+  /// enumeration order until it returns true: summary disjuncts first
+  /// (they cover whole argument regions), then sample bindings, then
+  /// congruence pairings, then unbound.
+  template <typename VisitFn> bool forEachChoice(size_t Index, VisitFn Visit) {
+    for (size_t D = 0; D != AppDisjuncts[Index].size(); ++D)
+      if (Visit(GroundingChoice{GroundingChoice::Kind::Disjunct, 0, D, 0}))
+        return true;
+    for (size_t S = 0; S != AppSamples[Index].size(); ++S)
+      if (Visit(GroundingChoice{GroundingChoice::Kind::Sample, S, 0, 0}))
+        return true;
+    for (size_t P = 0; P != AppPeers[Index].size(); ++P)
+      if (Visit(GroundingChoice{GroundingChoice::Kind::PairWith, 0, 0,
+                                AppPeers[Index][P]}))
+        return true;
+    return Visit(GroundingChoice{});
+  }
+
+  /// Depth-first enumeration over grounding choices for Apps[Index...],
+  /// with the stack of every choice so far asserted. Returns true when a
+  /// Valid outcome was found (stored in Result).
+  bool enumerate(size_t Index, Outcome &Result,
+                 std::optional<Outcome> &Learnable, bool &SawUnknown) {
+    if (budgetSpent(SawUnknown))
+      return false;
     // The grounding enumeration is the validity solver's long loop; poll
     // the stop controls here (the inner solver polls its own decision
     // loop). Guarded so the default configuration never reads the clock.
@@ -282,45 +320,63 @@ private:
       return false;
     }
     if (Index == Apps.size())
-      return tryGrounding(Literals, Result, Learnable, SawUnknown);
+      return tryGrounding(Result, Learnable, SawUnknown);
 
-    // Summary disjuncts first (they cover whole argument regions), then
-    // sample bindings, then congruence pairings, then unbound.
-    auto Attempt = [&](const GroundingChoice &C) {
-      size_t QMark = Query.size();
-      size_t AMark = Apps.size();
-      bool CapOk = pushChoice(Index, C);
-      Choices[Index] = C;
-      bool Found =
-          CapOk &&
-          enumerate(Literals, Index + 1, Result, Learnable, SawUnknown);
-      if (!CapOk)
+    return forEachChoice(Index, [&](const GroundingChoice &C) {
+      ChoiceMark M = mark();
+      bool Found = false;
+      if (!pushChoice(Index, C))
         SawUnknown = true;
-      if (!Found) {
-        // Backtrack: shrink the query and drop worklist growth.
-        dropQueryLeaves(QMark);
-        Query.resize(QMark);
-        if (C.ChoiceKind == GroundingChoice::Kind::Disjunct)
-          DeterminedApps.erase(Apps[Index]);
-        Apps.resize(AMark);
-        AppSamples.resize(AMark);
-        AppDisjuncts.resize(AMark);
-        AppPeers.resize(AMark);
-        Choices.resize(AMark);
-      }
+      else if (!assertQuerySince(M.QuerySize))
+        pruneSubtree(Index + 1, SawUnknown);
+      else
+        Found = enumerate(Index + 1, Result, Learnable, SawUnknown);
+      if (!Found)
+        undo(M, Index, C);
       return Found;
-    };
+    });
+  }
 
-    for (size_t D = 0; D != AppDisjuncts[Index].size(); ++D)
-      if (Attempt({GroundingChoice::Kind::Disjunct, 0, D, 0}))
-        return true;
-    for (size_t S = 0; S != AppSamples[Index].size(); ++S)
-      if (Attempt({GroundingChoice::Kind::Sample, S, 0, 0}))
-        return true;
-    for (size_t Peer : AppPeers[Index])
-      if (Attempt({GroundingChoice::Kind::PairWith, 0, 0, Peer}))
-        return true;
-    return Attempt({GroundingChoice::Kind::Unbound, 0, 0, 0});
+  /// Counts every grounding below a refuted stack as pruned, without the
+  /// solver. The refutation is sticky (each leaf's stack extends the
+  /// refuted one), so each of those groundings would have answered Unsat:
+  /// they cost one budget unit apiece, exactly as the per-leaf loop would
+  /// charge them, including the SawUnknown it sets when the budget runs
+  /// out inside the subtree. Without summary disjuncts the subtree is a
+  /// fixed product, ∏(samples + peers + 1) over Apps[Index...]; a
+  /// disjunct may register further applications, so such subtrees are
+  /// walked choice by choice.
+  void pruneSubtree(size_t Index, bool &SawUnknown) {
+    bool Fixed =
+        std::all_of(AppDisjuncts.begin() + Index, AppDisjuncts.end(),
+                    [](const auto &Disjuncts) { return Disjuncts.empty(); });
+    if (!Fixed) {
+      if (budgetSpent(SawUnknown))
+        return;
+      forEachChoice(Index, [&](const GroundingChoice &C) {
+        ChoiceMark M = mark();
+        if (pushChoice(Index, C))
+          pruneSubtree(Index + 1, SawUnknown);
+        else
+          SawUnknown = true;
+        undo(M, Index, C);
+        return false;
+      });
+      return;
+    }
+    uint64_t Spent = Stats.GroundingsTried + Stats.GroundingsPruned;
+    uint64_t Left = Options.MaxGroundings > Spent
+                        ? Options.MaxGroundings - Spent
+                        : 0;
+    // Saturates at Left + 1: all that matters is whether the subtree
+    // outgrows the budget.
+    uint64_t Leaves = 1;
+    for (size_t I = Index; I != Apps.size(); ++I)
+      Leaves = std::min<uint64_t>(
+          Leaves * (AppSamples[I].size() + AppPeers[I].size() + 1), Left + 1);
+    Stats.GroundingsPruned += static_cast<unsigned>(std::min(Leaves, Left));
+    if (Leaves > Left)
+      SawUnknown = true;
   }
 
   /// Compact signature of the complete grounding under trial: how many
@@ -338,23 +394,9 @@ private:
         Counts[static_cast<size_t>(GroundingChoice::Kind::Unbound)]);
   }
 
-  bool tryGrounding(const std::vector<TermId> &Literals, Outcome &Result,
-                    std::optional<Outcome> &Learnable, bool &SawUnknown) {
-    (void)Literals;
-    // Fault site: before the grounding is counted or the query mutated, so
-    // the enumeration state stays consistent when the throw unwinds
-    // through solve() (the whole checkPost is retried by the caller).
-    support::maybeInjectFault(support::FaultSite::ValidityGround);
-    // Core-guided pruning: when a recorded unsat core is contained in the
-    // query's mandatory leaves, the query is unsat without asking the
-    // inner solver. A pruned grounding behaves exactly like an Unsat
-    // answer — no SawUnknown, no learning candidate — and spends one unit
-    // of the grounding budget, so the enumeration and its outcome are
-    // identical with pruning off; only the inner solver call disappears.
-    if (Options.CoreGuidedPruning && matchesBlockedCore()) {
-      ++Stats.GroundingsPruned;
-      return false;
-    }
+  /// Checks the complete grounding whose literals are asserted.
+  bool tryGrounding(Outcome &Result, std::optional<Outcome> &Learnable,
+                    bool &SawUnknown) {
     ++Stats.GroundingsTried;
     // Tag the inner solver checks of this grounding with its choice
     // signature, so solver_check events can be grouped by grounding
@@ -365,34 +407,17 @@ private:
       Attribution.emplace();
       telemetry::queryAttribution().GroundingFamily = groundingFamily();
     }
-    // One long-lived context serves every grounding of this support
-    // enumeration. checkFormula's conjunctive fast path retargets the
-    // context's assertion stack onto the query's literal sequence, so
-    // consecutive groundings — which share the support literals plus a
-    // common choice prefix — keep that prefix asserted instead of
-    // re-asserting it, and refutation-memo entries recorded against the
-    // surviving prefix frames carry over (docs/solver.md).
-    if (!Ctx) {
-      SolverOptions CtxOpts = Options.SolverOpts;
-      CtxOpts.Samples = &Samples;
-      CtxOpts.EnableRefutationMemo = true;
-      CtxOpts.ExtractUnsatCores =
-          Options.CoreGuidedPruning && BlockedCores.size() < MaxBlockedCores;
-      Ctx = std::make_unique<SolverContext>(Arena, CtxOpts);
-    }
+    // The stack already holds the grounding's literals, shared with every
+    // sibling grounding that made the same earlier choices. An opaque
+    // grounding is checked as a formula in scratch contexts instead,
+    // which leaves the stack untouched.
     SolverStats QueryStats;
     SatAnswer Answer =
-        Ctx->checkFormulaWithTelemetry(Arena.mkAnd(Query), QueryStats);
+        OpaqueEntries == 0
+            ? Ctx.checkWithTelemetry(QueryStats)
+            : Ctx.checkFormulaWithTelemetry(Arena.mkAnd(Query), QueryStats);
     if (Answer.Result == SatResult::Unknown)
       SawUnknown = true;
-    if (Answer.Result == SatResult::Unsat && Options.CoreGuidedPruning &&
-        !Answer.UnsatCore.empty()) {
-      recordBlockedCore(Answer.UnsatCore);
-      // Once the store is full, stop paying for extraction (the
-      // verification probe); extraction never affects answers.
-      if (BlockedCores.size() >= MaxBlockedCores)
-        Ctx->setExtractUnsatCores(false);
-    }
     if (Answer.Result != SatResult::Sat)
       return false;
 
@@ -525,19 +550,12 @@ private:
   std::vector<GroundingChoice> Choices;
   std::vector<TermId> Query;
   std::unordered_set<TermId> DeterminedApps;
-  /// Core-guided pruning state (CoreGuidedPruning). QueryLeaves runs
-  /// parallel to Query: the conjunctive comparison literals of each entry.
-  /// LeafCounts is their multiset, giving O(core size) containment checks.
-  /// BlockedCores persists across solve() calls — each core is
-  /// standalone-unsat, so it refutes any later query containing it.
-  std::vector<std::vector<TermId>> QueryLeaves;
-  std::unordered_map<TermId, int> LeafCounts;
-  std::vector<std::vector<TermId>> BlockedCores;
-  /// Shared incremental context for every grounding query of this
-  /// enumeration; created on first use. Lives
-  /// inside one checkPost call, so it never outlives arena truncation of
-  /// parallel-search worker replicas.
-  std::unique_ptr<SolverContext> Ctx;
+  /// Disjunctions among the query entries (see assertQuerySince).
+  size_t OpaqueEntries = 0;
+  /// The assertion stack of every support and grounding of this query.
+  /// Lives inside one checkPost call, so it never outlives arena
+  /// truncation of parallel-search worker replicas.
+  SolverContext Ctx;
 };
 
 } // namespace

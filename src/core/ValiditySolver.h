@@ -28,6 +28,12 @@
 /// intermediate test to sample the function there (multi-step test
 /// generation, Example 7).
 ///
+/// The enumeration is one depth-first search over an incremental solver
+/// context: each choice's literals are asserted when it is made and popped
+/// on backtrack, so a partial grounding refuted at assert time cuts its
+/// whole subtree, and only complete groundings reach the inner solver's
+/// search (docs/solver.md).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HOTG_CORE_VALIDITYSOLVER_H
@@ -82,7 +88,8 @@ struct ValidityAnswer {
 
 /// Tuning knobs.
 struct ValidityOptions {
-  /// Maximum groundings explored per support.
+  /// Maximum groundings (tried or pruned) explored per query, across all
+  /// of its supports.
   unsigned MaxGroundings = 2048;
   /// Maximum conjunctive supports of pc explored.
   unsigned MaxSupports = 128;
@@ -106,25 +113,16 @@ struct ValidityOptions {
   /// instantiating a recorded disjunct instead of a concrete sample.
   /// Null disables compositional grounding.
   const dse::SummaryTable *Summaries = nullptr;
-  /// Unsat-core-guided grounding pruning: request unsat cores from the
-  /// inner solver (SolverOptions::ExtractUnsatCores), record each refuted
-  /// grounding's core, and skip — before the inner solver is called — any
-  /// later grounding whose query conjunction already contains every core
-  /// literal (the core is standalone-unsat, so the query is too). A
-  /// pruned grounding behaves exactly like an Unsat answer and spends one
-  /// unit of the grounding budget, so the enumeration and its outcome
-  /// match the pruning-off run; only the inner solver calls disappear.
-  /// The switch exists for differential testing.
-  bool CoreGuidedPruning = true;
   /// Options of the inner existential LIA+EUF solver.
   smt::SolverOptions SolverOpts;
 };
 
-/// Statistics of the last checkPost call. GroundingsTried counts inner
-/// solver calls (one per grounding actually checked); GroundingsPruned
-/// counts groundings refuted by a recorded unsat core before the inner
-/// solver was called. Tried + Pruned is the enumeration size, identical
-/// with pruning on or off.
+/// Statistics of the last checkPost call. GroundingsTried counts complete
+/// groundings checked by the inner solver; GroundingsPruned counts the
+/// groundings of subtrees cut because a partial grounding's asserted
+/// literals were already refuted (each would have answered Unsat).
+/// Tried + Pruned is the enumeration size, and both spend the
+/// MaxGroundings budget one unit per grounding.
 struct ValidityStats {
   unsigned SupportsExplored = 0;
   unsigned GroundingsTried = 0;

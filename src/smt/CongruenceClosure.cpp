@@ -14,7 +14,6 @@ CongruenceClosure::Mark CongruenceClosure::mark() {
   M.TrailSize = Trail.size();
   M.Conflict = Conflict;
   M.Pending = Pending;
-  M.ConflictTags = ConflictTags;
   ++OutstandingMarks;
   return M;
 }
@@ -55,18 +54,11 @@ void CongruenceClosure::rollbackTo(const Mark &M) {
     case UndoRecord::Kind::AppsAppend:
       Apps.pop_back();
       break;
-    case UndoRecord::Kind::EdgeTagWrite:
-      if (R.OldConst)
-        EdgeTag[R.Hash] = static_cast<uint32_t>(*R.OldConst);
-      else
-        EdgeTag.erase(R.Hash);
-      break;
     }
     Trail.pop_back();
   }
   Conflict = M.Conflict;
   Pending = M.Pending;
-  ConflictTags = M.ConflictTags;
   --OutstandingMarks;
 }
 
@@ -81,29 +73,6 @@ void CongruenceClosure::clear() {
   SigTable.clear();
   Apps.clear();
   Pending.clear();
-  CurrentTag = NoTag;
-  ConflictTags.clear();
-  EdgeTag.clear();
-}
-
-void CongruenceClosure::writeEdgeTag(TermId A, TermId B, uint32_t Tag) {
-  uint64_t Key = edgeKey(A, B);
-  auto It = EdgeTag.find(Key);
-  if (It != EdgeTag.end() && It->second == Tag)
-    return;
-  log({UndoRecord::Kind::EdgeTagWrite, InvalidTerm, InvalidTerm, Key,
-       It != EdgeTag.end()
-           ? std::optional<int64_t>(static_cast<int64_t>(It->second))
-           : std::nullopt});
-  EdgeTag[Key] = Tag;
-}
-
-void CongruenceClosure::noteConflict(std::initializer_list<uint32_t> Tags) {
-  Conflict = true;
-  ConflictTags.clear();
-  for (uint32_t Tag : Tags)
-    if (Tag != NoTag)
-      ConflictTags.push_back(Tag);
 }
 
 void CongruenceClosure::addTerm(TermId Term) {
@@ -180,14 +149,8 @@ bool CongruenceClosure::merge(TermId A, TermId B) {
   // Conflict checks: distinct constants or asserted disequality.
   auto &CA = ClassConstant[RA];
   auto &CB = ClassConstant[RB];
-  if (CA && CB && *CA != *CB) {
-    noteConflict({CurrentTag});
-    return false;
-  }
-  if (Distincts[RA].count(RB)) {
-    auto TagIt = EdgeTag.find(edgeKey(RA, RB));
-    noteConflict(
-        {CurrentTag, TagIt != EdgeTag.end() ? TagIt->second : NoTag});
+  if ((CA && CB && *CA != *CB) || Distincts[RA].count(RB)) {
+    Conflict = true;
     return false;
   }
 
@@ -201,7 +164,7 @@ bool CongruenceClosure::merge(TermId A, TermId B) {
     ClassConstant[RB] = ClassConstant[RA];
   }
 
-  // Move disequalities (the edge tag moves with each re-homed edge).
+  // Move disequalities.
   for (TermId D : Distincts[RA]) {
     if (Distincts[RB].insert(D).second)
       log({UndoRecord::Kind::DistinctInsert, RB, D});
@@ -209,8 +172,6 @@ bool CongruenceClosure::merge(TermId A, TermId B) {
       log({UndoRecord::Kind::DistinctErase, D, RA});
     if (Distincts[D].insert(RB).second)
       log({UndoRecord::Kind::DistinctInsert, D, RB});
-    if (auto TagIt = EdgeTag.find(edgeKey(RA, D)); TagIt != EdgeTag.end())
-      writeEdgeTag(RB, D, TagIt->second);
   }
   if (auto It = Distincts.find(RA); It != Distincts.end()) {
     if (recording()) {
@@ -274,14 +235,13 @@ bool CongruenceClosure::assertDistinct(TermId A, TermId B) {
   TermId RA = findRepr(A);
   TermId RB = findRepr(B);
   if (RA == RB) {
-    noteConflict({CurrentTag});
+    Conflict = true;
     return false;
   }
   if (Distincts[RA].insert(RB).second)
     log({UndoRecord::Kind::DistinctInsert, RA, RB});
   if (Distincts[RB].insert(RA).second)
     log({UndoRecord::Kind::DistinctInsert, RB, RA});
-  writeEdgeTag(RA, RB, CurrentTag);
   return true;
 }
 

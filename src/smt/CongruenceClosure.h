@@ -46,7 +46,6 @@ public:
     size_t TrailSize = 0;
     bool Conflict = false;
     std::vector<std::pair<TermId, TermId>> Pending;
-    std::vector<uint32_t> ConflictTags;
   };
 
   /// Opens an undo scope: mutations are logged until the matching
@@ -72,19 +71,6 @@ public:
 
   /// True when the asserted facts are contradictory.
   bool inConflict() const { return Conflict; }
-
-  /// Conflict provenance. The caller may label each assertion batch with a
-  /// tag (SolverContext uses the literal's assertion index); disequality
-  /// edges remember the tag they were asserted under, surviving class
-  /// merges. When a conflict fires, conflictTags() names the tags
-  /// involved: the current tag plus — for a merge hitting a disequality —
-  /// the tag of the clashing edge. The tags are a best-effort *hint*, not
-  /// a proof: equality chains that routed the merge are not explained, so
-  /// consumers must re-verify any core candidate built from them
-  /// (SolverContext probes the candidate before trusting it).
-  static constexpr uint32_t NoTag = ~uint32_t(0);
-  void setAssertionTag(uint32_t Tag) { CurrentTag = Tag; }
-  const std::vector<uint32_t> &conflictTags() const { return ConflictTags; }
 
   /// True when \p A and \p B are known equal (both are registered on
   /// demand, which may trigger congruence merges).
@@ -123,7 +109,6 @@ private:
       UseSetErase,     ///< UseList.erase(A) after move-out: restore SavedVec.
       SigAppend,       ///< SigTable[Hash].push_back: pop it.
       AppsAppend,      ///< Apps.push_back: pop it.
-      EdgeTagWrite,    ///< EdgeTag[Hash] had value OldConst (nullopt: absent).
     };
     Kind K;
     TermId A = InvalidTerm;
@@ -157,21 +142,6 @@ private:
 
   std::vector<TermId> Apps;
   std::vector<std::pair<TermId, TermId>> Pending;
-
-  /// Conflict-provenance state (see conflictTags). EdgeTag keys are the
-  /// packed unordered (repr, repr) pair of a disequality edge; entries
-  /// migrate (by copy) when merges re-home an edge onto new
-  /// representatives, and the trail rolls both homes back.
-  static uint64_t edgeKey(TermId A, TermId B) {
-    uint64_t Lo = A < B ? A : B;
-    uint64_t Hi = A < B ? B : A;
-    return (Hi << 32) | Lo;
-  }
-  void writeEdgeTag(TermId A, TermId B, uint32_t Tag);
-  void noteConflict(std::initializer_list<uint32_t> Tags);
-  uint32_t CurrentTag = NoTag;
-  std::vector<uint32_t> ConflictTags;
-  std::unordered_map<uint64_t, uint32_t> EdgeTag;
 };
 
 } // namespace hotg::smt

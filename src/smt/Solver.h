@@ -67,12 +67,6 @@ struct SolverOptions {
   /// core::DirectedSearch keeps it off to preserve the jobs-invariant
   /// stats (docs/solver.md).
   bool EnableRefutationMemo = false;
-  /// Populate SatAnswer::UnsatCore on Unsat answers: a probe-verified
-  /// subset of the asserted literals that refutes on its own (see
-  /// SatAnswer::UnsatCore). Off by default (extraction costs a probe);
-  /// core::ValiditySolver turns it on to drive core-guided grounding
-  /// pruning.
-  bool ExtractUnsatCores = false;
   /// Wall-clock stop controls (docs/robustness.md). Both are inactive by
   /// default, in which case the search loop never reads the clock and the
   /// solver stays fully deterministic. When the deadline expires (or the
@@ -90,15 +84,6 @@ struct SatAnswer {
   Model ModelValue;
   /// Human-readable explanation for Unknown answers.
   std::string Reason;
-  /// SolverOptions::ExtractUnsatCores only: on Unsat, a subset of the
-  /// asserted literals whose conjunction is itself unsatisfiable, in
-  /// assertion order: the literals of a probe-verified congruence
-  /// conflict, else the asserted prefix up to the refuting literal, else
-  /// every literal. The core is not minimized. Empty otherwise. For
-  /// disjunctive queries the core is the union of the per-support cores
-  /// (each support was refuted, so each per-support core — and hence the
-  /// union — is standalone-unsat).
-  std::vector<TermId> UnsatCore;
 
   bool isSat() const { return Result == SatResult::Sat; }
   bool isUnsat() const { return Result == SatResult::Unsat; }

@@ -651,22 +651,16 @@ bool SolverContext::assertLiteral(TermId Lit) {
     registerAtom(M.Atom);
   Rows.push_back(*CacheIt->second);
 
-  auto Refute = [&](bool FromCC) {
+  auto Refute = [&] {
     RefutedAt = Frames.size();
-    RefutedLitIdx = Lits.size() - 1;
-    // Conflict tags are only meaningful for a congruence conflict; other
-    // refutation paths leave no per-literal provenance.
-    RefuteTags = FromCC ? CC.conflictTags() : std::vector<uint32_t>{};
     if (!Frames.empty())
       Frames.back().RefutedHere = true;
     return true;
   };
 
-  // Structural EUF content feeds congruence closure immediately, labelled
-  // with the literal's assertion index for conflict provenance.
-  CC.setAssertionTag(static_cast<uint32_t>(Lits.size() - 1));
+  // Structural EUF content feeds congruence closure immediately.
   if (!assertRowInCC(Arena, CC, Rows.back()))
-    return Refute(/*FromCC=*/true);
+    return Refute();
 
   // Fold congruence-derived constants into the base domains. constantOf
   // registers atoms on demand; with a scope open every CC mutation lands
@@ -676,14 +670,14 @@ bool SolverContext::assertLiteral(TermId Lit) {
       Interval NewDom = Domains[I].intersect(Interval::point(*C));
       if (NewDom.isEmpty()) {
         setDomain(I, NewDom);
-        return Refute(/*FromCC=*/false);
+        return Refute();
       }
       if (!(NewDom == Domains[I]))
         setDomain(I, NewDom);
     }
 
   if (!propagateBase())
-    return Refute(/*FromCC=*/false);
+    return Refute();
   return true;
 }
 
@@ -772,83 +766,6 @@ static const char *unknownReasonSlug(const SatAnswer &Answer) {
 }
 
 SatAnswer SolverContext::check(SolverStats &QueryStats) {
-  SatAnswer Answer = checkImpl(QueryStats);
-  if (Answer.isUnsat() && Options.ExtractUnsatCores) {
-    Answer.UnsatCore = extractCore();
-    static telemetry::Histogram &CoreSize =
-        telemetry::Registry::global().valueHistogram("solver.core_size");
-    CoreSize.note(Answer.UnsatCore.size());
-  }
-  return Answer;
-}
-
-bool SolverContext::quickRefutes() {
-  if (PoisonedAt)
-    return false;
-  if (RefutedAt)
-    return true;
-  std::vector<LinearAtom> Work = Rows;
-  if (!eliminateEqualities(Work))
-    return true;
-  if (fourierMotzkinRefutes(Work))
-    return true;
-  SolverStats Scratch; // Probe work never lands in per-query stats.
-  if (Work == Rows) {
-    Engine E(*this, Rows, Atoms.size(), Scratch, /*UseMemo=*/false);
-    std::vector<Interval> Doms = Domains;
-    return !E.propagate(Doms);
-  }
-  CongruenceClosure ScratchCC(Arena);
-  for (const LinearAtom &LA : Work)
-    if (!assertRowInCC(Arena, ScratchCC, LA))
-      return true;
-  std::vector<Interval> Doms(Atoms.size(), Interval::full());
-  for (size_t I = 0; I != Atoms.size(); ++I)
-    if (auto C = ScratchCC.constantOf(Atoms[I]))
-      Doms[I] = Doms[I].intersect(Interval::point(*C));
-  Engine E(*this, Work, Atoms.size(), Scratch, /*UseMemo=*/false);
-  return !E.propagate(Doms);
-}
-
-bool SolverContext::probeRefutes(std::span<const TermId> Literals) {
-  if (!CoreProbe) {
-    SolverOptions ProbeOpts = Options;
-    ProbeOpts.ExtractUnsatCores = false; // No recursive extraction.
-    ProbeOpts.EnableRefutationMemo = false;
-    // Samples stay: propagateUF narrowing is part of quick refutation.
-    CoreProbe = std::make_unique<SolverContext>(Arena, ProbeOpts);
-  }
-  CoreProbe->retarget(Literals);
-  return CoreProbe->quickRefutes();
-}
-
-std::vector<TermId> SolverContext::extractCore() {
-  // Callers reach here only on an Unsat answer, so the candidate below is
-  // a proven-unsat subset by construction: the asserted prefix up to the
-  // refuting literal (the fold invariant makes that prefix
-  // standalone-unsat), or — for a check-time refutation — the full literal
-  // list the check just refuted.
-  if (!RefutedAt)
-    return Lits;
-  std::vector<TermId> Candidate(Lits.begin(),
-                                Lits.begin() + RefutedLitIdx + 1);
-  if (!RefuteTags.empty() && Candidate.size() > 2) {
-    // Congruence conflict-tag fast path: the clashing assertions' literal
-    // indices, probe-verified (tags do not explain equality chains, so the
-    // hint can be incomplete — fall back to the prefix then).
-    std::set<uint32_t> Indices(RefuteTags.begin(), RefuteTags.end());
-    Indices.insert(static_cast<uint32_t>(RefutedLitIdx));
-    std::vector<TermId> Hint;
-    for (uint32_t I : Indices)
-      if (I < Lits.size())
-        Hint.push_back(Lits[I]);
-    if (Hint.size() < Candidate.size() && probeRefutes(Hint))
-      return Hint;
-  }
-  return Candidate;
-}
-
-SatAnswer SolverContext::checkImpl(SolverStats &QueryStats) {
   SatAnswer Answer;
   if (PoisonedAt) {
     Answer.Result = SatResult::Unknown;
@@ -1042,14 +959,6 @@ SatAnswer SolverContext::checkFormula(TermId Formula, SolverStats &QueryStats) {
         for (TermId Lit : Literals)
           Scratch.assertLiteral(Lit);
         SatAnswer Sub = Scratch.check(QueryStats);
-        if (Sub.isUnsat() && Options.ExtractUnsatCores) {
-          // Union of per-support cores: each one is standalone-unsat, so
-          // the union is too (Solver.h, SatAnswer::UnsatCore).
-          for (TermId CoreLit : Sub.UnsatCore)
-            if (std::find(Answer.UnsatCore.begin(), Answer.UnsatCore.end(),
-                          CoreLit) == Answer.UnsatCore.end())
-              Answer.UnsatCore.push_back(CoreLit);
-        }
         if (Sub.isSat()) {
           // Verify against the full original formula under the model.
           if (Sub.ModelValue.evalBool(Arena, Formula)) {
@@ -1066,12 +975,9 @@ SatAnswer SolverContext::checkFormula(TermId Formula, SolverStats &QueryStats) {
       });
   QueryStats.SupportsExplored += EnumStats.SupportsTried;
 
-  if (Answer.Result == SatResult::Sat) {
-    Answer.UnsatCore.clear();
+  if (Answer.Result == SatResult::Sat)
     return Answer;
-  }
   if (SawExhausted || EnumStats.BudgetExhausted) {
-    Answer.UnsatCore.clear();
     Answer.Result = SatResult::Unknown;
     // unknownReason reports a tripped stop control first, so a deadline
     // that halted the enumeration (StopHit) or the inner search wins over
@@ -1160,6 +1066,10 @@ SatAnswer SolverContext::checkFormulaWithTelemetry(TermId Formula,
 }
 
 SatAnswer SolverContext::checkWithTelemetry(SolverStats &CumStats) {
-  return checkWithTelemetryImpl(
-      CumStats, [&](SolverStats &QueryStats) { return check(QueryStats); });
+  return checkWithTelemetryImpl(CumStats, [&](SolverStats &QueryStats) {
+    // The asserted stack is one conjunctive support, as in checkFormula's
+    // conjunctive path.
+    QueryStats.SupportsExplored += 1;
+    return check(QueryStats);
+  });
 }

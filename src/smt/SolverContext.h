@@ -21,8 +21,9 @@
 /// change an answer or a per-query statistic (docs/solver.md spells out
 /// the determinism argument). smt::Solver::check is a thin wrapper over a
 /// fresh context; core::DirectedSearch keeps one context per frontier
-/// group; core::ValiditySolver keeps one per support, seeded with the
-/// antecedent, and scopes grounding choices.
+/// group; core::ValiditySolver keeps one per query, asserts each grounding
+/// choice in its own scopes, and cuts every grounding under a refuted
+/// stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +36,6 @@
 #include "smt/Solver.h"
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -80,6 +80,14 @@ public:
 
   size_t numScopes() const { return Frames.size(); }
   size_t numAssertedLiterals() const { return Lits.size(); }
+  /// The asserted literals, in assertion order.
+  std::span<const TermId> literals() const { return Lits; }
+
+  /// True when an assertLiteral() call refuted the asserted stack
+  /// (congruence conflict or an empty domain at the propagation fixpoint).
+  /// Sticky until the refuting scope pops: every extension of a refuted
+  /// stack is refuted too, and check() answers Unsat without searching.
+  bool refuted() const { return RefutedAt.has_value(); }
 
   /// Asserts comparison literal \p Lit in the current scope (or at the
   /// permanent base level when no scope is open), folding it into the
@@ -129,14 +137,6 @@ public:
   const SolverOptions &options() const { return Options; }
   const ContextStats &contextStats() const { return Stats; }
 
-  /// Toggles unsat-core extraction. Extraction never affects an answer's
-  /// Result/Model — only whether SatAnswer::UnsatCore is populated — so
-  /// flipping it mid-lifetime is safe; core::ValiditySolver turns it off
-  /// once its blocked-core store is full to stop paying for probes.
-  void setExtractUnsatCores(bool Enable) {
-    Options.ExtractUnsatCores = Enable;
-  }
-
   /// Flattens simplify(\p Formula) into its comparison literals, in
   /// source order. nullopt when the formula has disjunctive structure (or
   /// simplifies to a boolean constant). This is the shared decomposition
@@ -166,21 +166,6 @@ private:
 
   class Engine; // Check-time search engine (SolverContext.cpp).
   friend class Engine;
-
-  /// check() minus core extraction (the shared body of every Unsat path).
-  SatAnswer checkImpl(SolverStats &QueryStats);
-  /// Propagation-level refutation of the asserted stack: assert-time
-  /// refutation, Gauss–Jordan infeasibility, Fourier–Motzkin, or an empty
-  /// domain at the propagation fixpoint. No value search, no stats — the
-  /// check behind probeRefutes.
-  bool quickRefutes();
-  /// Builds the unsat core for the current (just proven Unsat) state: the
-  /// probe-verified CC conflict-tag hint when there is one, else the
-  /// refuted assertion prefix, else the full literal list. Unshrunk.
-  std::vector<TermId> extractCore();
-  /// quickRefutes() over \p Literals in the lazily-created CoreProbe
-  /// context.
-  bool probeRefutes(std::span<const TermId> Literals);
 
   void registerAtom(TermId Atom);
   void setDomain(size_t Idx, const Interval &NewDom);
@@ -229,18 +214,6 @@ private:
   /// fold).
   std::optional<size_t> PoisonedAt;
   std::optional<size_t> RefutedAt;
-  /// Index into Lits of the literal whose assertion refuted the context;
-  /// valid only while RefutedAt is set (reset together with it).
-  size_t RefutedLitIdx = 0;
-  /// CC conflict tags (literal indices) captured when the refuting assert
-  /// was a congruence conflict; a core-candidate hint, probe-verified
-  /// before use (CongruenceClosure::conflictTags).
-  std::vector<uint32_t> RefuteTags;
-
-  /// Lazily-created probe context for core verification (ExtractUnsatCores
-  /// only): same options minus cores and memo, managed exclusively
-  /// through retarget.
-  std::unique_ptr<SolverContext> CoreProbe;
 
   /// Memo entries proven against the base level only.
   std::set<std::pair<TermId, int64_t>> BaseMemoRefuted;

@@ -53,7 +53,7 @@ enum class FaultSite : uint8_t {
   CachePublish,   ///< Publishing a query answer to the shared cache.
   ArenaDelta,     ///< Applying one arena delta to a worker replica.
   SolverCheck,    ///< Entry of a solver satisfiability check.
-  ValidityGround, ///< Trying one grounding in the validity solver.
+  ValidityGround, ///< Starting one support's grounding search (validity).
   JobDecode,      ///< Decoding one serve-protocol job frame.
   SessionSpawn,   ///< Spawning one search session in hotg-serve.
 };

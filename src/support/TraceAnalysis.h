@@ -115,7 +115,7 @@ struct SlowQuery {
   std::string Grounding;
   int64_t ScopeDepth = -1;
   /// validity_query only (-1 for solver checks): enumeration size split
-  /// into inner-solver calls and core-guided skips.
+  /// into inner-solver calls and groundings of cut subtrees.
   int64_t GroundingsTried = -1;
   int64_t GroundingsPruned = -1;
 };
@@ -136,8 +136,8 @@ struct Report {
   uint64_t Tests = 0, Candidates = 0, SolverChecks = 0, ValidityQueries = 0,
            Divergences = 0, Heartbeats = 0;
   /// Grounding enumeration totals across validity_query events: inner
-  /// solver calls actually made vs. groundings skipped by a recorded
-  /// unsat core.
+  /// solver calls actually made vs. groundings below a refuted partial
+  /// grounding, never enumerated.
   uint64_t GroundingsTried = 0, GroundingsPruned = 0;
   /// From search_summary (0 when the trace has none).
   uint64_t WorkerFailures = 0, InlineRetries = 0;

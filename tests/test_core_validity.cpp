@@ -3,6 +3,7 @@
 #include "core/ValiditySolver.h"
 
 #include "core/Post.h"
+#include "dse/Summary.h"
 
 #include <gtest/gtest.h>
 
@@ -266,6 +267,118 @@ TEST_F(ValidityTest, InactiveStopControlsDoNotPerturbAnswers) {
   ValidityAnswer A = Solver.checkPost(Arena.mkEq(X, h(Y)));
   ASSERT_EQ(A.Status, ValidityStatus::Valid);
   EXPECT_EQ(A.ModelValue.varValueOr(Arena.getOrCreateVar("y"), -1), 42);
+}
+
+//===----------------------------------------------------------------------===//
+// Subtree cuts: a partial grounding refuted at assert time cuts every
+// grounding below it, and each cut grounding is counted as pruned.
+//===----------------------------------------------------------------------===//
+
+class SubtreeCutTest : public ValidityTest {
+protected:
+  ValidityAnswer solve(TermId Pc, ValidityOptions Options = {}) {
+    ValiditySolver Solver(Arena, Samples, Options);
+    ValidityAnswer Answer = Solver.checkPost(Pc);
+    Stats = Solver.stats();
+    return Answer;
+  }
+
+  /// f(x) = 1 ∧ f(x) = 2 with three samples of f: four groundings of
+  /// f(x) (three samples, unbound), all under a contradictory support.
+  TermId contradictorySupport() {
+    Samples.record(F, {0}, 1);
+    Samples.record(F, {1}, 1);
+    Samples.record(F, {2}, 1);
+    return Arena.mkAnd(Arena.mkEq(f(X), Arena.mkIntConst(1)),
+                       Arena.mkEq(f(X), Arena.mkIntConst(2)));
+  }
+
+  ValidityStats Stats;
+};
+
+TEST_F(SubtreeCutTest, ContradictorySupportIsCutAtTheRoot) {
+  ValidityAnswer A = solve(contradictorySupport());
+  EXPECT_EQ(A.Status, ValidityStatus::NotValid);
+  EXPECT_EQ(Stats.GroundingsTried, 0u)
+      << "no grounding of a refuted support reaches the inner solver";
+  EXPECT_EQ(Stats.GroundingsPruned, 4u)
+      << "the cut counts the full enumeration";
+}
+
+TEST_F(SubtreeCutTest, CutGroundingsSpendTheBudget) {
+  // The cut charges the budget exactly as checking grounding by grounding
+  // would: two units, then the budget-bound Unknown.
+  ValidityOptions Options;
+  Options.MaxGroundings = 2;
+  ValidityAnswer A = solve(contradictorySupport(), Options);
+  EXPECT_EQ(A.Status, ValidityStatus::Unknown);
+  EXPECT_EQ(A.Reason, "grounding budget exhausted");
+  EXPECT_EQ(Stats.GroundingsTried + Stats.GroundingsPruned, 2u);
+}
+
+TEST_F(SubtreeCutTest, ValidAnswersSurviveTheCut) {
+  Samples.record(F, {42}, 567);
+  ValidityAnswer A = solve(Arena.mkEq(X, f(Y)));
+  ASSERT_EQ(A.Status, ValidityStatus::Valid);
+  EXPECT_EQ(A.ModelValue.varValueOr(Arena.getOrCreateVar("y"), -1), 42);
+  EXPECT_EQ(A.ModelValue.varValueOr(Arena.getOrCreateVar("x"), -1), 567);
+}
+
+TEST_F(SubtreeCutTest, SummarySubtreesAreCountedByWalkingThem) {
+  // sum:g(v) = h(v) when v > 0, else 0. Instantiating the first disjunct
+  // at x registers h(x), whose two samples add groundings below that
+  // choice only: 3 (disjunct 1: h sampled twice or unbound) + 1
+  // (disjunct 2) + 1 (g(x) unbound) = 5, where a product over the
+  // support's applications would say 3.
+  FuncId G = Arena.getOrCreateFunc("sum:g", 1);
+  VarId V = Arena.getOrCreateVar("g.v");
+  TermId Formal = Arena.mkVar(V);
+  dse::SummaryTable Summaries;
+  Summaries.registerFunction(G, {V});
+  Summaries.record(G, {Arena.mkGt(Formal, Arena.mkIntConst(0)), h(Formal)});
+  Summaries.record(G, {Arena.mkLe(Formal, Arena.mkIntConst(0)),
+                       Arena.mkIntConst(0)});
+  Samples.record(H, {1}, 5);
+  Samples.record(H, {2}, 7);
+  TermId GX = Arena.mkUFApp(G, {{X}});
+  TermId Pc = Arena.mkAnd(Arena.mkEq(GX, Arena.mkIntConst(1)),
+                          Arena.mkEq(GX, Arena.mkIntConst(2)));
+
+  ValidityOptions Options;
+  Options.Summaries = &Summaries;
+  ValidityAnswer A = solve(Pc, Options);
+  EXPECT_EQ(A.Status, ValidityStatus::NotValid);
+  EXPECT_EQ(Stats.GroundingsTried, 0u);
+  EXPECT_EQ(Stats.GroundingsPruned, 5u);
+
+  // The walk clamps to the budget like the closed form does.
+  Options.MaxGroundings = 4;
+  A = solve(Pc, Options);
+  EXPECT_EQ(A.Status, ValidityStatus::Unknown);
+  EXPECT_EQ(A.Reason, "grounding budget exhausted");
+  EXPECT_EQ(Stats.GroundingsTried + Stats.GroundingsPruned, 4u);
+}
+
+TEST_F(SubtreeCutTest, DisjunctivePreconditionIsCheckedAsAFormula) {
+  // A precondition disjunction (a `||` branch in the callee) cannot be
+  // asserted on the stack; the grounding is checked as a formula instead.
+  FuncId G = Arena.getOrCreateFunc("sum:g", 1);
+  VarId V = Arena.getOrCreateVar("g.v");
+  TermId Formal = Arena.mkVar(V);
+  dse::SummaryTable Summaries;
+  Summaries.registerFunction(G, {V});
+  Summaries.record(G, {Arena.mkOr(Arena.mkLt(Formal, Arena.mkIntConst(0)),
+                                  Arena.mkGt(Formal, Arena.mkIntConst(10))),
+                       Arena.mkIntConst(7)});
+  TermId Pc = Arena.mkEq(Arena.mkUFApp(G, {{X}}), Arena.mkIntConst(7));
+
+  ValidityOptions Options;
+  Options.Summaries = &Summaries;
+  ValidityAnswer A = solve(Pc, Options);
+  ASSERT_EQ(A.Status, ValidityStatus::Valid);
+  int64_t XValue = A.ModelValue.varValueOr(Arena.getOrCreateVar("x"), 5);
+  EXPECT_TRUE(XValue < 0 || XValue > 10) << "x = " << XValue;
+  EXPECT_EQ(Stats.GroundingsTried, 1u);
 }
 
 } // namespace

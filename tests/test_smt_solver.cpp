@@ -3,7 +3,9 @@
 #include "smt/Solver.h"
 
 #include "smt/Simplify.h"
+#include "smt/SolverContext.h"
 #include "support/Random.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -393,6 +395,26 @@ TEST_F(SolverTest, InactiveStopControlsDoNotPerturbAnswers) {
   SatAnswer A = S.check(Arena.mkEq(X, Arena.mkIntConst(567)));
   ASSERT_TRUE(A.isSat());
   EXPECT_EQ(A.ModelValue.varValueOr(Arena.getOrCreateVar("x"), 0), 567);
+}
+
+TEST(UnknownReasonCounters, DecisionBudgetSubCounterIsBumped) {
+  telemetry::Registry &Reg = telemetry::Registry::global();
+  uint64_t Before = Reg.counter("solver.unknown.decision_budget").value();
+
+  TermArena Arena;
+  TermId X = Arena.mkVar("x");
+  SolverOptions Options;
+  Options.MaxDecisions = 0;
+  SolverContext Ctx(Arena, Options);
+  SolverStats Stats;
+  SatAnswer Answer = Ctx.checkFormulaWithTelemetry(
+      Arena.mkAnd(Arena.mkLe(Arena.mkIntConst(3), X),
+                  Arena.mkLt(X, Arena.mkIntConst(9))),
+      Stats);
+  ASSERT_EQ(Answer.Result, SatResult::Unknown);
+  EXPECT_EQ(Answer.Reason, "decision budget exhausted");
+  EXPECT_EQ(Reg.counter("solver.unknown.decision_budget").value(),
+            Before + 1);
 }
 
 } // namespace

@@ -381,9 +381,9 @@ int runTool(int Argc, char **Argv) {
       std::fprintf(stderr, "solver prefix reuse: %.1f%% (%llu reused, %llu pushed)\n",
                    100.0 * double(Reused) / double(Reused + Pushes),
                    (unsigned long long)Reused, (unsigned long long)Pushes);
-    // Core-guided grounding pruning rate: groundings refuted by a recorded
-    // unsat core before the inner solver was called, as a fraction of the
-    // enumeration (tried + pruned). See docs/solver.md.
+    // Grounding pruning rate: groundings cut because a partial grounding
+    // was already refuted, as a fraction of the enumeration (tried +
+    // pruned). See docs/solver.md.
     uint64_t Tried = Reg.counter("validity.groundings_tried").value();
     uint64_t Pruned = Reg.counter("validity.groundings_pruned").value();
     if (Tried + Pruned != 0)

@@ -7,15 +7,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "app/KeywordLexer.h"
 #include "core/ValiditySolver.h"
-#include "dse/SymbolicExecutor.h"
-#include "lang/Parser.h"
 #include "smt/CongruenceClosure.h"
 #include "smt/Simplify.h"
-#include "smt/Solver.h"
 #include "smt/SolverContext.h"
-#include "support/Support.h"
 
 #include <benchmark/benchmark.h>
 
@@ -102,8 +97,9 @@ void BM_SolverSimpleEquality(benchmark::State &State) {
   TermId X = Arena.mkVar("x");
   TermId F = Arena.mkEq(X, Arena.mkIntConst(567));
   for (auto _ : State) {
-    Solver S(Arena);
-    benchmark::DoNotOptimize(S.check(F).Result);
+    SolverContext Ctx(Arena);
+    SolverStats Stats;
+    benchmark::DoNotOptimize(Ctx.checkFormula(F, Stats).Result);
   }
 }
 BENCHMARK(BM_SolverSimpleEquality);
@@ -120,8 +116,9 @@ void BM_SolverLinearSystem(benchmark::State &State) {
                    Arena.mkIntConst(16)),
         Arena.mkLt(Z, Arena.mkIntConst(100))}});
   for (auto _ : State) {
-    Solver S(Arena);
-    benchmark::DoNotOptimize(S.check(F).Result);
+    SolverContext Ctx(Arena);
+    SolverStats Stats;
+    benchmark::DoNotOptimize(Ctx.checkFormula(F, Stats).Result);
   }
 }
 BENCHMARK(BM_SolverLinearSystem);
@@ -135,8 +132,9 @@ void BM_SolverUnsatConflict(benchmark::State &State) {
         Arena.mkEq(X, Arena.mkIntConst(567)),
         Arena.mkEq(Y, Arena.mkIntConst(10))}});
   for (auto _ : State) {
-    Solver S(Arena);
-    benchmark::DoNotOptimize(S.check(F).Result);
+    SolverContext Ctx(Arena);
+    SolverStats Stats;
+    benchmark::DoNotOptimize(Ctx.checkFormula(F, Stats).Result);
   }
 }
 BENCHMARK(BM_SolverUnsatConflict);
@@ -152,8 +150,9 @@ void BM_SolverDisjunctiveSupports(benchmark::State &State) {
   TermId F = Arena.mkAnd(Arena.mkOr(Disjuncts),
                          Arena.mkGt(X, Arena.mkIntConst(N - 1)));
   for (auto _ : State) {
-    Solver S(Arena);
-    benchmark::DoNotOptimize(S.check(F).Result);
+    SolverContext Ctx(Arena);
+    SolverStats Stats;
+    benchmark::DoNotOptimize(Ctx.checkFormula(F, Stats).Result);
   }
 }
 BENCHMARK(BM_SolverDisjunctiveSupports)->Arg(4)->Arg(16)->Arg(64);
@@ -189,128 +188,6 @@ void BM_ValidityCongruenceStrategy(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ValidityCongruenceStrategy);
-
-//===----------------------------------------------------------------------===//
-// Incremental vs fresh on the keyword-lexer sibling workload
-//===----------------------------------------------------------------------===//
-//
-// The directed search's frontier expansion produces *sibling* queries:
-// ALT(pc, i) = pc[0..i-1] ∧ ¬pc[i], so consecutive queries share their
-// literal prefix and flip only the final literal. Moreover the frontier
-// re-issues *identical* sibling sets: every distinct parent input that
-// reaches the same branch sequence regenerates the same ALT queries
-// (frontier dedup only collapses candidates from the same parent). This
-// workload replays that stream — several rounds over a real keyword-lexer
-// path constraint's full sibling set — two ways: a fresh Solver per query
-// and one long-lived SolverContext with the refutation memo on. It
-// verifies on startup that the answers and models are byte-identical per
-// query.
-
-struct LexerSiblingWorkload {
-  /// Rounds over the sibling set, modelling distinct parent inputs
-  /// re-reaching the same branch points within one sample generation.
-  static constexpr unsigned Rounds = 4;
-
-  smt::TermArena Arena;
-  smt::SampleTable Samples;
-  std::vector<std::vector<TermId>> SiblingLiterals;
-  unsigned FreshDecisions = 0;
-  unsigned IncrementalDecisions = 0;
-
-  LexerSiblingWorkload() {
-    app::LexerApp App = app::buildKeywordLexer({6, 2});
-    DiagnosticEngine Diags;
-    auto Prog = lang::parseAndCheck(App.Source, Diags);
-    if (!Prog)
-      reportFatalError("bench: lexer does not compile");
-    interp::NativeRegistry Natives;
-    Natives.registerDefaultHashes();
-
-    dse::ExecOptions ExecOpts;
-    ExecOpts.Policy = dse::ConcretizationPolicy::HigherOrder;
-    dse::SymbolicExecutor Executor(*Prog, Natives, Arena, ExecOpts);
-    dse::PathResult Result =
-        Executor.execute(App.Entry, App.identifierInput(), &Samples);
-    for (size_t Index : Result.PC.negatablePositions())
-      SiblingLiterals.push_back(Result.PC.alternateLiterals(Arena, Index));
-    if (SiblingLiterals.size() < 8)
-      reportFatalError("bench: lexer sibling workload unexpectedly small");
-    verify();
-  }
-
-  smt::SolverOptions solverOptions(bool Incremental) const {
-    smt::SolverOptions Opts;
-    Opts.Samples = &Samples;
-    Opts.EnableRefutationMemo = Incremental;
-    return Opts;
-  }
-
-  unsigned runFresh(std::vector<smt::SatAnswer> *Answers = nullptr) {
-    unsigned Decisions = 0;
-    for (unsigned Round = 0; Round != Rounds; ++Round)
-      for (const std::vector<TermId> &Lits : SiblingLiterals) {
-        Solver S(Arena, solverOptions(false));
-        smt::SatAnswer Answer = S.checkConjunction(Lits);
-        Decisions += S.stats().Decisions;
-        if (Answers)
-          Answers->push_back(std::move(Answer));
-      }
-    return Decisions;
-  }
-
-  unsigned runIncremental(std::vector<smt::SatAnswer> *Answers = nullptr) {
-    SolverContext Ctx(Arena, solverOptions(true));
-    unsigned Decisions = 0;
-    for (unsigned Round = 0; Round != Rounds; ++Round)
-      for (const std::vector<TermId> &Lits : SiblingLiterals) {
-        SolverStats QS;
-        smt::SatAnswer Answer = Ctx.checkFormula(Arena.mkAnd(Lits), QS);
-        Decisions += QS.Decisions;
-        if (Answers)
-          Answers->push_back(std::move(Answer));
-      }
-    return Decisions;
-  }
-
-  /// The acceptance gate: byte-identical answers, fresh vs incremental.
-  void verify() {
-    std::vector<smt::SatAnswer> Fresh, Incremental;
-    FreshDecisions = runFresh(&Fresh);
-    IncrementalDecisions = runIncremental(&Incremental);
-    for (size_t I = 0; I != Fresh.size(); ++I) {
-      if (Fresh[I].Result != Incremental[I].Result ||
-          Fresh[I].ModelValue.varAssignments() !=
-              Incremental[I].ModelValue.varAssignments())
-        reportFatalError("bench: incremental sibling answer diverges from "
-                         "fresh solving at query " + std::to_string(I));
-    }
-  }
-};
-
-LexerSiblingWorkload &lexerSiblings() {
-  static LexerSiblingWorkload Workload;
-  return Workload;
-}
-
-void BM_LexerSiblingsFreshSolver(benchmark::State &State) {
-  LexerSiblingWorkload &W = lexerSiblings();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(W.runFresh());
-  State.counters["decisions"] = double(W.FreshDecisions);
-  State.counters["queries"] =
-      double(W.SiblingLiterals.size() * LexerSiblingWorkload::Rounds);
-}
-BENCHMARK(BM_LexerSiblingsFreshSolver);
-
-void BM_LexerSiblingsIncrementalContext(benchmark::State &State) {
-  LexerSiblingWorkload &W = lexerSiblings();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(W.runIncremental());
-  State.counters["decisions"] = double(W.IncrementalDecisions);
-  State.counters["queries"] =
-      double(W.SiblingLiterals.size() * LexerSiblingWorkload::Rounds);
-}
-BENCHMARK(BM_LexerSiblingsIncrementalContext);
 
 } // namespace
 

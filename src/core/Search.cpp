@@ -211,16 +211,10 @@ void DirectedSearch::ParallelState::runJob(
     smt::PortableAnswer PA;
     bool Unfinished = false; // Unknown answer (may encode a deadline).
     if (Kind == smt::QueryKind::Satisfiability) {
-      if (!Me.Ctx) {
-        smt::SolverOptions CtxOpts = SolverOpts;
-        // The memo would make per-query decision counts depend on which
-        // queries this worker happened to run earlier — the cached stats
-        // must equal what the merge path computes (docs/solver.md).
-        CtxOpts.EnableRefutationMemo = false;
-        Me.Ctx = std::make_unique<smt::SolverContext>(Me.Replica, CtxOpts);
-      }
+      if (!Me.Ctx)
+        Me.Ctx = std::make_unique<smt::SolverContext>(Me.Replica, SolverOpts);
       smt::SolverStats QS;
-      smt::SatAnswer Answer = Me.Ctx->checkFormulaWithTelemetry(Alt, QS);
+      smt::SatAnswer Answer = Me.Ctx->checkFormula(Alt, QS);
       Unfinished = Answer.Result == smt::SatResult::Unknown;
       PA = encodeSat(Answer, QS, Me.Replica);
     } else {
@@ -707,17 +701,10 @@ smt::SatAnswer DirectedSearch::solveSat(smt::TermId Alt) {
   if (Parallel)
     noteInlineRetryIfPending(Parallel->PendingInlineRetry,
                              Result.InlineRetries);
-  if (!SatCtx) {
-    smt::SolverOptions CtxOpts = Options.SolverOpts;
-    // Memo off: per-query decision counts must not depend on which
-    // queries ran earlier in this context, or parallel runs (whose
-    // workers see a different query order) would report different
-    // aggregates (docs/solver.md).
-    CtxOpts.EnableRefutationMemo = false;
-    SatCtx = std::make_unique<smt::SolverContext>(Arena, CtxOpts);
-  }
+  if (!SatCtx)
+    SatCtx = std::make_unique<smt::SolverContext>(Arena, Options.SolverOpts);
   smt::SolverStats S;
-  smt::SatAnswer Answer = SatCtx->checkFormulaWithTelemetry(Alt, S);
+  smt::SatAnswer Answer = SatCtx->checkFormula(Alt, S);
   Result.SolverQueryStats.Checks += S.Checks;
   Result.SolverQueryStats.SupportsExplored += S.SupportsExplored;
   Result.SolverQueryStats.Decisions += S.Decisions;
@@ -1086,16 +1073,6 @@ SearchResult DirectedSearch::run() {
   }
   if (Parallel)
     Reg.counter("search.worker_busy_ns").add(Parallel->Pool.busyNanos());
-  if (SatCtx) {
-    // Scope traffic and prefix reuse of the merge-path context. Like
-    // CacheHits these describe the schedule, not the search: worker-side
-    // contexts keep their own (unfolded) tallies, so the fields may vary
-    // across Jobs values while every deterministic field stays identical.
-    const smt::ContextStats &CS = SatCtx->contextStats();
-    Result.SolverQueryStats.ScopePushes += CS.ScopePushes;
-    Result.SolverQueryStats.ScopePops += CS.ScopePops;
-    Result.SolverQueryStats.PrefixLiteralsReused += CS.PrefixLiteralsReused;
-  }
   if (telemetry::TraceSink *S = telemetry::sink()) {
     // End-of-run totals: one event per search, with the stop reason — the
     // trace-side face of SearchResult.Stopped (docs/observability.md).

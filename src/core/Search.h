@@ -145,9 +145,9 @@ struct SearchResult {
   unsigned SolverCalls = 0;
   unsigned ValidityCalls = 0;
   unsigned MultiStepRuns = 0;
-  /// Work accumulated across every satisfiability query of the search (the
-  /// solvers themselves are created fresh per query so budgets stay
-  /// per-query; see docs/observability.md). Identical for every Jobs value.
+  /// Work accumulated across every satisfiability query of the search (each
+  /// query is charged to a fresh SolverStats, so budgets stay per-query;
+  /// see docs/observability.md). Identical for every Jobs value.
   smt::SolverStats SolverQueryStats;
   /// Work accumulated across every validity query of the search.
   ValidityStats ValidityQueryStats;
@@ -297,8 +297,8 @@ private:
       EvaluatedCandidates;
   SearchResult Result;
   /// Long-lived incremental context for the merge path's satisfiability
-  /// queries; created lazily, refutation memo
-  /// forced off so per-query stats stay jobs-invariant (docs/solver.md).
+  /// queries; created lazily. Its per-query stats do not depend on which
+  /// queries ran before, so they stay jobs-invariant (docs/solver.md).
   std::unique_ptr<smt::SolverContext> SatCtx;
   uint64_t NextCandidateId = 0;
   /// Heartbeat sampling state (maybeEmitHeartbeat): search start time,

@@ -129,7 +129,6 @@ private:
                                       const SampleTable &Samples) {
     SolverOptions CtxOpts = Options.SolverOpts;
     CtxOpts.Samples = &Samples;
-    CtxOpts.EnableRefutationMemo = true;
     return CtxOpts;
   }
 
@@ -414,8 +413,8 @@ private:
     SolverStats QueryStats;
     SatAnswer Answer =
         OpaqueEntries == 0
-            ? Ctx.checkWithTelemetry(QueryStats)
-            : Ctx.checkFormulaWithTelemetry(Arena.mkAnd(Query), QueryStats);
+            ? Ctx.check(QueryStats)
+            : Ctx.checkFormula(Arena.mkAnd(Query), QueryStats);
     if (Answer.Result == SatResult::Unknown)
       SawUnknown = true;
     if (Answer.Result != SatResult::Sat)
@@ -655,9 +654,10 @@ ValidityAnswer ValiditySolver::checkAdHoc(TermId PathCondition) {
 
   SolverOptions InnerOpts = Options.SolverOpts;
   InnerOpts.Samples = &Samples;
-  Solver Inner(Arena, InnerOpts);
+  SolverContext Inner(Arena, InnerOpts);
   ++Stats.GroundingsTried;
-  SatAnswer Sat = Inner.check(Rewritten);
+  SolverStats InnerStats;
+  SatAnswer Sat = Inner.checkFormula(Rewritten, InnerStats);
   switch (Sat.Result) {
   case SatResult::Sat:
     // Note: unlike ground-then-verify, nothing checks that remaining UF

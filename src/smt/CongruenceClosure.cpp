@@ -62,19 +62,6 @@ void CongruenceClosure::rollbackTo(const Mark &M) {
   --OutstandingMarks;
 }
 
-void CongruenceClosure::clear() {
-  assert(OutstandingMarks == 0 && "clear with an outstanding mark");
-  Conflict = false;
-  Trail.clear();
-  Parent.clear();
-  ClassConstant.clear();
-  Distincts.clear();
-  UseList.clear();
-  SigTable.clear();
-  Apps.clear();
-  Pending.clear();
-}
-
 void CongruenceClosure::addTerm(TermId Term) {
   if (Parent.count(Term))
     return;

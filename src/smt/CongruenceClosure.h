@@ -56,10 +56,6 @@ public:
   /// conflict entered inside the scope) and closes the scope.
   void rollbackTo(const Mark &M);
 
-  /// Forgets every asserted fact and registered term. Invalid while a mark
-  /// is outstanding.
-  void clear();
-
   /// Registers \p Term and all of its subterms.
   void addTerm(TermId Term);
 

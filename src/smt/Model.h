@@ -78,6 +78,8 @@ public:
   const std::unordered_map<VarId, int64_t> &varAssignments() const {
     return VarValues;
   }
+  /// The function points set by extendFunc (not the attached samples).
+  const SampleTable &funcExtensions() const { return Extensions; }
 
 private:
   std::optional<int64_t> evalIntImpl(const TermArena &Arena, TermId Term,

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A shared, thread-safe memo of decided solver queries, layered in front
-/// of both smt::Solver and core::ValiditySolver by the parallel
+/// of both smt::SolverContext and core::ValiditySolver by the parallel
 /// candidate-evaluation pipeline (docs/parallelism.md). Keys are
 ///
 ///     (epoch, term fingerprint, sample-table generation, query kind)
@@ -51,7 +51,7 @@ namespace hotg::smt {
 
 /// Discriminates what a cached answer decides.
 enum class QueryKind : uint8_t {
-  Satisfiability, ///< smt::Solver::check — SatResult in Status.
+  Satisfiability, ///< SolverContext::checkFormula — SatResult in Status.
   Validity,       ///< core::ValiditySolver::checkPost — ValidityStatus.
 };
 

@@ -1,23 +1,20 @@
-//===- smt/Solver.h - Quantifier-free LIA+EUF satisfiability ---------------===//
+//===- smt/Solver.h - Satisfiability query and answer types ----------------===//
 //
 // Part of the hotg project (PLDI 2011 "Higher-Order Test Generation").
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The constraint solver used by classic (DART-style) test generation: given
-/// a quantifier-free formula over linear integer arithmetic with
-/// uninterpreted functions, find a satisfying assignment or prove there is
-/// none. The validity/strategy solver of higher-order test generation
-/// (core/ValiditySolver.h) is layered on top of the same machinery.
+/// The value types of a quantifier-free LIA+EUF satisfiability query: the
+/// options a query runs under, its answer, and the work it cost. The
+/// solver itself is smt::SolverContext (smt/SolverContext.h); the
+/// validity/strategy solver of higher-order test generation
+/// (core/ValiditySolver.h) is layered on top of it.
 ///
-/// Architecture: the boolean structure is split into conjunctive supports
-/// (formulas produced by symbolic execution are small); each support is
-/// decided by congruence closure + interval bound propagation + value
-/// branching with sample-guided candidate selection. Every SAT answer is
-/// re-verified by evaluating the formula under the model, so a SAT result
-/// is always trustworthy; UNSAT is reported only when every support was
-/// refuted by propagation (a sound proof); everything else is UNKNOWN.
+/// Every Sat answer is re-verified by evaluating the query under the
+/// model, so a Sat result is always trustworthy; Unsat is reported only
+/// when propagation refuted every support (a sound proof); everything else
+/// is Unknown.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +26,6 @@
 #include "smt/Term.h"
 #include "support/Deadline.h"
 
-#include <span>
 #include <string>
 
 namespace hotg::smt {
@@ -58,15 +54,6 @@ struct SolverOptions {
   const SampleTable *Samples = nullptr;
   /// Deterministic seed for probe candidates.
   uint64_t Seed = 0x5eed;
-  /// SolverContext only: memoize candidate assignments the asserted
-  /// *prefix* already refutes, and skip them without spending a decision
-  /// in later checks over the same prefix. Off by default because it makes
-  /// per-query decision counts depend on which checks ran earlier in the
-  /// same context; core::ValiditySolver turns it on (its contexts live
-  /// inside one query, so the query stays deterministic), and
-  /// core::DirectedSearch keeps it off to preserve the jobs-invariant
-  /// stats (docs/solver.md).
-  bool EnableRefutationMemo = false;
   /// Wall-clock stop controls (docs/robustness.md). Both are inactive by
   /// default, in which case the search loop never reads the clock and the
   /// solver stays fully deterministic. When the deadline expires (or the
@@ -77,7 +64,7 @@ struct SolverOptions {
   support::CancelToken Cancel;
 };
 
-/// Result of Solver::check.
+/// Result of a satisfiability query.
 struct SatAnswer {
   SatResult Result = SatResult::Unknown;
   /// Populated when Result == Sat; verified against the query.
@@ -89,47 +76,18 @@ struct SatAnswer {
   bool isUnsat() const { return Result == SatResult::Unsat; }
 };
 
-/// Statistics accumulated across every check() call since construction (or
-/// the last resetStats()). Per-query numbers are reported through the
-/// telemetry event stream (one `solver_check` event per query).
+/// Work of one query, or accumulated across queries. Per-query numbers are
+/// also reported through the telemetry event stream (one `solver_check`
+/// event per query).
 ///
-/// Checks/SupportsExplored/Decisions/Propagations are deterministic
-/// functions of the query stream: they are identical whether a query ran
-/// in a reused incremental context, a fresh one, or on a parallel worker.
-/// The Scope*/PrefixLiteralsReused fields describe how much asserted
-/// state was shared, which depends on the schedule (like
-/// SearchResult::CacheHits) — identical answers, varying reuse.
+/// Every field is a deterministic function of the query stream: it is
+/// identical whether a query ran in a reused incremental context, a fresh
+/// one, or on a parallel worker.
 struct SolverStats {
   unsigned Checks = 0;
   unsigned SupportsExplored = 0;
   unsigned Decisions = 0;
   unsigned Propagations = 0;
-  uint64_t ScopePushes = 0;
-  uint64_t ScopePops = 0;
-  uint64_t PrefixLiteralsReused = 0;
-};
-
-/// Quantifier-free LIA+EUF satisfiability solver.
-class Solver {
-public:
-  explicit Solver(TermArena &Arena, SolverOptions Options = {})
-      : Arena(Arena), Options(Options) {}
-
-  /// Decides boolean formula \p Formula.
-  SatAnswer check(TermId Formula);
-
-  /// Decides the conjunction of \p Literals.
-  SatAnswer checkConjunction(std::span<const TermId> Literals);
-
-  const SolverStats &stats() const { return Stats; }
-  void resetStats() { Stats = SolverStats{}; }
-  const SolverOptions &options() const { return Options; }
-  void setOptions(const SolverOptions &NewOptions) { Options = NewOptions; }
-
-private:
-  TermArena &Arena;
-  SolverOptions Options;
-  SolverStats Stats;
 };
 
 } // namespace hotg::smt

@@ -16,6 +16,18 @@
 using namespace hotg;
 using namespace hotg::smt;
 
+const char *hotg::smt::satResultName(SatResult Result) {
+  switch (Result) {
+  case SatResult::Sat:
+    return "sat";
+  case SatResult::Unsat:
+    return "unsat";
+  case SatResult::Unknown:
+    return "unknown";
+  }
+  HOTG_UNREACHABLE("unknown sat result");
+}
+
 namespace {
 
 /// Reduces the Eq rows of \p Rows to integer echelon form (Gauss–Jordan with
@@ -177,7 +189,7 @@ bool assertRowInCC(TermArena &Arena, CongruenceClosure &CC,
 /// engine never mutates context state: it works on domain vectors handed in
 /// by the caller and reads Atoms/AtomIndex from the context. Work is charged
 /// to the SolverStats it was built with (per-query stats at check time, a
-/// discarded scratch at assert/probe time).
+/// discarded scratch at assert time).
 class SolverContext::Engine {
 public:
   enum class Outcome {
@@ -187,9 +199,9 @@ public:
   };
 
   Engine(SolverContext &Ctx, const std::vector<LinearAtom> &Rows,
-         size_t NumAtoms, SolverStats &Stats, bool UseMemo)
+         size_t NumAtoms, SolverStats &Stats)
       : Ctx(Ctx), Arena(Ctx.Arena), Options(Ctx.Options), Rows(Rows),
-        NumAtoms(NumAtoms), Stats(Stats), UseMemo(UseMemo) {}
+        NumAtoms(NumAtoms), Stats(Stats) {}
 
   /// Bound propagation to a fixpoint. Returns false when a domain empties
   /// (a sound refutation of the rows).
@@ -248,25 +260,13 @@ public:
         !Domains[BestIdx].isEmpty() && Domains[BestIdx].isFinite() &&
         Domains[BestIdx].width() <= static_cast<int64_t>(Candidates.size());
 
-    TermId Atom = Ctx.Atoms[BestIdx];
     bool AllRefuted = true;
     for (int64_t Value : Candidates) {
-      // A candidate the asserted prefix already refuted stays refuted under
-      // the full assertion set: skip it without spending a decision. The
-      // skip counts as a refutation for Exhaustive purposes (the memo holds
-      // only sound refutations).
-      if (UseMemo && Ctx.memoRefuted(Atom, Value)) {
-        ++Ctx.Stats.MemoHits;
-        continue;
-      }
       ++Stats.Decisions;
       std::vector<Interval> Next = Domains;
       Next[BestIdx] = Interval::point(Value);
-      if (!propagate(Next)) {
-        if (UseMemo)
-          Ctx.notePrefixCandidate(Atom, Value);
+      if (!propagate(Next))
         continue;
-      }
       Outcome Sub = search(std::move(Next), ModelOut);
       if (Sub == Outcome::Sat)
         return Outcome::Sat;
@@ -543,7 +543,6 @@ private:
   const std::vector<LinearAtom> &Rows;
   size_t NumAtoms;
   SolverStats &Stats;
-  bool UseMemo;
 };
 
 //===----------------------------------------------------------------------===//
@@ -561,9 +560,7 @@ void SolverContext::push() {
   F.AtomSize = Atoms.size();
   F.RowSize = Rows.size();
   F.CCMark = CC.mark();
-  F.EntryDomains = Domains;
   Frames.push_back(std::move(F));
-  ++Stats.ScopePushes;
   static telemetry::Counter &Pushes =
       telemetry::Registry::global().counter("solver.scope_pushes");
   Pushes.add();
@@ -589,7 +586,6 @@ void SolverContext::pop() {
   if (RefutedAt && *RefutedAt >= Depth)
     RefutedAt.reset();
   Frames.pop_back();
-  ++Stats.ScopePops;
   static telemetry::Counter &Pops =
       telemetry::Registry::global().counter("solver.scope_pops");
   Pops.add();
@@ -619,10 +615,9 @@ void SolverContext::setDomain(size_t Idx, const Interval &NewDom) {
 
 bool SolverContext::propagateBase() {
   std::vector<Interval> Work = Domains;
-  SolverStats Scratch;
-  Engine E(*this, Rows, Atoms.size(), Scratch, /*UseMemo=*/false);
+  SolverStats Scratch; // Assert-time work never lands in per-query stats.
+  Engine E(*this, Rows, Atoms.size(), Scratch);
   bool Ok = E.propagate(Work);
-  Stats.AssertPropagations += Scratch.Propagations;
   for (size_t I = 0; I != Domains.size(); ++I)
     if (!(Work[I] == Domains[I]))
       setDomain(I, Work[I]);
@@ -642,8 +637,6 @@ bool SolverContext::assertLiteral(TermId Lit) {
     CacheIt = NormCache.emplace(Lit, normalizeComparison(Arena, Lit)).first;
   if (!CacheIt->second) {
     PoisonedAt = Frames.size();
-    if (!Frames.empty())
-      Frames.back().PoisonedHere = true;
     return false; // Outside fragment; check() answers Unknown.
   }
 
@@ -653,8 +646,6 @@ bool SolverContext::assertLiteral(TermId Lit) {
 
   auto Refute = [&] {
     RefutedAt = Frames.size();
-    if (!Frames.empty())
-      Frames.back().RefutedHere = true;
     return true;
   };
 
@@ -679,53 +670,6 @@ bool SolverContext::assertLiteral(TermId Lit) {
   if (!propagateBase())
     return Refute();
   return true;
-}
-
-bool SolverContext::memoRefuted(TermId Atom, int64_t Value) const {
-  std::pair<TermId, int64_t> Key{Atom, Value};
-  if (BaseMemoRefuted.count(Key))
-    return true;
-  // Only prefixes that are still fully asserted may be consulted: every
-  // frame but the newest one.
-  for (size_t I = 0; I + 1 < Frames.size(); ++I)
-    if (Frames[I].MemoRefuted.count(Key))
-      return true;
-  return false;
-}
-
-void SolverContext::notePrefixCandidate(TermId Atom, int64_t Value) {
-  if (Frames.empty())
-    return; // No prefix distinct from the full assertion set.
-  auto &Owner = Frames.size() >= 2 ? Frames[Frames.size() - 2] : Frames[0];
-  auto &RefutedSet =
-      Frames.size() >= 2 ? Owner.MemoRefuted : BaseMemoRefuted;
-  auto &UnknownSet =
-      Frames.size() >= 2 ? Owner.MemoUnknown : BaseMemoUnknown;
-  std::pair<TermId, int64_t> Key{Atom, Value};
-  if (RefutedSet.count(Key) || UnknownSet.count(Key))
-    return;
-  if (prefixRefutes(Atom, Value))
-    RefutedSet.insert(Key);
-  else
-    UnknownSet.insert(Key);
-}
-
-bool SolverContext::prefixRefutes(TermId Atom, int64_t Value) {
-  const Frame &Last = Frames.back();
-  auto It = AtomIndex.find(Atom);
-  // An atom first mentioned in the newest scope is unconstrained by the
-  // prefix; no probe needed.
-  if (It == AtomIndex.end() || It->second >= Last.AtomSize)
-    return false;
-  ++Stats.MemoProbes;
-  std::vector<Interval> Doms = Last.EntryDomains;
-  Doms[It->second] = Doms[It->second].intersect(Interval::point(Value));
-  if (Doms[It->second].isEmpty())
-    return true;
-  std::vector<LinearAtom> PrefixRows(Rows.begin(), Rows.begin() + Last.RowSize);
-  SolverStats Scratch; // Probe work never lands in per-query stats.
-  Engine Probe(*this, PrefixRows, Last.AtomSize, Scratch, /*UseMemo=*/false);
-  return !Probe.propagate(Doms);
 }
 
 /// Why an inconclusive search came back Unknown. Deadline and
@@ -765,7 +709,7 @@ static const char *unknownReasonSlug(const SatAnswer &Answer) {
   return "other";
 }
 
-SatAnswer SolverContext::check(SolverStats &QueryStats) {
+SatAnswer SolverContext::solve(SolverStats &QueryStats) {
   SatAnswer Answer;
   if (PoisonedAt) {
     Answer.Result = SatResult::Unknown;
@@ -781,7 +725,7 @@ SatAnswer SolverContext::check(SolverStats &QueryStats) {
   // check time: interval propagation alone cannot combine equations, but
   // keeping the elimination incremental would mean re-running it on every
   // assert. The copies are cheap (rows are small) and the base rows stay
-  // untouched for pop()/prefix probes.
+  // untouched for pop().
   std::vector<LinearAtom> Work = Rows;
   if (!eliminateEqualities(Work)) {
     Answer.Result = SatResult::Unsat;
@@ -792,14 +736,13 @@ SatAnswer SolverContext::check(SolverStats &QueryStats) {
     return Answer;
   }
 
-  bool UseMemo = Options.EnableRefutationMemo;
   Model M;
   Engine::Outcome Out;
   if (Work == Rows) {
     // Fast path: elimination was the identity, so the base domains (the
     // assert-time fixpoint over exactly these rows, with congruence
     // constants folded in) are the search's starting point.
-    Engine E(*this, Rows, Atoms.size(), QueryStats, UseMemo);
+    Engine E(*this, Rows, Atoms.size(), QueryStats);
     std::vector<Interval> Doms = Domains;
     if (!E.propagate(Doms)) {
       Answer.Result = SatResult::Unsat;
@@ -809,7 +752,7 @@ SatAnswer SolverContext::check(SolverStats &QueryStats) {
   } else {
     // Slow path: elimination rewrote rows, so congruence constants and
     // domains are rebuilt against the echelon system, exactly like a
-    // one-shot solve.
+    // fresh context would.
     CongruenceClosure ScratchCC(Arena);
     for (const LinearAtom &LA : Work)
       if (!assertRowInCC(Arena, ScratchCC, LA)) {
@@ -820,7 +763,7 @@ SatAnswer SolverContext::check(SolverStats &QueryStats) {
     for (size_t I = 0; I != Atoms.size(); ++I)
       if (auto C = ScratchCC.constantOf(Atoms[I]))
         Doms[I] = Doms[I].intersect(Interval::point(*C));
-    Engine E(*this, Work, Atoms.size(), QueryStats, UseMemo);
+    Engine E(*this, Work, Atoms.size(), QueryStats);
     if (!E.propagate(Doms)) {
       Answer.Result = SatResult::Unsat;
       return Answer;
@@ -891,7 +834,6 @@ void SolverContext::retarget(std::span<const TermId> Literals) {
     ++Common;
   while (Frames.size() > Common)
     pop();
-  Stats.PrefixLiteralsReused += Common;
   if (Common != 0) {
     static telemetry::Counter &Reused =
         telemetry::Registry::global().counter("solver.prefix_literals_reused");
@@ -903,23 +845,8 @@ void SolverContext::retarget(std::span<const TermId> Literals) {
   }
 }
 
-void SolverContext::reset() {
-  while (!Frames.empty())
-    pop();
-  Lits.clear();
-  Rows.clear();
-  Atoms.clear();
-  AtomIndex.clear();
-  Domains.clear();
-  CC.clear();
-  PoisonedAt.reset();
-  RefutedAt.reset();
-  BaseMemoRefuted.clear();
-  BaseMemoUnknown.clear();
-  // NormCache survives: it is a pure function of arena terms.
-}
-
-SatAnswer SolverContext::checkFormula(TermId Formula, SolverStats &QueryStats) {
+SatAnswer SolverContext::solveFormula(TermId Formula,
+                                      SolverStats &QueryStats) {
   TermId NNF = toNNF(Arena, Formula);
   if (Arena.isBoolConst(NNF)) {
     SatAnswer Answer;
@@ -933,12 +860,12 @@ SatAnswer SolverContext::checkFormula(TermId Formula, SolverStats &QueryStats) {
     // assertion stack, sharing whatever prefix is already asserted.
     retarget(*Literals);
     QueryStats.SupportsExplored += 1;
-    return check(QueryStats);
+    return solve(QueryStats);
   }
 
   // Disjunctive structure: enumerate conjunctive supports in scratch
   // contexts, sharing QueryStats so the decision budget spans the whole
-  // query (the historic one-shot accounting).
+  // query.
   SatAnswer Answer;
   Answer.Result = SatResult::Unsat; // Until a support survives.
   bool SawExhausted = false;
@@ -958,7 +885,7 @@ SatAnswer SolverContext::checkFormula(TermId Formula, SolverStats &QueryStats) {
         SolverContext Scratch(Arena, Options);
         for (TermId Lit : Literals)
           Scratch.assertLiteral(Lit);
-        SatAnswer Sub = Scratch.check(QueryStats);
+        SatAnswer Sub = Scratch.solve(QueryStats);
         if (Sub.isSat()) {
           // Verify against the full original formula under the model.
           if (Sub.ModelValue.evalBool(Arena, Formula)) {
@@ -1038,9 +965,8 @@ static void foldQueryTelemetry(const SatAnswer &Answer,
   }
 }
 
-template <typename CheckFn>
-SatAnswer SolverContext::checkWithTelemetryImpl(SolverStats &CumStats,
-                                                CheckFn Check) {
+template <typename SolveFn>
+SatAnswer SolverContext::instrumented(SolverStats &CumStats, SolveFn Solve) {
   // Fault site: before the context or the cumulative stats are touched, so
   // a recovering caller can simply retry the call (docs/robustness.md).
   support::maybeInjectFault(support::FaultSite::SolverCheck);
@@ -1052,24 +978,23 @@ SatAnswer SolverContext::checkWithTelemetryImpl(SolverStats &CumStats,
   Checks.add();
 
   SolverStats QueryStats;
-  SatAnswer Answer = Check(QueryStats);
+  SatAnswer Answer = Solve(QueryStats);
   foldQueryTelemetry(Answer, QueryStats, CumStats, int64_t(Timer.elapsedNs()),
                      numScopes());
   return Answer;
 }
 
-SatAnswer SolverContext::checkFormulaWithTelemetry(TermId Formula,
-                                                   SolverStats &CumStats) {
-  return checkWithTelemetryImpl(CumStats, [&](SolverStats &QueryStats) {
-    return checkFormula(Formula, QueryStats);
+SatAnswer SolverContext::check(SolverStats &CumStats) {
+  return instrumented(CumStats, [&](SolverStats &QueryStats) {
+    // The asserted stack is one conjunctive support, as in solveFormula's
+    // conjunctive path.
+    QueryStats.SupportsExplored += 1;
+    return solve(QueryStats);
   });
 }
 
-SatAnswer SolverContext::checkWithTelemetry(SolverStats &CumStats) {
-  return checkWithTelemetryImpl(CumStats, [&](SolverStats &QueryStats) {
-    // The asserted stack is one conjunctive support, as in checkFormula's
-    // conjunctive path.
-    QueryStats.SupportsExplored += 1;
-    return check(QueryStats);
+SatAnswer SolverContext::checkFormula(TermId Formula, SolverStats &CumStats) {
+  return instrumented(CumStats, [&](SolverStats &QueryStats) {
+    return solveFormula(Formula, QueryStats);
   });
 }

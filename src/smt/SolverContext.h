@@ -19,11 +19,13 @@
 /// sequence reaches byte-identical state, and check() is a deterministic
 /// function of that state, so retarget()-style prefix sharing can never
 /// change an answer or a per-query statistic (docs/solver.md spells out
-/// the determinism argument). smt::Solver::check is a thin wrapper over a
-/// fresh context; core::DirectedSearch keeps one context per frontier
-/// group; core::ValiditySolver keeps one per query, asserts each grounding
-/// choice in its own scopes, and cuts every grounding under a refuted
-/// stack.
+/// the determinism argument). It is the one solver object: every query
+/// is a check() of an asserted stack or a checkFormula() of a formula.
+/// core::DirectedSearch keeps one context per frontier group (and per
+/// parallel worker); core::ValiditySolver keeps one per query, asserts
+/// each grounding choice in its own scopes, and cuts every grounding under
+/// a refuted stack; the §7 ad-hoc baseline checks its rewritten formula in
+/// a fresh one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,30 +39,12 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace hotg::smt {
-
-/// Context-level reuse accounting (scheduling facts, not query work: these
-/// describe how much asserted state was shared, and may legitimately vary
-/// between serial and speculative schedules that produce identical
-/// answers).
-struct ContextStats {
-  uint64_t ScopePushes = 0;
-  uint64_t ScopePops = 0;
-  /// Literals retarget() kept asserted instead of re-asserting.
-  uint64_t PrefixLiteralsReused = 0;
-  /// Propagation rounds spent maintaining base domains at assert time
-  /// (charged here, never to per-query SolverStats).
-  uint64_t AssertPropagations = 0;
-  /// Refutation-memo traffic (EnableRefutationMemo only).
-  uint64_t MemoHits = 0;
-  uint64_t MemoProbes = 0;
-};
 
 /// An incremental LIA+EUF context: a scoped stack of asserted comparison
 /// literals plus the theory state derived from them.
@@ -98,44 +82,26 @@ public:
   /// pops.
   bool assertLiteral(TermId Lit);
 
-  /// Decides the conjunction of every asserted literal. Work is charged to
-  /// \p QueryStats; budgets (Options.MaxDecisions) are read from it, so
-  /// sharing one QueryStats across several check() calls shares the
-  /// budget, matching the one-query-many-supports accounting of
-  /// Solver::check.
-  SatAnswer check(SolverStats &QueryStats);
+  /// Decides the conjunction of every asserted literal: one query, with
+  /// the solver.check telemetry (the solver-check fault site, timer, span,
+  /// counters and one SolverCheck trace event). The query's work is
+  /// charged to a fresh per-query SolverStats, so budgets
+  /// (Options.MaxDecisions) are per query, and then folded into
+  /// \p CumStats.
+  SatAnswer check(SolverStats &CumStats);
 
-  /// Decides an arbitrary boolean formula. Flat conjunctions of
-  /// comparisons retarget() this context's assertion stack (the
-  /// incremental fast path); disjunctive formulas fall back to support
-  /// enumeration in scratch contexts, leaving this context's assertions
-  /// untouched. Semantically identical to the historic Solver::check.
-  SatAnswer checkFormula(TermId Formula, SolverStats &QueryStats);
-
-  /// checkFormula plus the solver.check telemetry (timer, counters, one
-  /// SolverCheck trace event) — what Solver::check emits per query.
-  SatAnswer checkFormulaWithTelemetry(TermId Formula,
-                                      SolverStats &QueryStats);
-
-  /// check() of the asserted stack with the same per-query telemetry and
-  /// cumulative-stats fold as checkFormulaWithTelemetry. For callers that
-  /// manage the assertion stack themselves (core::ValiditySolver's
-  /// grounding enumeration) and still want one solver.check event per
-  /// query.
-  SatAnswer checkWithTelemetry(SolverStats &CumStats);
+  /// Decides an arbitrary boolean formula as one query, with the same
+  /// telemetry and fold as check(). Flat conjunctions of comparisons
+  /// retarget() this context's assertion stack (the incremental fast
+  /// path); disjunctive formulas fall back to support enumeration in
+  /// scratch contexts, leaving this context's assertions untouched.
+  SatAnswer checkFormula(TermId Formula, SolverStats &CumStats);
 
   /// Pops and pushes scopes until the asserted literal stack equals
   /// \p Literals, reusing the longest common prefix (one scope per
   /// literal). Only valid on contexts managed exclusively through
   /// retarget (no base-level assertions, one literal per scope).
   void retarget(std::span<const TermId> Literals);
-
-  /// Drops every scope and base-level assertion; keeps the pure
-  /// normalization cache (it is arena-keyed and never stale).
-  void reset();
-
-  const SolverOptions &options() const { return Options; }
-  const ContextStats &contextStats() const { return Stats; }
 
   /// Flattens simplify(\p Formula) into its comparison literals, in
   /// source order. nullopt when the formula has disjunctive structure (or
@@ -153,15 +119,6 @@ private:
     /// (index, previous value) for base-domain cells overwritten in this
     /// scope; replayed in reverse on pop.
     std::vector<std::pair<size_t, Interval>> DomainTrail;
-    /// Base domains snapshot at scope entry (prefix state for the
-    /// refutation memo).
-    std::vector<Interval> EntryDomains;
-    bool PoisonedHere = false;
-    bool RefutedHere = false;
-    /// Candidate assignments proven refutable (resp. not refutable) by
-    /// the prefix ending at this frame; see docs/solver.md.
-    std::set<std::pair<TermId, int64_t>> MemoRefuted;
-    std::set<std::pair<TermId, int64_t>> MemoUnknown;
   };
 
   class Engine; // Check-time search engine (SolverContext.cpp).
@@ -172,26 +129,19 @@ private:
   /// Propagates the asserted rows to their interval fixpoint and records
   /// the tightened base domains; false on an empty domain.
   bool propagateBase();
-  /// The shared body of the *WithTelemetry entries: runs \p Check (one
-  /// check or checkFormula call) under the solver-check fault site and the
-  /// solver.check span and timer, then folds its work into \p CumStats
-  /// and emits the per-query telemetry.
-  template <typename CheckFn>
-  SatAnswer checkWithTelemetryImpl(SolverStats &CumStats, CheckFn Check);
-  /// Memo lookup: was (Atom = Value) proven refuted by a still-asserted
-  /// prefix?
-  bool memoRefuted(TermId Atom, int64_t Value) const;
-  /// Called when the search refuted candidate (Atom = Value) under the full
-  /// assertion set: probes whether the prefix alone refutes it and records
-  /// the verdict in the owning memo.
-  void notePrefixCandidate(TermId Atom, int64_t Value);
-  /// True when the prefix (everything but the newest scope) refutes
-  /// forcing \p Atom to \p Value; the probe half of notePrefixCandidate.
-  bool prefixRefutes(TermId Atom, int64_t Value);
+  /// The raw query bodies behind check() and checkFormula(): no
+  /// telemetry, work charged to \p QueryStats. The scratch contexts of the
+  /// disjunctive path call solve() directly, so one query emits one event.
+  SatAnswer solve(SolverStats &QueryStats);
+  SatAnswer solveFormula(TermId Formula, SolverStats &QueryStats);
+  /// Runs \p Solve (one solve or solveFormula call) under the
+  /// solver-check fault site and the solver.check span and timer, then
+  /// folds its work into \p CumStats and emits the per-query telemetry.
+  template <typename SolveFn>
+  SatAnswer instrumented(SolverStats &CumStats, SolveFn Solve);
 
   TermArena &Arena;
   SolverOptions Options;
-  ContextStats Stats;
 
   /// Asserted literals, in assertion order (the canonical query).
   std::vector<TermId> Lits;
@@ -214,10 +164,6 @@ private:
   /// fold).
   std::optional<size_t> PoisonedAt;
   std::optional<size_t> RefutedAt;
-
-  /// Memo entries proven against the base level only.
-  std::set<std::pair<TermId, int64_t>> BaseMemoRefuted;
-  std::set<std::pair<TermId, int64_t>> BaseMemoUnknown;
 };
 
 } // namespace hotg::smt

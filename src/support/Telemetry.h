@@ -257,7 +257,7 @@ private:
 enum class EventKind : uint8_t {
   TestRun,       ///< One program execution of the directed search.
   Candidate,     ///< One frontier candidate processed (negate attempt).
-  SolverCheck,   ///< One smt::Solver satisfiability query.
+  SolverCheck,   ///< One smt::SolverContext satisfiability query.
   ValidityQuery, ///< One core::ValiditySolver POST(pc) query.
   SampleLearned, ///< One IOF sample recorded during co-execution.
   SummaryApplied,///< A validity strategy grounded via summary disjuncts.

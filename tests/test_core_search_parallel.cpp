@@ -177,10 +177,9 @@ INSTANTIATE_TEST_SUITE_P(Policies, ExampleJobsSweep,
                          });
 
 TEST(SearchQueryStats, ClassicAggregatesAcrossTheWholeSearch) {
-  // Satellite fix: processCandidate used to construct a throwaway
-  // smt::Solver per candidate, so cumulative SolverStats never survived a
-  // search. The aggregate now lives in the SearchResult: one Solver check
-  // per classic candidate, so Checks == SolverCalls. The packet parser is
+  // The satisfiability work of a search is aggregated in the
+  // SearchResult: one solver check per classic candidate, so
+  // Checks == SolverCalls. The packet parser is
   // used because under unsound concretization the lexer's hashed branches
   // leave no negatable linear constraints at all.
   PacketApp App = buildPacketParser();

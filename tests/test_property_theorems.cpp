@@ -17,7 +17,7 @@
 #include "dse/SymbolicExecutor.h"
 #include "interp/Interp.h"
 #include "lang/Parser.h"
-#include "smt/Solver.h"
+#include "smt/SolverContext.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
 
@@ -220,8 +220,10 @@ TEST_P(TheoremPropertyTest, SoundPathConstraintsReplayTheSameTrace) {
 
       // Any model of the full path constraint must replay the same trace
       // (Definition 1 / Theorem 2).
-      smt::Solver Solver(Arena);
-      smt::SatAnswer Answer = Solver.check(PR.PC.conjunction(Arena));
+      smt::SolverContext Solver(Arena);
+      smt::SolverStats Stats;
+      smt::SatAnswer Answer =
+          Solver.checkFormula(PR.PC.conjunction(Arena), Stats);
       if (!Answer.isSat())
         continue; // The original input is a witness, but the solver may
                   // time out; Unknown is acceptable, Unsat impossible.
@@ -364,9 +366,10 @@ TEST_P(TheoremPropertyTest, HigherOrderSimulatesSoundConcretization) {
           << "higher-order execution lost a constraint that sound "
              "concretization kept";
 
-      smt::Solver Solver(Arena);
+      smt::SolverContext Solver(Arena);
+      smt::SolverStats Stats;
       smt::SatAnswer ScAnswer =
-          Solver.check(ScPR.PC.alternate(Arena, ScPos));
+          Solver.checkFormula(ScPR.PC.alternate(Arena, ScPos), Stats);
       if (!ScAnswer.isSat())
         continue;
 

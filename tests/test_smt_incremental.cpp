@@ -4,14 +4,14 @@
 // a SolverContext's state is a fold over its asserted literal sequence,
 // and pop() restores the exact pre-push state. These tests pin the
 // invariant at two levels — the CongruenceClosure undo trail and the
-// SolverContext scope stack (including retarget prefix sharing and the
-// refutation memo). Across commits, tests/golden/ pins the search output
-// these contexts produce.
+// SolverContext scope stack (including retarget prefix sharing). Across
+// commits, tests/golden/ pins the search output these contexts produce.
 //
 //===----------------------------------------------------------------------===//
 
 #include "smt/CongruenceClosure.h"
 #include "smt/SolverContext.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -110,10 +110,8 @@ protected:
   }
 
   SatAnswer freshConjunction(std::span<const TermId> Lits, SolverStats &S) {
-    Solver Fresh(Arena);
-    SatAnswer Answer = Fresh.checkConjunction(Lits);
-    S = Fresh.stats();
-    return Answer;
+    SolverContext Fresh(Arena);
+    return Fresh.checkFormula(Arena.mkAnd(Lits), S);
   }
 };
 
@@ -164,15 +162,18 @@ TEST_F(IncrementalContextTest, RetargetReusesCommonPrefix) {
   std::vector<TermId> SibB = Prefix;
   SibB.push_back(gec(Z, 5));
 
+  telemetry::Counter &Reused =
+      telemetry::Registry::global().counter("solver.prefix_literals_reused");
   SolverContext Ctx(Arena);
   Ctx.retarget(SibA);
   SolverStats StatsA;
   SatAnswer AnsA = Ctx.check(StatsA);
+  uint64_t ReusedBefore = Reused.value();
   Ctx.retarget(SibB);
   SolverStats StatsB;
   SatAnswer AnsB = Ctx.check(StatsB);
 
-  EXPECT_EQ(Ctx.contextStats().PrefixLiteralsReused, Prefix.size())
+  EXPECT_EQ(Reused.value() - ReusedBefore, Prefix.size())
       << "the sibling retarget must keep the shared prefix asserted";
 
   SolverStats FreshA, FreshB;
@@ -198,12 +199,10 @@ TEST_F(IncrementalContextTest, PoisonIsScopedToItsFrame) {
       << "poison must not outlive its owning scope";
 }
 
-TEST_F(IncrementalContextTest, RefutationMemoPreservesAnswers) {
-  // Sibling queries over a shared prefix, memo on: answers and models must
-  // be byte-identical to fresh solving; only the work may shrink.
-  SolverOptions MemoOpts;
-  MemoOpts.EnableRefutationMemo = true;
-  SolverContext Ctx(Arena, MemoOpts);
+TEST_F(IncrementalContextTest, RetargetSiblingsMatchFreshSolving) {
+  // Sibling queries over a shared prefix: answers, models and work must be
+  // identical to fresh solving (the fold invariant).
+  SolverContext Ctx(Arena);
 
   std::vector<TermId> Prefix = {gec(X, 0), ltc(X, 8), eqc(Y, 3),
                                 Arena.mkEq(Z, Arena.mkAdd(std::vector<TermId>{X, Y}))};
@@ -221,10 +220,10 @@ TEST_F(IncrementalContextTest, RefutationMemoPreservesAnswers) {
     SatAnswer Fresh = freshConjunction(Query, FS);
     FreshDecisions += FS.Decisions;
     expectSameAnswer(Incremental, Fresh,
-                     ("memo sibling #" + std::to_string(Flip)).c_str());
+                     ("sibling #" + std::to_string(Flip)).c_str());
   }
-  EXPECT_LE(IncrementalDecisions, FreshDecisions)
-      << "the memo may only remove work, never add decisions";
+  EXPECT_EQ(IncrementalDecisions, FreshDecisions)
+      << "prefix reuse must not change the work of a query";
 }
 
 TEST_F(IncrementalContextTest, CheckFormulaLeavesAssertionsUntouched) {
@@ -242,8 +241,9 @@ TEST_F(IncrementalContextTest, CheckFormulaLeavesAssertionsUntouched) {
   EXPECT_EQ(Ctx.numScopes(), Scopes);
   EXPECT_EQ(Ctx.numAssertedLiterals(), Lits);
 
-  Solver Fresh(Arena);
-  SatAnswer FreshAnswer = Fresh.check(Disjunctive);
+  SolverContext Fresh(Arena);
+  SolverStats FS;
+  SatAnswer FreshAnswer = Fresh.checkFormula(Disjunctive, FS);
   expectSameAnswer(Answer, FreshAnswer, "disjunctive scratch path");
 }
 
@@ -252,23 +252,12 @@ TEST_F(IncrementalContextTest, CheckWithTelemetryFoldsCumulativeStats) {
   Ctx.push();
   ASSERT_TRUE(Ctx.assertLiteral(gec(X, 2)));
   SolverStats Cum;
-  SatAnswer First = Ctx.checkWithTelemetry(Cum);
+  SatAnswer First = Ctx.check(Cum);
   EXPECT_EQ(First.Result, SatResult::Sat);
   EXPECT_EQ(Cum.Checks, 1u);
-  SatAnswer Second = Ctx.checkWithTelemetry(Cum);
+  SatAnswer Second = Ctx.check(Cum);
   expectSameAnswer(First, Second, "repeated check");
   EXPECT_EQ(Cum.Checks, 2u) << "cumulative stats must fold across queries";
-}
-
-TEST_F(IncrementalContextTest, SolverWrapperReportsScopeTraffic) {
-  // The one-shot Solver API is a thin wrapper over a fresh context; its
-  // stats must surface the context's scope accounting.
-  Solver S(Arena);
-  TermId F = Arena.mkAnd(std::vector<TermId>{gec(X, 1), ltc(X, 9), eqc(Y, 2)});
-  ASSERT_EQ(S.check(F).Result, SatResult::Sat);
-  EXPECT_EQ(S.stats().ScopePushes, 3u) << "one scope per literal";
-  EXPECT_EQ(S.stats().PrefixLiteralsReused, 0u)
-      << "a fresh context has no prefix to reuse";
 }
 
 } // namespace

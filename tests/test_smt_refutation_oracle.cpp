@@ -1,13 +1,15 @@
 //===- tests/test_smt_refutation_oracle.cpp - Brute-force refutation oracle -===//
 //
-// An independent check of every Unsat the validity solver relies on: a
-// stack refuted at assert time (which cuts a whole grounding subtree) or
-// answered Unsat by check(). The oracle is a small-domain brute-force model
-// finder with its own evaluator over TermArena kinds; it shares no code
-// with the solver (no Model, Simplify or Linear). Integer variables range
-// over a small interval, and UF tables agree with the SampleTable at
-// sampled points and range over a small value set elsewhere. Any model it
-// finds for a refuted stack is a soundness bug.
+// An independent check of every answer the validity solver relies on: a
+// stack refuted at assert time (which cuts a whole grounding subtree), and
+// every Unsat or Sat answer of check(). The oracle is a small-domain
+// brute-force model finder with its own evaluator over TermArena kinds; it
+// shares no code with the solver (no Model evaluation, Simplify or
+// Linear). Integer variables range over a small interval, and UF tables
+// agree with the SampleTable at sampled points and range over a small
+// value set elsewhere. Any model it finds for a refuted stack is a
+// soundness bug; so is a Sat model whose variable values it cannot
+// complete into a sample-consistent UF table satisfying the stack.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,24 +29,34 @@ namespace {
 
 class SmallDomainOracle {
 public:
+  /// UF outputs range over [Lo, Hi], the sampled outputs and
+  /// \p ExtraOutputs.
   SmallDomainOracle(const TermArena &Arena, const SampleTable &Samples,
-                    int64_t Lo, int64_t Hi)
+                    int64_t Lo, int64_t Hi,
+                    std::span<const int64_t> ExtraOutputs = {})
       : Arena(Arena), Samples(Samples) {
     for (int64_t V = Lo; V <= Hi; ++V)
       VarValues.push_back(V);
     std::set<int64_t> Outs(VarValues.begin(), VarValues.end());
     for (const Sample &S : Samples.allSamples())
       Outs.insert(S.Output);
+    Outs.insert(ExtraOutputs.begin(), ExtraOutputs.end());
     OutValues.assign(Outs.begin(), Outs.end());
   }
 
-  /// True when some assignment satisfies every literal of \p Lits.
-  bool findModel(std::span<const TermId> Lits) {
+  /// True when some assignment satisfies every literal of \p Lits. The
+  /// variables in \p Fixed keep their values; the others range over
+  /// [Lo, Hi].
+  bool findModel(std::span<const TermId> Lits,
+                 const std::map<VarId, int64_t> &Fixed = {}) {
     std::set<VarId> Seen;
     for (TermId L : Lits)
       collectVars(L, Seen);
-    Vars.assign(Seen.begin(), Seen.end());
-    VarValue.clear();
+    Vars.clear();
+    for (VarId V : Seen)
+      if (!Fixed.count(V))
+        Vars.push_back(V);
+    VarValue = Fixed;
     Table.clear();
     return assignVars(0, Lits);
   }
@@ -222,6 +234,19 @@ protected:
     return Oracle.findModel(Lits);
   }
 
+  /// True when \p Lits hold with every variable fixed to its value in
+  /// \p M, under some sample-consistent UF table whose outputs may also
+  /// take the values \p M gave its function points.
+  bool oracleConfirms(std::span<const TermId> Lits, const Model &M) {
+    std::vector<int64_t> ModelOutputs;
+    for (const Sample &S : M.funcExtensions().allSamples())
+      ModelOutputs.push_back(S.Output);
+    SmallDomainOracle Oracle(Arena, Samples, Lo, Hi, ModelOutputs);
+    const auto &Assigned = M.varAssignments();
+    return Oracle.findModel(
+        Lits, std::map<VarId, int64_t>(Assigned.begin(), Assigned.end()));
+  }
+
   /// Three random UF applications over variables and constants. A round
   /// draws its applications from this pool, which bounds the oracle's
   /// table search.
@@ -303,9 +328,10 @@ TEST_F(RefutationOracleTest, OracleSeesModelsAndContradictions) {
 TEST_F(RefutationOracleTest, RefutedStacksHaveNoSmallModel) {
   // Random literal stacks asserted one scope per literal, as the validity
   // solver's grounding search does, then partly popped and re-extended so
-  // refutations that should have been rolled back are caught too.
+  // refutations that should have been rolled back are caught too. Sat
+  // answers are re-checked along the way.
   RandomGen Rng(0x0dd5eed);
-  unsigned Refuted = 0, Unsat = 0;
+  unsigned Refuted = 0, Unsat = 0, Sat = 0;
   for (unsigned Round = 0; Round != 1000; ++Round) {
     if (Round % 40 == 0) {
       Samples = SampleTable();
@@ -313,7 +339,6 @@ TEST_F(RefutationOracleTest, RefutedStacksHaveNoSmallModel) {
     }
     SolverOptions Options;
     Options.Samples = &Samples;
-    Options.EnableRefutationMemo = true;
     SolverContext Ctx(Arena, Options);
     Pool = randomApps(Rng);
     auto Extend = [&](unsigned Count) {
@@ -328,10 +353,16 @@ TEST_F(RefutationOracleTest, RefutedStacksHaveNoSmallModel) {
         }
       }
       SolverStats Stats;
-      if (Ctx.check(Stats).isUnsat()) {
+      SatAnswer Answer = Ctx.check(Stats);
+      if (Answer.isUnsat()) {
         ++Unsat;
         EXPECT_FALSE(oracleSat(Ctx.literals()))
             << "check() answered Unsat, yet the oracle found a model (round "
+            << Round << ")";
+      } else if (Answer.isSat()) {
+        ++Sat;
+        EXPECT_TRUE(oracleConfirms(Ctx.literals(), Answer.ModelValue))
+            << "check() answered Sat with a model the oracle rejects (round "
             << Round << ")";
       }
     };
@@ -343,6 +374,7 @@ TEST_F(RefutationOracleTest, RefutedStacksHaveNoSmallModel) {
   // The sweep must actually exercise refutations to mean anything.
   EXPECT_GE(Refuted, 200u);
   EXPECT_GT(Unsat, Refuted) << "check-time refutations must be exercised too";
+  EXPECT_GE(Sat, 200u) << "Sat answers must be exercised too";
 }
 
 } // namespace

@@ -1,9 +1,8 @@
 //===- tests/test_smt_solver.cpp - Satisfiability solver unit + property tests ----===//
 
-#include "smt/Solver.h"
+#include "smt/SolverContext.h"
 
 #include "smt/Simplify.h"
-#include "smt/SolverContext.h"
 #include "support/Random.h"
 #include "support/Telemetry.h"
 
@@ -21,11 +20,10 @@ protected:
   TermId Y = Arena.mkVar("y");
   TermId Z = Arena.mkVar("z");
 
-  SatAnswer check(TermId F, const SampleTable *Samples = nullptr) {
-    SolverOptions Options;
-    Options.Samples = Samples;
-    Solver S(Arena, Options);
-    SatAnswer Answer = S.check(F);
+  SatAnswer check(TermId F, SolverOptions Options = {}) {
+    SolverContext Ctx(Arena, Options);
+    SolverStats Stats;
+    SatAnswer Answer = Ctx.checkFormula(F, Stats);
     if (Answer.isSat()) {
       // Every SAT answer must verify (model-soundness invariant).
       EXPECT_TRUE(Answer.ModelValue.evalBool(Arena, F))
@@ -173,11 +171,11 @@ TEST_F(SolverTest, SamplesConstrainFunctions) {
   TermId HY = Arena.mkUFApp(H, {{Y}});
   TermId Sat = Arena.mkAnd(Arena.mkEq(HY, Arena.mkIntConst(567)),
                            Arena.mkEq(Y, Arena.mkIntConst(42)));
-  EXPECT_TRUE(check(Sat, &Samples).isSat());
+  EXPECT_TRUE(check(Sat, {.Samples = &Samples}).isSat());
 
   TermId Unsat = Arena.mkAnd(Arena.mkEq(HY, Arena.mkIntConst(111)),
                              Arena.mkEq(Y, Arena.mkIntConst(42)));
-  EXPECT_NE(check(Unsat, &Samples).Result, SatResult::Sat);
+  EXPECT_NE(check(Unsat, {.Samples = &Samples}).Result, SatResult::Sat);
 }
 
 TEST_F(SolverTest, SampleGuidedInversion) {
@@ -189,7 +187,7 @@ TEST_F(SolverTest, SampleGuidedInversion) {
   Samples.record(H, {7}, 99);
 
   TermId F = Arena.mkEq(Arena.mkUFApp(H, {{X}}), Arena.mkIntConst(567));
-  SatAnswer A = check(F, &Samples);
+  SatAnswer A = check(F, {.Samples = &Samples});
   ASSERT_TRUE(A.isSat());
 }
 
@@ -205,13 +203,15 @@ TEST_F(SolverTest, ThreeVariableSystem) {
 }
 
 TEST_F(SolverTest, StatsArePopulated) {
-  Solver S(Arena);
+  SolverContext Ctx(Arena);
+  SolverStats Stats;
   TermId F = Arena.mkAnd(Arena.mkEq(X, Arena.mkIntConst(1)),
                          Arena.mkLt(Y, X));
-  SatAnswer A = S.check(F);
+  SatAnswer A = Ctx.checkFormula(F, Stats);
   ASSERT_TRUE(A.isSat());
-  EXPECT_GE(S.stats().SupportsExplored, 1u);
-  EXPECT_GE(S.stats().Propagations, 1u);
+  EXPECT_EQ(Stats.Checks, 1u);
+  EXPECT_GE(Stats.SupportsExplored, 1u);
+  EXPECT_GE(Stats.Propagations, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -268,8 +268,9 @@ TEST_P(SolverPropertyTest, PlantedWitnessAlwaysFound) {
       }
     }
     TermId F = Arena.mkAnd(Literals);
-    Solver S(Arena);
-    SatAnswer A = S.check(F);
+    SolverContext Ctx(Arena);
+    SolverStats Stats;
+    SatAnswer A = Ctx.checkFormula(F, Stats);
     // Refutation soundness: a formula with a planted witness must never be
     // declared UNSAT. (Dense underdetermined systems may honestly return
     // Unknown — the solver's completeness envelope is the simple fragment
@@ -327,8 +328,9 @@ TEST_P(SolverPropertyTest, SimpleFragmentIsComplete) {
       }
     }
     TermId F = Arena.mkAnd(Literals);
-    Solver S(Arena);
-    SatAnswer Answer = S.check(F);
+    SolverContext Ctx(Arena);
+    SolverStats Stats;
+    SatAnswer Answer = Ctx.checkFormula(F, Stats);
     ASSERT_TRUE(Answer.isSat())
         << "simple-fragment formula reported "
         << satResultName(Answer.Result) << ": " << Arena.toString(F);
@@ -347,8 +349,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverPropertyTest,
 TEST_F(SolverTest, DecisionBudgetExhaustionIsReported) {
   SolverOptions Options;
   Options.MaxDecisions = 0;
-  Solver S(Arena, Options);
-  SatAnswer A = S.check(Arena.mkEq(X, Arena.mkIntConst(567)));
+  SatAnswer A = check(Arena.mkEq(X, Arena.mkIntConst(567)), Options);
   EXPECT_EQ(A.Result, SatResult::Unknown);
   EXPECT_EQ(A.Reason, "decision budget exhausted");
 }
@@ -361,8 +362,7 @@ TEST_F(SolverTest, SupportBudgetExhaustionIsReported) {
   TermId F = Arena.mkOr(Contradiction, Arena.mkEq(X, Arena.mkIntConst(3)));
   SolverOptions Options;
   Options.MaxSupports = 1;
-  Solver S(Arena, Options);
-  SatAnswer A = S.check(F);
+  SatAnswer A = check(F, Options);
   EXPECT_EQ(A.Result, SatResult::Unknown);
   EXPECT_EQ(A.Reason, "support budget exhausted");
 }
@@ -370,8 +370,7 @@ TEST_F(SolverTest, SupportBudgetExhaustionIsReported) {
 TEST_F(SolverTest, ExpiredDeadlineIsReported) {
   SolverOptions Options;
   Options.Deadline = support::Deadline::afterNanos(0);
-  Solver S(Arena, Options);
-  SatAnswer A = S.check(Arena.mkEq(X, Arena.mkIntConst(567)));
+  SatAnswer A = check(Arena.mkEq(X, Arena.mkIntConst(567)), Options);
   EXPECT_EQ(A.Result, SatResult::Unknown);
   EXPECT_EQ(A.Reason, "deadline expired");
 }
@@ -380,8 +379,7 @@ TEST_F(SolverTest, CancellationIsReported) {
   SolverOptions Options;
   Options.Cancel = support::CancelToken::create();
   Options.Cancel.requestCancel();
-  Solver S(Arena, Options);
-  SatAnswer A = S.check(Arena.mkEq(X, Arena.mkIntConst(567)));
+  SatAnswer A = check(Arena.mkEq(X, Arena.mkIntConst(567)), Options);
   EXPECT_EQ(A.Result, SatResult::Unknown);
   EXPECT_EQ(A.Reason, "cancelled");
 }
@@ -391,8 +389,7 @@ TEST_F(SolverTest, InactiveStopControlsDoNotPerturbAnswers) {
   // returns None and the query completes normally.
   SolverOptions Options;
   Options.Deadline = support::Deadline::afterMillis(60 * 60 * 1000);
-  Solver S(Arena, Options);
-  SatAnswer A = S.check(Arena.mkEq(X, Arena.mkIntConst(567)));
+  SatAnswer A = check(Arena.mkEq(X, Arena.mkIntConst(567)), Options);
   ASSERT_TRUE(A.isSat());
   EXPECT_EQ(A.ModelValue.varValueOr(Arena.getOrCreateVar("x"), 0), 567);
 }
@@ -407,7 +404,7 @@ TEST(UnknownReasonCounters, DecisionBudgetSubCounterIsBumped) {
   Options.MaxDecisions = 0;
   SolverContext Ctx(Arena, Options);
   SolverStats Stats;
-  SatAnswer Answer = Ctx.checkFormulaWithTelemetry(
+  SatAnswer Answer = Ctx.checkFormula(
       Arena.mkAnd(Arena.mkLe(Arena.mkIntConst(3), X),
                   Arena.mkLt(X, Arena.mkIntConst(9))),
       Stats);

@@ -26,6 +26,7 @@ void CongruenceClosure::rollbackTo(const Mark &M) {
     switch (R.K) {
     case UndoRecord::Kind::ParentInsert:
       Parent.erase(R.A);
+      ClassConstant.erase(R.A);
       break;
     case UndoRecord::Kind::ParentWrite:
       Parent[R.A] = R.B;
@@ -33,24 +34,38 @@ void CongruenceClosure::rollbackTo(const Mark &M) {
     case UndoRecord::Kind::ConstWrite:
       ClassConstant[R.A] = R.OldConst;
       break;
-    case UndoRecord::Kind::DistinctInsert:
-      Distincts[R.A].erase(R.B);
+    case UndoRecord::Kind::DistinctInsert: {
+      auto It = Distincts.find(R.A);
+      It->second.erase(R.B);
+      if (It->second.empty())
+        Distincts.erase(It);
       break;
+    }
     case UndoRecord::Kind::DistinctErase:
       Distincts[R.A].insert(R.B);
       break;
     case UndoRecord::Kind::DistinctSetErase:
-      Distincts[R.A] = std::move(R.SavedSet);
+      Distincts[R.A] = std::move(SavedSets.back());
+      SavedSets.pop_back();
       break;
-    case UndoRecord::Kind::UseAppend:
-      UseList[R.A].pop_back();
+    case UndoRecord::Kind::UseAppend: {
+      auto It = UseList.find(R.A);
+      It->second.pop_back();
+      if (It->second.empty())
+        UseList.erase(It);
       break;
+    }
     case UndoRecord::Kind::UseSetErase:
-      UseList[R.A] = std::move(R.SavedVec);
+      UseList[R.A] = std::move(SavedVecs.back());
+      SavedVecs.pop_back();
       break;
-    case UndoRecord::Kind::SigAppend:
-      SigTable[R.Hash].pop_back();
+    case UndoRecord::Kind::SigAppend: {
+      auto It = SigTable.find(R.Hash);
+      It->second.pop_back();
+      if (It->second.empty())
+        SigTable.erase(It);
       break;
+    }
     case UndoRecord::Kind::AppsAppend:
       Apps.pop_back();
       break;
@@ -67,11 +82,6 @@ void CongruenceClosure::addTerm(TermId Term) {
     return;
   Parent[Term] = Term;
   log({UndoRecord::Kind::ParentInsert, Term});
-  {
-    auto It = ClassConstant.find(Term);
-    log({UndoRecord::Kind::ConstWrite, Term, InvalidTerm, 0,
-         It != ClassConstant.end() ? It->second : std::nullopt});
-  }
   if (Arena.isIntConst(Term))
     ClassConstant[Term] = Arena.intConstValue(Term);
   else
@@ -90,28 +100,33 @@ void CongruenceClosure::addTerm(TermId Term) {
 
   // Congruence: if an existing registered term has the same signature,
   // the two must be equal.
-  if (Arena.node(Term).NumOperands != 0) {
-    auto Sig = signatureOf(Term);
-    size_t Hash = hashRange(Sig);
-    auto &Bucket = SigTable[Hash];
-    for (TermId Other : Bucket)
-      if (Other != Term && signatureOf(Other) == Sig)
-        Pending.push_back({Term, Other});
-    Bucket.push_back(Term);
-    log({UndoRecord::Kind::SigAppend, InvalidTerm, InvalidTerm, Hash});
-  }
+  if (Arena.node(Term).NumOperands != 0)
+    insertSignature(Term);
   propagate();
 }
 
-std::vector<uint64_t> CongruenceClosure::signatureOf(TermId Term) {
+void CongruenceClosure::signatureOf(TermId Term, std::vector<uint64_t> &Out) {
   const TermNode &N = Arena.node(Term);
-  std::vector<uint64_t> Sig;
-  Sig.reserve(N.NumOperands + 2);
-  Sig.push_back(static_cast<uint64_t>(N.Kind));
-  Sig.push_back(static_cast<uint64_t>(N.Payload));
+  Out.clear();
+  Out.push_back(static_cast<uint64_t>(N.Kind));
+  Out.push_back(static_cast<uint64_t>(N.Payload));
   for (TermId Op : Arena.operands(Term))
-    Sig.push_back(findRepr(Op));
-  return Sig;
+    Out.push_back(findRepr(Op));
+}
+
+void CongruenceClosure::insertSignature(TermId Term) {
+  signatureOf(Term, SigBuf);
+  size_t Hash = hashRange(SigBuf);
+  auto &Bucket = SigTable[Hash];
+  for (TermId Other : Bucket) {
+    if (Other == Term)
+      continue;
+    signatureOf(Other, OtherSigBuf);
+    if (OtherSigBuf == SigBuf)
+      Pending.push_back({Term, Other});
+  }
+  Bucket.push_back(Term);
+  log({UndoRecord::Kind::SigAppend, InvalidTerm, InvalidTerm, Hash});
 }
 
 TermId CongruenceClosure::findRepr(TermId Term) {
@@ -134,39 +149,51 @@ bool CongruenceClosure::merge(TermId A, TermId B) {
     return true;
 
   // Conflict checks: distinct constants or asserted disequality.
-  auto &CA = ClassConstant[RA];
-  auto &CB = ClassConstant[RB];
-  if ((CA && CB && *CA != *CB) || Distincts[RA].count(RB)) {
+  const auto &CA = ClassConstant.at(RA);
+  const auto &CB = ClassConstant.at(RB);
+  auto DA = Distincts.find(RA);
+  if ((CA && CB && *CA != *CB) ||
+      (DA != Distincts.end() && DA->second.count(RB))) {
     Conflict = true;
     return false;
   }
+  ++Merges;
 
   // Merge the smaller use list into the larger (heuristic by list size).
-  if (UseList[RA].size() > UseList[RB].size())
+  auto UseCount = [&](TermId R) {
+    auto It = UseList.find(R);
+    return It == UseList.end() ? 0 : It->second.size();
+  };
+  if (UseCount(RA) > UseCount(RB)) {
     std::swap(RA, RB);
-  log({UndoRecord::Kind::ParentWrite, RA, Parent[RA]});
+    DA = Distincts.find(RA);
+  }
+  log({UndoRecord::Kind::ParentWrite, RA, RA});
   Parent[RA] = RB;
-  if (ClassConstant[RA]) {
-    log({UndoRecord::Kind::ConstWrite, RB, InvalidTerm, 0, ClassConstant[RB]});
-    ClassConstant[RB] = ClassConstant[RA];
+  if (const auto &Const = ClassConstant.at(RA)) {
+    log({UndoRecord::Kind::ConstWrite, RB, InvalidTerm, 0,
+         ClassConstant.at(RB)});
+    ClassConstant[RB] = Const;
   }
 
   // Move disequalities.
-  for (TermId D : Distincts[RA]) {
-    if (Distincts[RB].insert(D).second)
-      log({UndoRecord::Kind::DistinctInsert, RB, D});
-    if (Distincts[D].erase(RA) != 0)
-      log({UndoRecord::Kind::DistinctErase, D, RA});
-    if (Distincts[D].insert(RB).second)
-      log({UndoRecord::Kind::DistinctInsert, D, RB});
-  }
-  if (auto It = Distincts.find(RA); It != Distincts.end()) {
-    if (recording()) {
-      UndoRecord R{UndoRecord::Kind::DistinctSetErase, RA};
-      R.SavedSet = std::move(It->second);
-      log(std::move(R));
+  if (DA != Distincts.end()) {
+    // Inserting below may rehash the map: keep a reference to the set
+    // (stable) rather than the iterator (not).
+    std::unordered_set<TermId> &Gone = DA->second;
+    for (TermId D : Gone) {
+      if (Distincts[RB].insert(D).second)
+        log({UndoRecord::Kind::DistinctInsert, RB, D});
+      if (Distincts[D].erase(RA) != 0)
+        log({UndoRecord::Kind::DistinctErase, D, RA});
+      if (Distincts[D].insert(RB).second)
+        log({UndoRecord::Kind::DistinctInsert, D, RB});
     }
-    Distincts.erase(It);
+    if (recording()) {
+      SavedSets.push_back(std::move(Gone));
+      log({UndoRecord::Kind::DistinctSetErase, RA});
+    }
+    Distincts.erase(RA);
   }
 
   // Re-hash users of the merged class; enqueue congruent pairs.
@@ -174,21 +201,13 @@ bool CongruenceClosure::merge(TermId A, TermId B) {
   if (auto It = UseList.find(RA); It != UseList.end()) {
     Users = std::move(It->second);
     if (recording()) {
-      UndoRecord R{UndoRecord::Kind::UseSetErase, RA};
-      R.SavedVec = Users; // Copy: the moved-out list is still consumed below.
-      log(std::move(R));
+      SavedVecs.push_back(Users); // Copy: the list is still consumed below.
+      log({UndoRecord::Kind::UseSetErase, RA});
     }
     UseList.erase(It);
   }
   for (TermId User : Users) {
-    auto Sig = signatureOf(User);
-    size_t Hash = hashRange(Sig);
-    auto &Bucket = SigTable[Hash];
-    for (TermId Other : Bucket)
-      if (Other != User && signatureOf(Other) == Sig)
-        Pending.push_back({User, Other});
-    Bucket.push_back(User);
-    log({UndoRecord::Kind::SigAppend, InvalidTerm, InvalidTerm, Hash});
+    insertSignature(User);
     UseList[RB].push_back(User);
     log({UndoRecord::Kind::UseAppend, RB});
   }
@@ -245,14 +264,15 @@ bool CongruenceClosure::areDistinct(TermId A, TermId B) {
   TermId RB = findRepr(B);
   if (RA == RB)
     return false;
-  auto CA = ClassConstant[RA];
-  auto CB = ClassConstant[RB];
+  const auto &CA = ClassConstant.at(RA);
+  const auto &CB = ClassConstant.at(RB);
   if (CA && CB && *CA != *CB)
     return true;
-  return Distincts[RA].count(RB) != 0;
+  auto It = Distincts.find(RA);
+  return It != Distincts.end() && It->second.count(RB) != 0;
 }
 
 std::optional<int64_t> CongruenceClosure::constantOf(TermId Term) {
   addTerm(Term);
-  return ClassConstant[findRepr(Term)];
+  return ClassConstant.at(findRepr(Term));
 }

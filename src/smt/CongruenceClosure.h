@@ -86,11 +86,20 @@ public:
   /// Every registered UFApp term, in registration order.
   const std::vector<TermId> &apps() const { return Apps; }
 
+  /// Class unions performed so far, including ones later rolled back: a
+  /// caller compares two readings to learn whether any class (and so any
+  /// class constant) changed in between.
+  size_t numMerges() const { return Merges; }
+
 private:
   bool merge(TermId A, TermId B);
   void propagate();
-  /// Congruence key: kind/payload plus representative operand classes.
-  std::vector<uint64_t> signatureOf(TermId Term);
+  /// Fills \p Out with the congruence key of \p Term: kind/payload plus
+  /// representative operand classes.
+  void signatureOf(TermId Term, std::vector<uint64_t> &Out);
+  /// Files \p Term under its signature, queueing a merge with every
+  /// registered term of the same signature.
+  void insertSignature(TermId Term);
 
   /// One logged mutation; applied in reverse on rollback.
   struct UndoRecord {
@@ -100,9 +109,9 @@ private:
       ConstWrite,      ///< ClassConstant[A] had value OldConst.
       DistinctInsert,  ///< Distincts[A].insert(B): erase it.
       DistinctErase,   ///< Distincts[A].erase(B): re-insert it.
-      DistinctSetErase,///< Distincts.erase(A): restore SavedSet.
+      DistinctSetErase,///< Distincts.erase(A): restore SavedSets.back().
       UseAppend,       ///< UseList[A].push_back: pop it.
-      UseSetErase,     ///< UseList.erase(A) after move-out: restore SavedVec.
+      UseSetErase,     ///< UseList.erase(A): restore SavedVecs.back().
       SigAppend,       ///< SigTable[Hash].push_back: pop it.
       AppsAppend,      ///< Apps.push_back: pop it.
     };
@@ -111,8 +120,6 @@ private:
     TermId B = InvalidTerm;
     size_t Hash = 0;
     std::optional<int64_t> OldConst;
-    std::unordered_set<TermId> SavedSet;
-    std::vector<TermId> SavedVec;
   };
 
   bool recording() const { return OutstandingMarks != 0; }
@@ -124,7 +131,14 @@ private:
   const TermArena &Arena;
   bool Conflict = false;
   size_t OutstandingMarks = 0;
+  size_t Merges = 0;
   std::vector<UndoRecord> Trail;
+  /// The erased containers of DistinctSetErase / UseSetErase records, in
+  /// trail order.
+  std::vector<std::unordered_set<TermId>> SavedSets;
+  std::vector<std::vector<TermId>> SavedVecs;
+  /// Reused signatureOf buffers.
+  std::vector<uint64_t> SigBuf, OtherSigBuf;
 
   std::unordered_map<TermId, TermId> Parent;
   std::unordered_map<TermId, std::optional<int64_t>> ClassConstant;

@@ -182,14 +182,22 @@ bool assertRowInCC(TermArena &Arena, CongruenceClosure &CC,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Engine: the check-time decision procedure (propagation + value search)
+// Engine: propagation and the check-time value search
 //===----------------------------------------------------------------------===//
 
-/// Decides one row system over a prefix of the context's atom list. The
-/// engine never mutates context state: it works on domain vectors handed in
-/// by the caller and reads Atoms/AtomIndex from the context. Work is charged
-/// to the SolverStats it was built with (per-query stats at check time, a
-/// discarded scratch at assert time).
+/// Decides one row system over the context's atom list. The engine never
+/// mutates context state except through the domain vector it is handed
+/// (the base domains at assert time, with \c Trail set so pop() can undo
+/// the narrowing). Work is charged to the SolverStats it was built with
+/// (per-query stats at check time, a discarded scratch at assert time).
+///
+/// Propagation is one worklist routine: a caller schedules the steps its
+/// change can affect (wake/wakeRow/wakeAll), and every narrowing schedules
+/// the steps that read the narrowed atom — its rows, the applications whose
+/// arguments mention it, and its own congruence check when it is an
+/// application. Each step only narrows, monotonically, so draining the
+/// list reaches the same greatest fixpoint as sweeping every step until
+/// nothing changes (docs/solver.md, "The scope stack").
 class SolverContext::Engine {
 public:
   enum class Outcome {
@@ -199,26 +207,78 @@ public:
   };
 
   Engine(SolverContext &Ctx, const std::vector<LinearAtom> &Rows,
-         size_t NumAtoms, SolverStats &Stats)
+         const WatchLists &RowWatches, SolverStats &Stats)
       : Ctx(Ctx), Arena(Ctx.Arena), Options(Ctx.Options), Rows(Rows),
-        NumAtoms(NumAtoms), Stats(Stats) {}
+        RowWatches(RowWatches), NumAtoms(Ctx.Atoms.size()), Stats(Stats),
+        RowQueued(Rows.size()), AppQueued(NumAtoms) {}
 
-  /// Bound propagation to a fixpoint. Returns false when a domain empties
-  /// (a sound refutation of the rows).
-  bool propagate(std::vector<Interval> &Domains) {
-    bool Changed = true;
-    unsigned Rounds = 0;
-    while (Changed && Rounds < 64) {
-      Changed = false;
-      ++Rounds;
-      ++Stats.Propagations;
-      for (const LinearAtom &LA : Rows)
-        if (!propagateAtom(LA, Domains, Changed))
-          return false;
-      if (!propagateUF(Domains, Changed))
-        return false;
+  /// (index, previous value) log for every narrowing, or null.
+  std::vector<std::pair<size_t, Interval>> *Trail = nullptr;
+
+  void wakeRow(size_t Row) {
+    if (!RowQueued[Row]) {
+      RowQueued[Row] = true;
+      RowQueue.push_back(Row);
     }
-    return true;
+  }
+
+  /// Schedules every step that reads atom \p Idx's domain.
+  void wake(size_t Idx) {
+    for (uint32_t Row : RowWatches[Idx])
+      wakeRow(Row);
+    for (uint32_t App : Ctx.ArgUsers[Idx])
+      wakeApp(App);
+    if (Arena.kind(Ctx.Atoms[Idx]) == TermKind::UFApp)
+      wakeApp(Idx);
+  }
+
+  void wakeAll() {
+    for (size_t Row = 0; Row != Rows.size(); ++Row)
+      wakeRow(Row);
+    for (size_t I = 0; I != NumAtoms; ++I)
+      if (Arena.kind(Ctx.Atoms[I]) == TermKind::UFApp)
+        wakeApp(I);
+  }
+
+  /// Narrows atom \p Idx to \p NewDom and schedules its readers.
+  void narrow(std::vector<Interval> &Domains, size_t Idx,
+              const Interval &NewDom) {
+    if (Trail)
+      Trail->emplace_back(Idx, Domains[Idx]);
+    Domains[Idx] = NewDom;
+    wake(Idx);
+  }
+
+  /// Runs the scheduled steps until none is left. Returns false when a
+  /// domain empties (a sound refutation of the rows). The visit budget,
+  /// 64 steps per row and atom, stops a slow ping-pong between two bounds
+  /// (x <= y - 1, y <= x - 1 over wide domains); stopping early only
+  /// leaves domains wider than the fixpoint, never unsound.
+  bool propagate(std::vector<Interval> &Domains) {
+    ++Stats.Propagations;
+    size_t Budget = 64 * (Rows.size() + NumAtoms + 1);
+    size_t RowHead = 0, AppHead = 0;
+    bool Ok = true;
+    while (Ok && Budget-- != 0) {
+      if (RowHead != RowQueue.size()) {
+        size_t Row = RowQueue[RowHead++];
+        RowQueued[Row] = false;
+        Ok = propagateRow(Rows[Row], Domains);
+      } else if (AppHead != AppQueue.size()) {
+        size_t App = AppQueue[AppHead++];
+        AppQueued[App] = false;
+        Ok = propagateApp(App, Domains);
+      } else {
+        break;
+      }
+    }
+    for (; RowHead != RowQueue.size(); ++RowHead)
+      RowQueued[RowQueue[RowHead]] = false;
+    for (; AppHead != AppQueue.size(); ++AppHead)
+      AppQueued[AppQueue[AppHead]] = false;
+    RowQueue.clear();
+    AppQueue.clear();
+    return Ok;
   }
 
   /// Case-split search: branches on the undetermined atom with the
@@ -265,6 +325,7 @@ public:
       ++Stats.Decisions;
       std::vector<Interval> Next = Domains;
       Next[BestIdx] = Interval::point(Value);
+      wake(BestIdx);
       if (!propagate(Next))
         continue;
       Outcome Sub = search(std::move(Next), ModelOut);
@@ -292,8 +353,7 @@ private:
     return Acc;
   }
 
-  bool propagateAtom(const LinearAtom &LA, std::vector<Interval> &Domains,
-                     bool &Changed) {
+  bool propagateRow(const LinearAtom &LA, std::vector<Interval> &Domains) {
     // Expr ⋈ 0 with ⋈ ∈ {=, ≠, ≤}.
     Interval Whole = evalExpr(LA.Expr, Domains);
     switch (LA.Rel) {
@@ -352,71 +412,54 @@ private:
       }
       if (NewDom.isEmpty())
         return false;
-      if (!(NewDom == Domains[Idx])) {
-        Domains[Idx] = NewDom;
-        Changed = true;
-      }
+      if (!(NewDom == Domains[Idx]))
+        narrow(Domains, Idx, NewDom);
     }
     return true;
   }
 
-  /// UF consistency: sampled points pin application outputs; syntactic
-  /// congruence (same func, same determined args) links outputs.
-  bool propagateUF(std::vector<Interval> &Domains, bool &Changed) {
-    for (size_t I = 0; I != NumAtoms; ++I) {
-      TermId App = Ctx.Atoms[I];
-      if (Arena.kind(App) != TermKind::UFApp)
-        continue;
-      auto ArgsOpt = determinedArgs(App, Domains);
-      if (!ArgsOpt)
-        continue;
-      if (Options.Samples) {
-        if (auto Out = Options.Samples->lookup(Arena.funcIdOf(App), *ArgsOpt)) {
-          Interval NewDom = Domains[I].intersect(Interval::point(*Out));
-          if (NewDom.isEmpty())
-            return false;
-          if (!(NewDom == Domains[I])) {
-            Domains[I] = NewDom;
-            Changed = true;
-          }
-        }
-      }
-      // Congruence with other determined applications of the same symbol.
-      for (size_t J = I + 1; J != NumAtoms; ++J) {
-        TermId Other = Ctx.Atoms[J];
-        if (Arena.kind(Other) != TermKind::UFApp ||
-            Arena.funcIdOf(Other) != Arena.funcIdOf(App))
-          continue;
-        auto OtherArgs = determinedArgs(Other, Domains);
-        if (!OtherArgs || *OtherArgs != *ArgsOpt)
-          continue;
-        Interval Joint = Domains[I].intersect(Domains[J]);
-        if (Joint.isEmpty())
+  /// UF consistency of application \p App: a sampled point pins its
+  /// output, and congruence with another application of the same symbol
+  /// at the same (determined) arguments joins the two outputs.
+  bool propagateApp(size_t App, std::vector<Interval> &Domains) {
+    if (!determinedArgs(App, Domains, ArgBuf))
+      return true;
+    FuncId Func = Arena.funcIdOf(Ctx.Atoms[App]);
+    if (Options.Samples)
+      if (auto Out = Options.Samples->lookup(Func, ArgBuf)) {
+        Interval NewDom = Domains[App].intersect(Interval::point(*Out));
+        if (NewDom.isEmpty())
           return false;
-        if (!(Joint == Domains[I]) || !(Joint == Domains[J])) {
-          Domains[I] = Joint;
-          Domains[J] = Joint;
-          Changed = true;
-        }
+        if (!(NewDom == Domains[App]))
+          narrow(Domains, App, NewDom);
       }
+    for (uint32_t Other : Ctx.FuncApps[Func]) {
+      if (Other == App || !determinedArgs(Other, Domains, OtherArgBuf) ||
+          OtherArgBuf != ArgBuf)
+        continue;
+      Interval Joint = Domains[App].intersect(Domains[Other]);
+      if (Joint.isEmpty())
+        return false;
+      if (!(Joint == Domains[App]))
+        narrow(Domains, App, Joint);
+      if (!(Joint == Domains[Other]))
+        narrow(Domains, Other, Joint);
     }
     return true;
   }
 
-  /// Evaluates the arguments of \p App when every argument's linear form is
-  /// determined by point domains.
-  std::optional<std::vector<int64_t>>
-  determinedArgs(TermId App, const std::vector<Interval> &Domains) const {
-    std::vector<int64_t> Args;
-    for (TermId Arg : Arena.operands(App)) {
-      auto Lin = extractLinear(Arena, Arg);
-      assert(Lin && "UF argument outside linear fragment");
-      Interval V = evalExpr(*Lin, Domains);
+  /// Evaluates the arguments of application atom \p App into \p Out; false
+  /// unless every argument's linear form is determined by point domains.
+  bool determinedArgs(size_t App, const std::vector<Interval> &Domains,
+                      std::vector<int64_t> &Out) const {
+    Out.clear();
+    for (const LinearExpr &Arg : Ctx.AppArgs[App]) {
+      Interval V = evalExpr(Arg, Domains);
       if (!V.isPoint())
-        return std::nullopt;
-      Args.push_back(V.Lo);
+        return false;
+      Out.push_back(V.Lo);
     }
-    return Args;
+    return true;
   }
 
   std::vector<int64_t> candidatesFor(size_t Idx, const Interval &Dom) {
@@ -497,12 +540,8 @@ private:
       if (Arena.kind(App) != TermKind::UFApp)
         continue;
       std::vector<int64_t> Args;
-      for (TermId Arg : Arena.operands(App)) {
-        auto Lin = extractLinear(Arena, Arg);
-        Interval V = evalExpr(*Lin, Domains);
-        assert(V.isPoint() && "finalize with undetermined UF argument");
-        Args.push_back(V.Lo);
-      }
+      [[maybe_unused]] bool Determined = determinedArgs(I, Domains, Args);
+      assert(Determined && "finalize with undetermined UF argument");
       if (auto Existing = M.funcValue(Arena.funcIdOf(App), Args)) {
         if (*Existing != Domains[I].Lo)
           return false;
@@ -537,12 +576,26 @@ private:
     return -V;
   }
 
+  void wakeApp(size_t App) {
+    if (!AppQueued[App]) {
+      AppQueued[App] = true;
+      AppQueue.push_back(App);
+    }
+  }
+
   SolverContext &Ctx;
   TermArena &Arena;
   const SolverOptions &Options;
   const std::vector<LinearAtom> &Rows;
+  const WatchLists &RowWatches;
   size_t NumAtoms;
   SolverStats &Stats;
+  /// Scheduled steps: rows and application congruence checks, each queued
+  /// at most once.
+  std::vector<size_t> RowQueue, AppQueue;
+  std::vector<bool> RowQueued, AppQueued;
+  /// Argument buffers of propagateApp.
+  std::vector<int64_t> ArgBuf, OtherArgBuf;
 };
 
 //===----------------------------------------------------------------------===//
@@ -570,12 +623,33 @@ void SolverContext::pop() {
   assert(!Frames.empty() && "pop without a matching push");
   Frame &F = Frames.back();
   // Undo in-place domain narrowing first (while indices are still valid),
-  // then drop atoms registered inside the scope.
+  // then drop atoms registered inside the scope. Watch-list entries made
+  // in the scope sit at the tails of the surviving lists.
   for (auto It = F.DomainTrail.rbegin(); It != F.DomainTrail.rend(); ++It)
     Domains[It->first] = It->second;
-  Domains.resize(F.AtomSize);
+  auto DropTail = [](std::vector<uint32_t> &List, size_t Limit) {
+    while (!List.empty() && List.back() >= Limit)
+      List.pop_back();
+  };
+  for (size_t Row = F.RowSize; Row != Rows.size(); ++Row)
+    for (const LinearMonomial &M : Rows[Row].Expr.Monomials)
+      if (size_t Idx = AtomIndex.at(M.Atom); Idx < F.AtomSize)
+        DropTail(RowWatches[Idx], F.RowSize);
+  for (size_t I = F.AtomSize; I != Atoms.size(); ++I) {
+    if (Arena.kind(Atoms[I]) != TermKind::UFApp)
+      continue;
+    DropTail(FuncApps[Arena.funcIdOf(Atoms[I])], F.AtomSize);
+    for (const LinearExpr &Arg : AppArgs[I])
+      for (const LinearMonomial &M : Arg.Monomials)
+        if (size_t Idx = AtomIndex.at(M.Atom); Idx < F.AtomSize)
+          DropTail(ArgUsers[Idx], F.AtomSize);
+  }
   for (size_t I = F.AtomSize; I != Atoms.size(); ++I)
     AtomIndex.erase(Atoms[I]);
+  Domains.resize(F.AtomSize);
+  RowWatches.resize(F.AtomSize);
+  ArgUsers.resize(F.AtomSize);
+  AppArgs.resize(F.AtomSize);
   Atoms.resize(F.AtomSize);
   Rows.resize(F.RowSize);
   Lits.resize(F.LitSize);
@@ -592,36 +666,36 @@ void SolverContext::pop() {
 }
 
 void SolverContext::registerAtom(TermId Atom) {
-  if (AtomIndex.count(Atom))
+  size_t Idx = Atoms.size();
+  if (!AtomIndex.try_emplace(Atom, Idx).second)
     return;
-  AtomIndex[Atom] = Atoms.size();
   Atoms.push_back(Atom);
   Domains.push_back(Interval::full());
+  RowWatches.emplace_back();
+  ArgUsers.emplace_back();
+  AppArgs.emplace_back();
+  if (Arena.kind(Atom) != TermKind::UFApp)
+    return;
   // UF arguments are themselves solver atoms when they are vars/apps.
-  if (Arena.kind(Atom) == TermKind::UFApp)
-    for (TermId Arg : Arena.operands(Atom)) {
-      auto Lin = extractLinear(Arena, Arg);
-      assert(Lin && "UF argument outside linear fragment");
-      for (const LinearMonomial &M : Lin->Monomials)
-        registerAtom(M.Atom);
+  std::vector<LinearExpr> Args;
+  for (TermId Arg : Arena.operands(Atom)) {
+    auto Lin = extractLinear(Arena, Arg);
+    assert(Lin && "UF argument outside linear fragment");
+    for (const LinearMonomial &M : Lin->Monomials)
+      registerAtom(M.Atom);
+    Args.push_back(std::move(*Lin));
+  }
+  for (const LinearExpr &Arg : Args)
+    for (const LinearMonomial &M : Arg.Monomials) {
+      std::vector<uint32_t> &Users = ArgUsers[AtomIndex.at(M.Atom)];
+      if (Users.empty() || Users.back() != Idx)
+        Users.push_back(Idx);
     }
-}
-
-void SolverContext::setDomain(size_t Idx, const Interval &NewDom) {
-  if (!Frames.empty())
-    Frames.back().DomainTrail.emplace_back(Idx, Domains[Idx]);
-  Domains[Idx] = NewDom;
-}
-
-bool SolverContext::propagateBase() {
-  std::vector<Interval> Work = Domains;
-  SolverStats Scratch; // Assert-time work never lands in per-query stats.
-  Engine E(*this, Rows, Atoms.size(), Scratch);
-  bool Ok = E.propagate(Work);
-  for (size_t I = 0; I != Domains.size(); ++I)
-    if (!(Work[I] == Domains[I]))
-      setDomain(I, Work[I]);
-  return Ok;
+  AppArgs[Idx] = std::move(Args);
+  FuncId Func = Arena.funcIdOf(Atom);
+  if (Func >= FuncApps.size())
+    FuncApps.resize(Func + 1);
+  FuncApps[Func].push_back(Idx);
 }
 
 bool SolverContext::assertLiteral(TermId Lit) {
@@ -640,9 +714,13 @@ bool SolverContext::assertLiteral(TermId Lit) {
     return false; // Outside fragment; check() answers Unknown.
   }
 
+  size_t OldAtoms = Atoms.size();
   for (const LinearMonomial &M : CacheIt->second->Expr.Monomials)
     registerAtom(M.Atom);
+  size_t Row = Rows.size();
   Rows.push_back(*CacheIt->second);
+  for (const LinearMonomial &M : Rows.back().Expr.Monomials)
+    RowWatches[AtomIndex.at(M.Atom)].push_back(Row);
 
   auto Refute = [&] {
     RefutedAt = Frames.size();
@@ -650,24 +728,35 @@ bool SolverContext::assertLiteral(TermId Lit) {
   };
 
   // Structural EUF content feeds congruence closure immediately.
+  size_t MergesBefore = CC.numMerges();
   if (!assertRowInCC(Arena, CC, Rows.back()))
     return Refute();
 
-  // Fold congruence-derived constants into the base domains. constantOf
-  // registers atoms on demand; with a scope open every CC mutation lands
-  // on the undo trail.
-  for (size_t I = 0; I != Atoms.size(); ++I)
+  SolverStats Scratch; // Assert-time work never lands in per-query stats.
+  Engine E(*this, Rows, RowWatches, Scratch);
+  if (!Frames.empty())
+    E.Trail = &Frames.back().DomainTrail;
+
+  // Fold congruence-derived constants into the base domains. Earlier atoms
+  // are registered in CC with their constants folded already, and only a
+  // merge can give their classes a new one. constantOf registers the new
+  // atoms; with a scope open every CC mutation lands on the undo trail.
+  size_t FoldFrom = CC.numMerges() != MergesBefore ? 0 : OldAtoms;
+  for (size_t I = FoldFrom; I != Atoms.size(); ++I)
     if (auto C = CC.constantOf(Atoms[I])) {
       Interval NewDom = Domains[I].intersect(Interval::point(*C));
-      if (NewDom.isEmpty()) {
-        setDomain(I, NewDom);
-        return Refute();
-      }
       if (!(NewDom == Domains[I]))
-        setDomain(I, NewDom);
+        E.narrow(Domains, I, NewDom);
+      if (NewDom.isEmpty())
+        return Refute();
     }
 
-  if (!propagateBase())
+  // The rest is at the previous fixpoint: only the new row, the new atoms
+  // and what the fold narrowed can narrow anything.
+  for (size_t I = OldAtoms; I != Atoms.size(); ++I)
+    E.wake(I);
+  E.wakeRow(Row);
+  if (!E.propagate(Domains))
     return Refute();
   return true;
 }
@@ -736,40 +825,42 @@ SatAnswer SolverContext::solve(SolverStats &QueryStats) {
     return Answer;
   }
 
-  Model M;
-  Engine::Outcome Out;
-  if (Work == Rows) {
-    // Fast path: elimination was the identity, so the base domains (the
-    // assert-time fixpoint over exactly these rows, with congruence
-    // constants folded in) are the search's starting point.
-    Engine E(*this, Rows, Atoms.size(), QueryStats);
-    std::vector<Interval> Doms = Domains;
-    if (!E.propagate(Doms)) {
-      Answer.Result = SatResult::Unsat;
-      return Answer;
-    }
-    Out = E.search(std::move(Doms), M);
-  } else {
-    // Slow path: elimination rewrote rows, so congruence constants and
-    // domains are rebuilt against the echelon system, exactly like a
-    // fresh context would.
+  // Fast path: elimination was the identity, so the base domains (the
+  // assert-time fixpoint over exactly these rows, with congruence constants
+  // folded in) are the search's starting point. Slow path: elimination
+  // rewrote rows, so congruence constants, watch lists and domains are
+  // rebuilt against the echelon system, exactly like a fresh context would.
+  bool Rewritten = !(Work == Rows);
+  std::vector<Interval> Doms = Domains;
+  WatchLists WorkWatches;
+  if (Rewritten) {
     CongruenceClosure ScratchCC(Arena);
-    for (const LinearAtom &LA : Work)
-      if (!assertRowInCC(Arena, ScratchCC, LA)) {
+    WorkWatches.resize(Atoms.size());
+    for (size_t Row = 0; Row != Work.size(); ++Row) {
+      if (!assertRowInCC(Arena, ScratchCC, Work[Row])) {
         Answer.Result = SatResult::Unsat;
         return Answer;
       }
-    std::vector<Interval> Doms(Atoms.size(), Interval::full());
+      for (const LinearMonomial &Mono : Work[Row].Expr.Monomials)
+        WorkWatches[AtomIndex.at(Mono.Atom)].push_back(Row);
+    }
+    Doms.assign(Atoms.size(), Interval::full());
     for (size_t I = 0; I != Atoms.size(); ++I)
       if (auto C = ScratchCC.constantOf(Atoms[I]))
         Doms[I] = Doms[I].intersect(Interval::point(*C));
-    Engine E(*this, Work, Atoms.size(), QueryStats);
-    if (!E.propagate(Doms)) {
-      Answer.Result = SatResult::Unsat;
-      return Answer;
-    }
-    Out = E.search(std::move(Doms), M);
   }
+  // Every step starts scheduled: the base domains are the assert-time
+  // fixpoint only when no visit budget bound and the sample table has not
+  // grown since the asserts.
+  Engine E(*this, Rewritten ? Work : Rows,
+           Rewritten ? WorkWatches : RowWatches, QueryStats);
+  E.wakeAll();
+  if (!E.propagate(Doms)) {
+    Answer.Result = SatResult::Unsat;
+    return Answer;
+  }
+  Model M;
+  Engine::Outcome Out = E.search(std::move(Doms), M);
 
   switch (Out) {
   case Engine::Outcome::Sat: {

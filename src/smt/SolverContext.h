@@ -11,8 +11,9 @@
 /// congruence closure, and interval base domains — and maintains it as a
 /// *fold* over assertLiteral() calls. push() opens a scope; pop() rolls
 /// every state component back to the exact pre-push state (trail-based
-/// undo: a CongruenceClosure mark, an interval-domain trail, and size
-/// snapshots of the append-only vectors).
+/// undo: a CongruenceClosure mark, an interval-domain trail, size
+/// snapshots of the append-only vectors, and tail truncation of the
+/// propagation watch lists).
 ///
 /// The fold invariant is what makes incremental reuse answer-identical to
 /// solving from scratch: a fresh context that asserts the same literal
@@ -37,7 +38,6 @@
 #include "smt/Linear.h"
 #include "smt/Solver.h"
 
-#include <map>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -121,14 +121,14 @@ private:
     std::vector<std::pair<size_t, Interval>> DomainTrail;
   };
 
-  class Engine; // Check-time search engine (SolverContext.cpp).
+  /// Row or atom indices, one list per atom (or per function symbol): what
+  /// propagation revisits when that atom's domain narrows.
+  using WatchLists = std::vector<std::vector<uint32_t>>;
+
+  class Engine; // Propagation and value search (SolverContext.cpp).
   friend class Engine;
 
   void registerAtom(TermId Atom);
-  void setDomain(size_t Idx, const Interval &NewDom);
-  /// Propagates the asserted rows to their interval fixpoint and records
-  /// the tightened base domains; false on an empty domain.
-  bool propagateBase();
   /// The raw query bodies behind check() and checkFormula(): no
   /// telemetry, work charged to \p QueryStats. The scratch contexts of the
   /// disjunctive path call solve() directly, so one query emits one event.
@@ -149,9 +149,20 @@ private:
   /// check time; these are never mutated, only truncated on pop).
   std::vector<LinearAtom> Rows;
   std::vector<TermId> Atoms;
-  std::map<TermId, size_t> AtomIndex;
+  std::unordered_map<TermId, size_t> AtomIndex;
   /// Base domains: the interval fixpoint of all asserted rows.
   std::vector<Interval> Domains;
+
+  /// What propagation must revisit when an atom's domain narrows, kept
+  /// with the atom and row vectors and truncated LIFO by pop(). RowWatches
+  /// and ArgUsers are indexed by atom; AppArgs holds each application's
+  /// argument forms (empty for variables), extracted once at registration;
+  /// FuncApps lists the application atoms of each function symbol.
+  WatchLists RowWatches;
+  WatchLists ArgUsers;
+  std::vector<std::vector<LinearExpr>> AppArgs;
+  WatchLists FuncApps;
+
   CongruenceClosure CC;
 
   /// Pure memo of normalizeComparison results (never rolled back).

@@ -109,9 +109,26 @@ protected:
         << What;
   }
 
-  SatAnswer freshConjunction(std::span<const TermId> Lits, SolverStats &S) {
-    SolverContext Fresh(Arena);
+  SatAnswer freshConjunction(std::span<const TermId> Lits, SolverStats &S,
+                             SolverOptions Options = {}) {
+    SolverContext Fresh(Arena, Options);
     return Fresh.checkFormula(Arena.mkAnd(Lits), S);
+  }
+
+  /// Asserts \p Lits one scope each and expects the stack to be refuted at
+  /// assert time, with a fresh context's answer from check().
+  void expectRefutedAtAssert(std::span<const TermId> Lits,
+                             const SolverOptions &Options = {}) {
+    SolverContext Ctx(Arena, Options);
+    for (TermId Lit : Lits) {
+      Ctx.push();
+      Ctx.assertLiteral(Lit);
+    }
+    EXPECT_TRUE(Ctx.refuted());
+    SolverStats S, FS;
+    expectSameAnswer(Ctx.check(S), freshConjunction(Lits, FS, Options),
+                     "incremental vs fresh");
+    EXPECT_EQ(FS.Decisions, 0u) << "fresh propagation alone must refute";
   }
 };
 
@@ -258,6 +275,99 @@ TEST_F(IncrementalContextTest, CheckWithTelemetryFoldsCumulativeStats) {
   SatAnswer Second = Ctx.check(Cum);
   expectSameAnswer(First, Second, "repeated check");
   EXPECT_EQ(Cum.Checks, 2u) << "cumulative stats must fold across queries";
+}
+
+TEST_F(IncrementalContextTest, NewBoundWakesRowsFromEarlierScopes) {
+  // x1 <= x2 - 1, x2 <= x3 - 1, x3 <= x4 - 1 (one scope each), then
+  // x4 <= 2: the new bound must travel back through all three earlier
+  // rows, so x1 >= 0 is refuted when it is asserted.
+  TermId V[] = {Arena.mkVar("x1"), Arena.mkVar("x2"), Arena.mkVar("x3"),
+                Arena.mkVar("x4")};
+  TermId One = Arena.mkIntConst(1);
+  std::vector<TermId> Lits;
+  for (size_t I = 0; I + 1 != std::size(V); ++I)
+    Lits.push_back(Arena.mkLe(V[I], Arena.mkSub(V[I + 1], One)));
+  Lits.push_back(Arena.mkLe(V[3], Arena.mkIntConst(2)));
+  Lits.push_back(gec(V[0], 0));
+  expectRefutedAtAssert(Lits);
+}
+
+TEST_F(IncrementalContextTest, SamplePinArrivesThroughArgumentAndMerge) {
+  // f(3) = 7 is sampled. f(x + 1) >= 8, then x = y, then y = 2: the last
+  // merge gives x the constant 2, which determines the argument form x + 1
+  // and pins f(x + 1) to 7.
+  SampleTable Samples;
+  FuncId F = Arena.getOrCreateFunc("f", 1);
+  Samples.record(F, {3}, 7);
+  TermId FX1 = Arena.mkUFApp(
+      F, std::vector<TermId>{Arena.mkAdd(X, Arena.mkIntConst(1))});
+  TermId Lits[] = {gec(FX1, 8), Arena.mkEq(X, Y), eqc(Y, 2)};
+  expectRefutedAtAssert(Lits, {.Samples = &Samples});
+}
+
+TEST_F(IncrementalContextTest, CongruenceJoinAcrossScopes) {
+  // f(x) >= 5 and f(y) <= 4 clash once x = 3 and y = 3 make the two
+  // applications congruent, each equality in its own scope.
+  FuncId F = Arena.getOrCreateFunc("f", 1);
+  TermId FX = Arena.mkUFApp(F, std::vector<TermId>{X});
+  TermId FY = Arena.mkUFApp(F, std::vector<TermId>{Y});
+  TermId Lits[] = {gec(FX, 5), Arena.mkLe(FY, Arena.mkIntConst(4)),
+                   eqc(X, 3), eqc(Y, 3)};
+  expectRefutedAtAssert(Lits);
+}
+
+TEST_F(IncrementalContextTest, PopAfterRefutationRestoresWatchLists) {
+  // y = 3 refutes the stack (f(y) joins f(x)); after its pop, y = 4 must be
+  // decided exactly as a fresh context decides the surviving stack.
+  FuncId F = Arena.getOrCreateFunc("f", 1);
+  TermId FX = Arena.mkUFApp(F, std::vector<TermId>{X});
+  TermId FY = Arena.mkUFApp(F, std::vector<TermId>{Y});
+  std::vector<TermId> Stack = {gec(FX, 5), eqc(X, 3),
+                               Arena.mkLe(FY, Arena.mkIntConst(4))};
+  SolverContext Ctx(Arena);
+  for (TermId Lit : Stack) {
+    Ctx.push();
+    ASSERT_TRUE(Ctx.assertLiteral(Lit));
+  }
+  Ctx.push();
+  Ctx.assertLiteral(eqc(Y, 3));
+  ASSERT_TRUE(Ctx.refuted());
+  Ctx.pop();
+  ASSERT_FALSE(Ctx.refuted());
+
+  Stack.push_back(eqc(Y, 4));
+  Ctx.push();
+  ASSERT_TRUE(Ctx.assertLiteral(Stack.back()));
+  EXPECT_FALSE(Ctx.refuted());
+  SolverStats S, FS;
+  SatAnswer Incremental = Ctx.check(S);
+  EXPECT_EQ(Incremental.Result, SatResult::Sat);
+  expectSameAnswer(Incremental, freshConjunction(Stack, FS), "after pop");
+  EXPECT_EQ(S.Decisions, FS.Decisions);
+  EXPECT_EQ(S.Propagations, FS.Propagations);
+}
+
+TEST_F(IncrementalContextTest, PropagationBudgetLeavesRefutationToCheck) {
+  // x <= y - 1 and y <= x - 1 over [0, 10^9] would need about 10^9 bound
+  // steps to empty a domain. The visit budget stops propagation early
+  // (sound: domains stay wider than the fixpoint), and check()'s
+  // Fourier–Motzkin step refutes the pair.
+  TermId One = Arena.mkIntConst(1);
+  TermId Lits[] = {gec(X, 0),
+                   Arena.mkLe(X, Arena.mkIntConst(1000000000)),
+                   gec(Y, 0),
+                   Arena.mkLe(Y, Arena.mkIntConst(1000000000)),
+                   Arena.mkLe(X, Arena.mkSub(Y, One)),
+                   Arena.mkLe(Y, Arena.mkSub(X, One))};
+  SolverContext Ctx(Arena);
+  for (TermId Lit : Lits) {
+    Ctx.push();
+    ASSERT_TRUE(Ctx.assertLiteral(Lit));
+    EXPECT_FALSE(Ctx.refuted());
+  }
+  SolverStats S;
+  EXPECT_EQ(Ctx.check(S).Result, SatResult::Unsat);
+  EXPECT_EQ(S.Decisions, 0u);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -375,6 +376,46 @@ TEST_F(RefutationOracleTest, RefutedStacksHaveNoSmallModel) {
   EXPECT_GE(Refuted, 200u);
   EXPECT_GT(Unsat, Refuted) << "check-time refutations must be exercised too";
   EXPECT_GE(Sat, 200u) << "Sat answers must be exercised too";
+}
+
+TEST_F(RefutationOracleTest, AssertTimeRefutationIsOrderIndependent) {
+  // Assert-time propagation narrows domains monotonically to a fixpoint,
+  // and the congruence closure of a literal set does not depend on its
+  // order, so whether a set is refuted at assert time must not either.
+  // Each set is asserted one literal per scope in the drawn order,
+  // reversed, and rotated by one.
+  RandomGen Rng(0x5eed0dd);
+  unsigned Refuted = 0;
+  for (unsigned Round = 0; Round != 2000; ++Round) {
+    if (Round % 40 == 0) {
+      Samples = SampleTable();
+      recordRandomSamples(Rng);
+    }
+    SolverOptions Options;
+    Options.Samples = &Samples;
+    Pool = randomApps(Rng);
+    std::vector<TermId> Lits(3 + Rng.nextBelow(4));
+    for (TermId &Lit : Lits)
+      Lit = randomLiteral(Rng);
+    auto RefutedIn = [&](const std::vector<TermId> &Order) {
+      SolverContext Ctx(Arena, Options);
+      for (TermId Lit : Order) {
+        Ctx.push();
+        Ctx.assertLiteral(Lit);
+      }
+      return Ctx.refuted();
+    };
+    std::vector<TermId> Reversed(Lits.rbegin(), Lits.rend());
+    std::vector<TermId> Rotated = Lits;
+    std::rotate(Rotated.begin(), Rotated.begin() + 1, Rotated.end());
+    bool Drawn = RefutedIn(Lits);
+    EXPECT_EQ(RefutedIn(Reversed), Drawn) << "reversed order (round " << Round
+                                          << ")";
+    EXPECT_EQ(RefutedIn(Rotated), Drawn) << "rotated order (round " << Round
+                                         << ")";
+    Refuted += Drawn;
+  }
+  EXPECT_GE(Refuted, 400u) << "the sweep must exercise refutations";
 }
 
 } // namespace

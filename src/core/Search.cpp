@@ -530,6 +530,9 @@ vm::EngineKind DirectedSearch::effectiveEngine() const {
 void DirectedSearch::initParallel() {
   unsigned Jobs = effectiveJobs();
   if (Jobs > 1) {
+    // Starting the worker threads is part of the search's wall time; its
+    // own span keeps it attributed.
+    telemetry::ScopedSpan Span("search.parallel_init");
     Parallel = std::make_unique<ParallelState>(Jobs);
     if (Options.SharedCache) {
       Parallel->Active = Options.SharedCache;

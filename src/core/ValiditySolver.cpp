@@ -324,7 +324,16 @@ private:
     return forEachChoice(Index, [&](const GroundingChoice &C) {
       ChoiceMark M = mark();
       bool Found = false;
-      if (!pushChoice(Index, C))
+      if (C.ChoiceKind == GroundingChoice::Kind::Sample &&
+          sampleExcluded(Index, AppSamples[Index][C.SampleIndex])) {
+        // Cut before anything is asserted. Applications nested in the
+        // arguments still go through pushChoice, which registers them (or
+        // hits the application cap) as the assert-time path would.
+        if (!argsHoldApps(Index) || pushChoice(Index, C))
+          pruneSubtree(Index + 1, SawUnknown);
+        else
+          SawUnknown = true;
+      } else if (!pushChoice(Index, C))
         SawUnknown = true;
       else if (!assertQuerySince(M.QuerySize))
         pruneSubtree(Index + 1, SawUnknown);
@@ -334,6 +343,37 @@ private:
         undo(M, Index, C);
       return Found;
     });
+  }
+
+  /// True when the propagated domains already refute binding Apps[Index]
+  /// to sample \p S: an argument atom's domain excludes the sampled
+  /// argument, or the application's domain excludes the sampled output.
+  /// Asserting the binding would empty that domain: an argument at once,
+  /// the output once the equalities fix every argument (each is a
+  /// constant or an atom) and the sample pins the application. So the
+  /// assert-time path cuts the same choice (docs/solver.md).
+  bool sampleExcluded(size_t Index, const Sample &S) const {
+    auto Args = Arena.operands(Apps[Index]);
+    bool ArgsFixed = true;
+    for (size_t A = 0; A != Args.size(); ++A) {
+      if (Ctx.excludes(Args[A], S.Args[A]))
+        return true;
+      TermKind Kind = Arena.kind(Args[A]);
+      ArgsFixed &= Kind == TermKind::IntConst || Kind == TermKind::IntVar ||
+                   Kind == TermKind::UFApp;
+    }
+    return ArgsFixed && Ctx.excludes(Apps[Index], S.Output);
+  }
+
+  /// True when an argument of Apps[Index] contains a UF application.
+  bool argsHoldApps(size_t Index) const {
+    for (TermId Arg : Arena.operands(Apps[Index])) {
+      TermKind Kind = Arena.kind(Arg);
+      if (Kind != TermKind::IntConst && Kind != TermKind::IntVar &&
+          Arena.containsApp(Arg))
+        return true;
+    }
+    return false;
   }
 
   /// Counts every grounding below a refuted stack as pruned, without the

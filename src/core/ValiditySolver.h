@@ -32,7 +32,8 @@
 /// context: each choice's literals are asserted when it is made and popped
 /// on backtrack, so a partial grounding refuted at assert time cuts its
 /// whole subtree, and only complete groundings reach the inner solver's
-/// search (docs/solver.md).
+/// search. A sample binding the context's domains already exclude is cut
+/// the same way before it is asserted (docs/solver.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,8 +120,9 @@ struct ValidityOptions {
 
 /// Statistics of the last checkPost call. GroundingsTried counts complete
 /// groundings checked by the inner solver; GroundingsPruned counts the
-/// groundings of subtrees cut because a partial grounding's asserted
-/// literals were already refuted (each would have answered Unsat).
+/// groundings of subtrees cut because a partial grounding's literals are
+/// refuted, at assert time or by the domains before it (each would have
+/// answered Unsat).
 /// Tried + Pruned is the enumeration size, and both spend the
 /// MaxGroundings budget one unit per grounding.
 struct ValidityStats {

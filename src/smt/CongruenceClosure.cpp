@@ -66,9 +66,6 @@ void CongruenceClosure::rollbackTo(const Mark &M) {
         SigTable.erase(It);
       break;
     }
-    case UndoRecord::Kind::AppsAppend:
-      Apps.pop_back();
-      break;
     }
     Trail.pop_back();
   }
@@ -92,10 +89,6 @@ void CongruenceClosure::addTerm(TermId Term) {
     TermId Repr = findRepr(Op);
     UseList[Repr].push_back(Term);
     log({UndoRecord::Kind::UseAppend, Repr});
-  }
-  if (Arena.kind(Term) == TermKind::UFApp) {
-    Apps.push_back(Term);
-    log({UndoRecord::Kind::AppsAppend});
   }
 
   // Congruence: if an existing registered term has the same signature,

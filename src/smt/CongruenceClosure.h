@@ -83,9 +83,6 @@ public:
   /// Representative term of \p Term's class (for canonical grouping).
   TermId findRepr(TermId Term);
 
-  /// Every registered UFApp term, in registration order.
-  const std::vector<TermId> &apps() const { return Apps; }
-
   /// Class unions performed so far, including ones later rolled back: a
   /// caller compares two readings to learn whether any class (and so any
   /// class constant) changed in between.
@@ -113,13 +110,12 @@ private:
       UseAppend,       ///< UseList[A].push_back: pop it.
       UseSetErase,     ///< UseList.erase(A): restore SavedVecs.back().
       SigAppend,       ///< SigTable[Hash].push_back: pop it.
-      AppsAppend,      ///< Apps.push_back: pop it.
     };
     Kind K;
     TermId A = InvalidTerm;
     TermId B = InvalidTerm;
     size_t Hash = 0;
-    std::optional<int64_t> OldConst;
+    std::optional<int64_t> OldConst = std::nullopt;
   };
 
   bool recording() const { return OutstandingMarks != 0; }
@@ -150,7 +146,6 @@ private:
   /// Signature table mapping congruence keys to a witness term.
   std::unordered_map<size_t, std::vector<TermId>> SigTable;
 
-  std::vector<TermId> Apps;
   std::vector<std::pair<TermId, TermId>> Pending;
 };
 

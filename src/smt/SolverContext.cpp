@@ -665,6 +665,11 @@ void SolverContext::pop() {
   Pops.add();
 }
 
+bool SolverContext::excludes(TermId Atom, int64_t Value) const {
+  auto It = AtomIndex.find(Atom);
+  return It != AtomIndex.end() && !Domains[It->second].contains(Value);
+}
+
 void SolverContext::registerAtom(TermId Atom) {
   size_t Idx = Atoms.size();
   if (!AtomIndex.try_emplace(Atom, Idx).second)

@@ -73,6 +73,13 @@ public:
   /// stack is refuted too, and check() answers Unsat without searching.
   bool refuted() const { return RefutedAt.has_value(); }
 
+  /// True when \p Atom is a registered solver atom whose base domain (the
+  /// assert-time propagation result) does not contain \p Value: no model
+  /// of the stack that agrees with the sample table has `Atom = Value`.
+  /// Changes no state. False for a term that is not an atom of the
+  /// asserted literals.
+  bool excludes(TermId Atom, int64_t Value) const;
+
   /// Asserts comparison literal \p Lit in the current scope (or at the
   /// permanent base level when no scope is open), folding it into the
   /// incremental state: atom registration, congruence facts, and interval

@@ -5,12 +5,16 @@
 #include "support/StringUtils.h"
 
 #include <cassert>
+#include <charconv>
 
 using namespace hotg;
 
-std::string hotg::jsonEscape(std::string_view Text) {
-  std::string Out;
-  Out.reserve(Text.size());
+namespace {
+
+/// Appends \p Text to \p Out, escaped for a double-quoted JSON string,
+/// without a temporary: a trace event writes a dozen short keys and
+/// values, and a heap string for each was a large part of its cost.
+void appendEscaped(std::string &Out, std::string_view Text) {
   for (char C : Text) {
     switch (C) {
     case '"':
@@ -41,6 +45,22 @@ std::string hotg::jsonEscape(std::string_view Text) {
         Out += C;
     }
   }
+}
+
+/// Appends the decimal digits of \p V to \p Out without a temporary.
+template <typename IntT> void appendInt(std::string &Out, IntT V) {
+  char Buf[24];
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  assert(R.ec == std::errc() && "24 chars hold any 64-bit integer");
+  Out.append(Buf, R.ptr);
+}
+
+} // namespace
+
+std::string hotg::jsonEscape(std::string_view Text) {
+  std::string Out;
+  Out.reserve(Text.size());
+  appendEscaped(Out, Text);
   return Out;
 }
 
@@ -84,19 +104,19 @@ void JsonWriter::key(std::string_view Name) {
   assert(!AfterKey && "two consecutive keys");
   separate();
   Out += '"';
-  Out += jsonEscape(Name);
+  appendEscaped(Out, Name);
   Out += "\":";
   AfterKey = true;
 }
 
 void JsonWriter::value(int64_t V) {
   separate();
-  Out += std::to_string(V);
+  appendInt(Out, V);
 }
 
 void JsonWriter::value(uint64_t V) {
   separate();
-  Out += std::to_string(V);
+  appendInt(Out, V);
 }
 
 void JsonWriter::value(double V) {
@@ -112,7 +132,7 @@ void JsonWriter::value(bool V) {
 void JsonWriter::value(std::string_view V) {
   separate();
   Out += '"';
-  Out += jsonEscape(V);
+  appendEscaped(Out, V);
   Out += '"';
 }
 

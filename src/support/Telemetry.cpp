@@ -363,6 +363,7 @@ const Event::Field *Event::find(std::string_view Key) const {
 
 std::string Event::toJson() const {
   std::string Out;
+  Out.reserve(256); // Most event lines fit: one allocation.
   JsonWriter W(Out);
   W.beginObject();
   W.key("event");

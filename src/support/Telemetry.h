@@ -284,7 +284,9 @@ public:
     std::vector<int64_t> Array;
   };
 
-  explicit Event(EventKind Kind) : KindValue(Kind) {}
+  /// Reserves room for the fields up front: events are built on traced
+  /// hot paths (a span end per span), and few have more than 16 fields.
+  explicit Event(EventKind Kind) : KindValue(Kind) { Fields.reserve(16); }
 
   Event &set(std::string_view Key, int64_t V);
   Event &set(std::string_view Key, std::string_view V);

@@ -4,6 +4,7 @@
 
 #include "core/Post.h"
 #include "dse/Summary.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -277,9 +278,13 @@ TEST_F(ValidityTest, InactiveStopControlsDoNotPerturbAnswers) {
 class SubtreeCutTest : public ValidityTest {
 protected:
   ValidityAnswer solve(TermId Pc, ValidityOptions Options = {}) {
+    telemetry::Counter &Pushes =
+        telemetry::Registry::global().counter("solver.scope_pushes");
+    uint64_t PushesBefore = Pushes.value();
     ValiditySolver Solver(Arena, Samples, Options);
     ValidityAnswer Answer = Solver.checkPost(Pc);
     Stats = Solver.stats();
+    ScopePushes = Pushes.value() - PushesBefore;
     return Answer;
   }
 
@@ -294,6 +299,8 @@ protected:
   }
 
   ValidityStats Stats;
+  /// Solver scopes the last solve() opened: one per asserted literal.
+  uint64_t ScopePushes = 0;
 };
 
 TEST_F(SubtreeCutTest, ContradictorySupportIsCutAtTheRoot) {
@@ -379,6 +386,92 @@ TEST_F(SubtreeCutTest, DisjunctivePreconditionIsCheckedAsAFormula) {
   int64_t XValue = A.ModelValue.varValueOr(Arena.getOrCreateVar("x"), 5);
   EXPECT_TRUE(XValue < 0 || XValue > 10) << "x = " << XValue;
   EXPECT_EQ(Stats.GroundingsTried, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Domain filter: a sample binding that the propagated domains already
+// exclude is cut before anything is asserted, and counted exactly as the
+// assert-time cut would count it.
+//===----------------------------------------------------------------------===//
+
+TEST_F(SubtreeCutTest, SampleOutputOutsidePinnedDomainIsCutUnasserted) {
+  // f(x) = 3 pins f(x)'s domain to {3}. Sample f(2) = 5 is cut without a
+  // scope (1 pruned); f(1) = 3 asserts x = 1 and is a strategy (1 tried).
+  // Scopes: the support literal and x = 1.
+  Samples.record(F, {2}, 5);
+  Samples.record(F, {1}, 3);
+  ValidityAnswer A = solve(Arena.mkEq(f(X), Arena.mkIntConst(3)));
+  ASSERT_EQ(A.Status, ValidityStatus::Valid);
+  EXPECT_EQ(A.ModelValue.varValueOr(Arena.getOrCreateVar("x"), -1), 1);
+  EXPECT_EQ(Stats.GroundingsTried, 1u);
+  EXPECT_EQ(Stats.GroundingsPruned, 1u);
+  EXPECT_EQ(ScopePushes, 2u) << "the cut sample must open no scope";
+}
+
+TEST_F(SubtreeCutTest, ArgumentOutsideItsDomainIsCutUnasserted) {
+  // x > 5 ∧ f(x) = 3 with sample f(2) = 3: the output fits, but x's domain
+  // [6, ∞) excludes the sampled argument, so the sample is cut (1 pruned).
+  // Unbound is checked (1 tried) and only learnable: f(6) is unsampled.
+  // Scopes: the two support literals.
+  Samples.record(F, {2}, 3);
+  ValidityAnswer A =
+      solve(Arena.mkAnd(Arena.mkGt(X, Arena.mkIntConst(5)),
+                        Arena.mkEq(f(X), Arena.mkIntConst(3))));
+  EXPECT_EQ(A.Status, ValidityStatus::NeedsSamples);
+  EXPECT_EQ(Stats.GroundingsTried, 1u);
+  EXPECT_EQ(Stats.GroundingsPruned, 1u);
+  EXPECT_EQ(ScopePushes, 2u) << "the cut sample must open no scope";
+}
+
+TEST_F(SubtreeCutTest, NestedApplicationSubtreeIsCountedUnderTheCut) {
+  // f(h(x)) = 3 with samples f(1) = 5, h(0) = 1, h(4) = 7. The worklist is
+  // [f(h(x)), h(x)]. Sample f(1) = 5 is excluded by f(h(x))'s domain {3};
+  // its subtree is h(x)'s 2 samples + unbound = 3 pruned. Under f(h(x))
+  // unbound, h(0) = 1 pins f(h(x)) to 5 and is cut at assert time
+  // (1 pruned); h(4) = 7 and h unbound are checked (2 tried, learnable).
+  // Scopes: the support literal, x = 0 and x = 4.
+  Samples.record(F, {1}, 5);
+  Samples.record(H, {0}, 1);
+  Samples.record(H, {4}, 7);
+  ValidityAnswer A = solve(Arena.mkEq(f(h(X)), Arena.mkIntConst(3)));
+  EXPECT_EQ(A.Status, ValidityStatus::NeedsSamples);
+  EXPECT_EQ(Stats.GroundingsTried, 2u);
+  EXPECT_EQ(Stats.GroundingsPruned, 4u);
+  EXPECT_EQ(ScopePushes, 3u) << "the cut sample must open no scope";
+}
+
+TEST_F(SubtreeCutTest, FilteredCutSpendsTheBudgetLikeTheAssertTimeCut) {
+  // f(a) = 3 ∧ h(y) = 0 with samples f(2) = 5, h(1) = 0, h(2) = 0 and a
+  // budget of 2: the f(2) = 5 subtree holds 3 groundings, so the cut
+  // spends the budget and the answer is Unknown. With a = x the domain
+  // filter cuts it; with a = x + 1 the output check does not apply (the
+  // argument is no atom) and the assert-time cut does, after one scope.
+  Samples.record(F, {2}, 5);
+  Samples.record(H, {1}, 0);
+  Samples.record(H, {2}, 0);
+  ValidityOptions Options;
+  Options.MaxGroundings = 2;
+  auto Query = [&](TermId Arg) {
+    return Arena.mkAnd(Arena.mkEq(f(Arg), Arena.mkIntConst(3)),
+                       Arena.mkEq(h(Y), Arena.mkIntConst(0)));
+  };
+
+  ValidityAnswer Filtered = solve(Query(X), Options);
+  ValidityStats FilteredStats = Stats;
+  EXPECT_EQ(ScopePushes, 2u) << "the support literals only";
+
+  ValidityAnswer AssertTime =
+      solve(Query(Arena.mkAdd(X, Arena.mkIntConst(1))), Options);
+  EXPECT_EQ(ScopePushes, 3u) << "the support literals and x + 1 = 2";
+
+  for (const ValidityAnswer *A : {&Filtered, &AssertTime}) {
+    EXPECT_EQ(A->Status, ValidityStatus::Unknown);
+    EXPECT_EQ(A->Reason, "grounding budget exhausted");
+  }
+  EXPECT_EQ(FilteredStats.GroundingsTried, 0u);
+  EXPECT_EQ(FilteredStats.GroundingsPruned, 2u);
+  EXPECT_EQ(Stats.GroundingsTried, FilteredStats.GroundingsTried);
+  EXPECT_EQ(Stats.GroundingsPruned, FilteredStats.GroundingsPruned);
 }
 
 } // namespace

@@ -116,14 +116,6 @@ TEST_F(CCTest, SampleEqualityGivesFunctionValue) {
   EXPECT_EQ(*V, 567);
 }
 
-TEST_F(CCTest, AppsAreTracked) {
-  CongruenceClosure CC(Arena);
-  CC.addTerm(h(X));
-  CC.addTerm(g(X, Y));
-  CC.addTerm(h(X)); // Duplicate registration is a no-op.
-  EXPECT_EQ(CC.apps().size(), 2u);
-}
-
 TEST_F(CCTest, OperationsAreCongruentFunctions) {
   // Even interpreted operators participate: x = y forces x+z = y+z.
   CongruenceClosure CC(Arena);

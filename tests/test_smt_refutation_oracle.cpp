@@ -1,8 +1,10 @@
 //===- tests/test_smt_refutation_oracle.cpp - Brute-force refutation oracle -===//
 //
 // An independent check of every answer the validity solver relies on: a
-// stack refuted at assert time (which cuts a whole grounding subtree), and
-// every Unsat or Sat answer of check(). The oracle is a small-domain
+// stack refuted at assert time (which cuts a whole grounding subtree), a
+// value a base domain excludes (which cuts a sample binding before it is
+// asserted), and every Unsat or Sat answer of check(). The oracle is a
+// small-domain
 // brute-force model finder with its own evaluator over TermArena kinds; it
 // shares no code with the solver (no Model evaluation, Simplify or
 // Linear). Integer variables range over a small interval, and UF tables
@@ -248,6 +250,23 @@ protected:
         Lits, std::map<VarId, int64_t>(Assigned.begin(), Assigned.end()));
   }
 
+  /// The variables and UF applications of \p Lits, nested ones included:
+  /// every term the solver may register as an atom.
+  std::set<TermId> atomsOf(std::span<const TermId> Lits) const {
+    std::set<TermId> Atoms;
+    std::vector<TermId> Work(Lits.begin(), Lits.end());
+    while (!Work.empty()) {
+      TermId T = Work.back();
+      Work.pop_back();
+      TermKind K = Arena.kind(T);
+      if (K == TermKind::IntVar || K == TermKind::UFApp)
+        Atoms.insert(T);
+      for (TermId Op : Arena.operands(T))
+        Work.push_back(Op);
+    }
+    return Atoms;
+  }
+
   /// Three random UF applications over variables and constants. A round
   /// draws its applications from this pool, which bounds the oracle's
   /// table search.
@@ -330,9 +349,11 @@ TEST_F(RefutationOracleTest, RefutedStacksHaveNoSmallModel) {
   // Random literal stacks asserted one scope per literal, as the validity
   // solver's grounding search does, then partly popped and re-extended so
   // refutations that should have been rolled back are caught too. Sat
-  // answers are re-checked along the way.
+  // answers are re-checked along the way, and so is every small value an
+  // unrefuted stack's domains exclude: the stack with `atom = value` must
+  // have no model.
   RandomGen Rng(0x0dd5eed);
-  unsigned Refuted = 0, Unsat = 0, Sat = 0;
+  unsigned Refuted = 0, Unsat = 0, Sat = 0, Excluded = 0;
   for (unsigned Round = 0; Round != 1000; ++Round) {
     if (Round % 40 == 0) {
       Samples = SampleTable();
@@ -366,6 +387,20 @@ TEST_F(RefutationOracleTest, RefutedStacksHaveNoSmallModel) {
             << "check() answered Sat with a model the oracle rejects (round "
             << Round << ")";
       }
+      if (Ctx.refuted())
+        return;
+      std::vector<TermId> Lits(Ctx.literals().begin(), Ctx.literals().end());
+      for (TermId Atom : atomsOf(Lits))
+        for (int64_t V = Lo; V <= Hi; ++V) {
+          if (!Ctx.excludes(Atom, V))
+            continue;
+          ++Excluded;
+          Lits.push_back(Arena.mkEq(Atom, c(V)));
+          EXPECT_FALSE(oracleSat(Lits))
+              << "the domain of " << Arena.toString(Atom) << " excludes " << V
+              << ", yet the oracle found a model (round " << Round << ")";
+          Lits.pop_back();
+        }
     };
     Extend(2 + Rng.nextBelow(5));
     for (unsigned Pops = Rng.nextBelow(Ctx.numScopes() + 1); Pops != 0; --Pops)
@@ -376,6 +411,7 @@ TEST_F(RefutationOracleTest, RefutedStacksHaveNoSmallModel) {
   EXPECT_GE(Refuted, 200u);
   EXPECT_GT(Unsat, Refuted) << "check-time refutations must be exercised too";
   EXPECT_GE(Sat, 200u) << "Sat answers must be exercised too";
+  EXPECT_GE(Excluded, 1000u) << "domain exclusions must be exercised too";
 }
 
 TEST_F(RefutationOracleTest, AssertTimeRefutationIsOrderIndependent) {

@@ -10,34 +10,18 @@
 #include "support/StringUtils.h"
 #include "support/Support.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
-#include <future>
-#include <mutex>
-#include <unordered_map>
 
 using namespace hotg;
 using namespace hotg::core;
 using namespace hotg::dse;
 using namespace hotg::interp;
 
-//===----------------------------------------------------------------------===//
-// Parallel candidate evaluation (docs/parallelism.md)
-//
-// Workers keep private TermArena replicas that are *exact prefixes* of the
-// main arena: the main thread publishes append-only ArenaDeltas at dispatch
-// time, workers replay them in order, run the candidate's solver query
-// against the replica, roll the replica back to its pre-query mark, and
-// publish the answer into a shared QueryCache. An answer is published only
-// when the query interned zero new atoms (variables, function symbols,
-// IntVar/UFApp nodes) in the replica — solver behaviour depends on the
-// relative TermId order of atoms and on nothing else id-related, so such an
-// answer is provably identical to what the merge path would compute inline.
-// Everything else is discarded and recomputed inline, which keeps the
-// SearchResult bit-identical for every Jobs value.
-//===----------------------------------------------------------------------===//
+// Answers exchanged through a caller-installed QueryCache (the hotg-serve
+// fabric, docs/serving.md) are arena-independent: models travel as
+// (variable name, value) pairs and are re-bound in the consuming arena.
 
 namespace {
 
@@ -54,8 +38,8 @@ encodeModel(const smt::Model &M, const smt::TermArena &Arena) {
 
 /// Rebuilds a model from encoded name/value pairs. Every named variable
 /// already exists in the consuming arena (models only assign variables of
-/// the query formula, which lives in the shared prefix), so this never
-/// interns anything new.
+/// the query formula, which that arena interned to pose the query), so
+/// this never interns anything new.
 smt::Model decodeModel(
     const std::vector<std::pair<std::string, int64_t>> &Pairs,
     smt::TermArena &Arena) {
@@ -92,174 +76,6 @@ smt::PortableAnswer encodeValidity(const ValidityAnswer &Answer,
 
 } // namespace
 
-struct DirectedSearch::ParallelState {
-  explicit ParallelState(unsigned Jobs) : Workers(Jobs), Pool(Jobs) {}
-
-  smt::QueryCache Cache;
-  /// The cache jobs actually publish to / probe: &Cache for a classic
-  /// private-cache search, or SearchOptions::SharedCache when the caller
-  /// installed a cross-session cache (hotg-serve). Keyed by Epoch.
-  smt::QueryCache *Active = &Cache;
-  uint64_t Epoch = 0;
-  /// True when Active is a caller-installed cross-session cache; Unknown
-  /// answers are then never published (see the solveSat publish guard).
-  bool SharedActive = false;
-
-  /// Published arena history; appended by the main thread, replayed in
-  /// order by workers. Entries are shared_ptr so late workers can still
-  /// read deltas published long ago without copying.
-  std::mutex DeltaMutex;
-  std::vector<std::shared_ptr<const smt::ArenaDelta>> Deltas;
-  /// Main-arena position covered by Deltas (main thread only).
-  smt::ArenaMark Published;
-
-  /// Immutable snapshot of the antecedent sample table, shared by every
-  /// job dispatched at its generation (jobs hold the shared_ptr, so a
-  /// refresh never invalidates running queries).
-  std::shared_ptr<const smt::SampleTable> SampleSnap;
-  uint64_t SnapGeneration = ~uint64_t(0);
-
-  struct Worker {
-    smt::TermArena Replica;   ///< Exact prefix of the main arena.
-    size_t DeltasApplied = 0; ///< Index into Deltas (owning thread only).
-    /// Set when a job threw mid-flight: the replica may no longer be an
-    /// exact prefix (e.g. not truncated back to its pre-query mark), so
-    /// the next job on this worker rebuilds it from the full delta stream
-    /// before trusting it (docs/robustness.md).
-    bool Broken = false;
-    /// Persistent incremental context over the replica (owning thread
-    /// only), retargeted per sat job; ALT queries flatten negated-literal
-    /// first, so positional prefix sharing is incidental here — the point
-    /// is avoiding per-job context construction (docs/solver.md). Dropped
-    /// whenever a query interns replica terms, because the post-job
-    /// truncation recycles those TermIds (see runJob).
-    std::unique_ptr<smt::SolverContext> Ctx;
-  };
-  std::vector<Worker> Workers;
-
-  /// Speculations in flight, by Candidate::Id (main thread only).
-  std::unordered_map<uint64_t, std::future<void>> Inflight;
-
-  /// Set by awaitSpeculation when the awaited job failed: the next inline
-  /// computation for this candidate is the recovery retry and is counted
-  /// as such (main thread only; cleared after each candidate).
-  bool PendingInlineRetry = false;
-
-  /// Declared last: its destructor drains the queue and joins the workers
-  /// while the replicas, deltas and cache above are still alive.
-  support::ThreadPool Pool;
-
-  void runJob(unsigned W, smt::TermId Alt, smt::TermFingerprint Fp,
-              uint64_t Gen, smt::QueryKind Kind,
-              const smt::SolverOptions &SolverOpts,
-              const ValidityOptions &VOpts,
-              std::shared_ptr<const smt::SampleTable> Snap, uint64_t CandId,
-              unsigned ParentTest);
-};
-
-void DirectedSearch::ParallelState::runJob(
-    unsigned W, smt::TermId Alt, smt::TermFingerprint Fp, uint64_t Gen,
-    smt::QueryKind Kind, const smt::SolverOptions &SolverOpts,
-    const ValidityOptions &VOpts,
-    std::shared_ptr<const smt::SampleTable> Snap, uint64_t CandId,
-    unsigned ParentTest) {
-  Worker &Me = Workers[W];
-  // Worker spans root their own per-thread tree (span parent links never
-  // cross threads); the attribution ties the queries back to the
-  // candidate this job speculates for.
-  telemetry::ScopedSpan Span("search.worker_job");
-  telemetry::ScopedAttribution AttributionScope;
-  telemetry::queryAttribution().Test = int64_t(ParentTest);
-  telemetry::queryAttribution().Candidate = int64_t(CandId);
-  telemetry::queryAttribution().Worker = int64_t(W);
-
-  // A previous job on this worker threw mid-flight, so the replica cannot
-  // be trusted as an exact prefix anymore. Rebuild it from scratch by
-  // replaying the full delta stream (delta 0 starts from the empty arena),
-  // and drop the context that referenced the old replica's TermIds.
-  if (Me.Broken) {
-    telemetry::ScopedSpan RebuildSpan("search.replica_rebuild");
-    Me.Replica = smt::TermArena();
-    Me.DeltasApplied = 0;
-    Me.Ctx.reset();
-    Me.Broken = false;
-    telemetry::Registry::global().counter("search.replica_rebuilds").add();
-  }
-
-  try {
-    // Catch the replica up to (at least) this job's publish point. Later
-    // deltas are fine too: the arena is append-only and the query's root
-    // was published, so extra unreachable terms cannot change the answer.
-    std::vector<std::shared_ptr<const smt::ArenaDelta>> Pending;
-    {
-      std::lock_guard<std::mutex> Lock(DeltaMutex);
-      Pending.assign(Deltas.begin() + Me.DeltasApplied, Deltas.end());
-    }
-    for (const auto &D : Pending) {
-      // Fault site: before the delta lands, so an injected throw leaves
-      // the replica consistent (merely stale) — the Broken rebuild is
-      // still exercised, just never against a half-applied delta.
-      support::maybeInjectFault(support::FaultSite::ArenaDelta);
-      Me.Replica.applyDelta(*D);
-      ++Me.DeltasApplied;
-    }
-
-    if (Active->contains(Fp, Gen, Kind, Epoch))
-      return; // Another worker (or the merge path) already answered.
-
-    smt::ArenaMark Mark = Me.Replica.mark();
-    smt::PortableAnswer PA;
-    bool Unfinished = false; // Unknown answer (may encode a deadline).
-    if (Kind == smt::QueryKind::Satisfiability) {
-      if (!Me.Ctx)
-        Me.Ctx = std::make_unique<smt::SolverContext>(Me.Replica, SolverOpts);
-      smt::SolverStats QS;
-      smt::SatAnswer Answer = Me.Ctx->checkFormula(Alt, QS);
-      Unfinished = Answer.Result == smt::SatResult::Unknown;
-      PA = encodeSat(Answer, QS, Me.Replica);
-    } else {
-      ValiditySolver Validity(Me.Replica, *Snap, VOpts);
-      ValidityAnswer Answer = Validity.checkPost(Alt);
-      Unfinished = Answer.Status == ValidityStatus::Unknown;
-      PA = encodeValidity(Answer, Validity.stats(), Me.Replica);
-    }
-
-    // Transferability gate: if the query interned any new atom, its answer
-    // may depend on atom id order the merge-time main arena will not share
-    // — discard it and let the merge path recompute inline. Likewise, an
-    // Unknown computed while a stop control is armed may encode the
-    // deadline (how far the search got before the clock ran out), which
-    // the merge path must not consume as a definitive answer.
-    bool StopArmed = SolverOpts.Deadline.active() || SolverOpts.Cancel.valid();
-    bool Transferable = Me.Replica.numAtomsCreatedSince(Mark) == 0 &&
-                        !(StopArmed && Unfinished) &&
-                        !(SharedActive && Unfinished);
-    // The persistent context may retain state (asserted rows, congruence
-    // constants, cached normalizations) referencing terms this query
-    // interned above the mark; the truncation below recycles those
-    // TermIds, so the context cannot outlive them. Queries that interned
-    // nothing (the common case — ALT roots and their subterms are
-    // published before dispatch) keep the context, and with it the
-    // cross-job prefix sharing.
-    if (Me.Ctx && !(Me.Replica.mark() == Mark))
-      Me.Ctx.reset();
-    Me.Replica.truncateTo(Mark); // Stay an exact prefix for the next job.
-    if (Transferable) {
-      // Fault site: the replica is already rolled back, so a throw here
-      // only costs the publish (plus a precautionary rebuild).
-      support::maybeInjectFault(support::FaultSite::CachePublish);
-      Active->store(Fp, Gen, Kind, std::move(PA), Epoch);
-    } else {
-      telemetry::Registry::global()
-          .counter("search.speculation_discarded")
-          .add();
-    }
-  } catch (...) {
-    Me.Broken = true;
-    throw; // awaitSpeculation classifies and recovers at the merge point.
-  }
-}
-
 DirectedSearch::~DirectedSearch() = default;
 
 bool SearchResult::foundErrorSite(lang::ErrorSiteId Site) const {
@@ -289,8 +105,7 @@ DirectedSearch::DirectedSearch(const lang::Program &Prog,
   // Thread the search-level stop controls into every layer below, unless a
   // layer carries its own already (tests exercise per-layer deadlines).
   // One Deadline/Cancel pair then bounds the whole stack: this loop,
-  // worker dispatch, solver decision loops, validity grounding, and
-  // program execution. (`Options` here names the constructor parameter;
+  // solver decision loops, validity grounding, and program execution. (`Options` here names the constructor parameter;
   // the member is the one the search reads from now on.)
   SearchOptions &O = this->Options;
   if (!O.SolverOpts.Deadline.active())
@@ -506,188 +321,28 @@ void DirectedSearch::seedFrontier() {
   }
 }
 
-unsigned DirectedSearch::effectiveJobs() const {
-  if (Options.Jobs <= 1)
-    return 1;
-  // Speculation replays queries on replica arenas. Summary grounding and a
-  // user-supplied sample table are not replicated there, so those modes
-  // keep the plain serial path (results are identical either way; this is
-  // purely a scheduling decision).
-  if (Options.SummarizeCalls || Options.SolverOpts.Samples != nullptr)
-    return 1;
-  return Options.Jobs;
-}
-
 vm::EngineKind DirectedSearch::effectiveEngine() const {
   // Summary collection walks call expressions, which the bytecode engine
   // flattened away — SummarizeCalls keeps the tree-walking pair (results
-  // are identical either way, like the effectiveJobs fallbacks).
+  // are identical either way).
   if (Options.SummarizeCalls)
     return vm::EngineKind::Interp;
   return Options.Engine;
 }
 
-void DirectedSearch::initParallel() {
-  unsigned Jobs = effectiveJobs();
-  if (Jobs > 1) {
-    // Starting the worker threads is part of the search's wall time; its
-    // own span keeps it attributed.
-    telemetry::ScopedSpan Span("search.parallel_init");
-    Parallel = std::make_unique<ParallelState>(Jobs);
-    if (Options.SharedCache) {
-      Parallel->Active = Options.SharedCache;
-      Parallel->SharedActive = true;
-    }
-    Parallel->Epoch = Options.CacheEpoch;
-  }
-}
-
-smt::QueryCache *DirectedSearch::queryCache() {
-  if (Options.SharedCache)
-    return Options.SharedCache;
-  return Parallel ? &Parallel->Cache : nullptr;
-}
-
 /// The fault-injection identity of a query (support::FaultScope): its
-/// query-cache key, the same on the merge path and on any worker.
+/// query-cache key, the same in every run of the same job.
 static uint64_t queryFaultKey(smt::TermFingerprint Fp, uint64_t Gen,
                               smt::QueryKind Kind) {
   return Fp.Hi ^ (Fp.Lo * 0x9e3779b97f4a7c15ull) ^ (Gen << 8) ^
          uint64_t(Kind);
 }
 
-void DirectedSearch::dispatchSpeculative() {
-  telemetry::ScopedSpan Span("search.dispatch");
-  // Stop-control poll at worker dispatch: once tripped, no further jobs
-  // are enqueued (the merge loop is about to observe the same stop).
-  if (support::stopRequested(Options.Deadline, Options.Cancel) !=
-      support::StopReason::None)
-    return;
-  ParallelState &PS = *Parallel;
-  telemetry::Registry &Reg = telemetry::Registry::global();
-  const bool HigherOrder =
-      Options.Policy == ConcretizationPolicy::HigherOrder;
-  const smt::QueryKind Kind = HigherOrder ? smt::QueryKind::Validity
-                                          : smt::QueryKind::Satisfiability;
-  // Validity answers depend on the antecedent; an append-only table makes
-  // generation (= size) equality equivalent to table equality.
-  const uint64_t Gen =
-      HigherOrder && Options.UseAntecedent ? Samples.size() : 0;
-  if (PS.SnapGeneration != Gen) {
-    PS.SampleSnap = std::make_shared<const smt::SampleTable>(
-        HigherOrder && Options.UseAntecedent ? Samples : EmptySamples);
-    PS.SnapGeneration = Gen;
-  }
-
-  // Speculate over a window at the front of the frontier: the candidates
-  // the merge loop will consume next.
-  size_t Window =
-      std::min<size_t>(Frontier.size(), size_t(PS.Pool.size()) * 2);
-  for (size_t I = 0; I != Window; ++I) {
-    Candidate &Cand = Frontier[I];
-    if (PS.Inflight.count(Cand.Id))
-      continue;
-    const PathEntry &Entry = Cand.PC->Entries[Cand.NegateIndex];
-    // Coverage only grows, so a target covered now is covered at merge
-    // time too: the merge path would skip this candidate anyway.
-    if (Options.SkipCoveredTargets &&
-        Result.Cov.isCovered(Entry.Branch, !Entry.Taken))
-      continue;
-    // ALT(pc) is built on the main arena *before* the delta is published,
-    // so the job can reference it by id. alternate() interns no atoms
-    // (negation and conjunction over existing terms), so interning it
-    // earlier than the serial schedule would is harmless.
-    smt::TermId Alt = Cand.PC->alternate(Arena, Cand.NegateIndex);
-    // Membership check only (no insert — the merge path owns the set): a
-    // structural duplicate of an already-evaluated candidate will be
-    // skipped at merge time, so speculating on it is wasted work.
-    if (EvaluatedCandidates.count(candidateKey(Alt, Cand.ParentInput)))
-      continue;
-    smt::TermFingerprint Fp = Arena.fingerprint(Alt);
-    if (PS.Active->contains(Fp, Gen, Kind, PS.Epoch))
-      continue; // Answer already available.
-
-    smt::ArenaMark Now = Arena.mark();
-    if (!(Now == PS.Published)) {
-      auto Delta = std::make_shared<const smt::ArenaDelta>(
-          Arena.deltaSince(PS.Published));
-      std::lock_guard<std::mutex> Lock(PS.DeltaMutex);
-      PS.Deltas.push_back(std::move(Delta));
-      PS.Published = Now;
-    }
-
-    ValidityOptions VOpts = Options.ValidityOpts;
-    VOpts.SolverOpts = Options.SolverOpts;
-    Reg.counter("search.speculative_dispatches").add();
-    PS.Inflight.emplace(
-        Cand.Id, PS.Pool.submit([&PS, Alt, Fp, Gen, Kind, VOpts,
-                                 SolverOpts = Options.SolverOpts,
-                                 Snap = PS.SampleSnap, CandId = Cand.Id,
-                                 ParentTest = Cand.ParentTest](unsigned W) {
-          // A speculation is the query's first attempt: it draws the
-          // faults the merge path's first attempt would draw.
-          support::FaultScope Scope(queryFaultKey(Fp, Gen, Kind), 0);
-          // Fault site: models a worker dying before touching any shared
-          // state (replica untouched, nothing published).
-          support::maybeInjectFault(support::FaultSite::WorkerDispatch);
-          PS.runJob(W, Alt, Fp, Gen, Kind, SolverOpts, VOpts,
-                    std::move(Snap), CandId, ParentTest);
-        }));
-  }
-  // Sampled gauge: count = dispatch rounds, max = peak depth.
-  static telemetry::PhaseTimer &QueueDepth = Reg.gauge("search.queue_depth");
-  QueueDepth.note(PS.Pool.queueDepth());
-}
-
-void DirectedSearch::awaitSpeculation(const Candidate &Cand) {
-  auto It = Parallel->Inflight.find(Cand.Id);
-  if (It == Parallel->Inflight.end())
-    return;
-  telemetry::ScopedSpan Span("search.await");
-  // Satellite fix: future::get() used to rethrow a worker exception out of
-  // run() here, discarding every accumulated test. A failed speculation
-  // only means no cached answer — classify it, count it, and let the merge
-  // path recompute this candidate's query inline (the bounded retry).
-  const char *Failure = nullptr;
-  try {
-    It->second.get();
-  } catch (const support::FaultInjected &) {
-    Failure = "injected";
-  } catch (const std::exception &) {
-    Failure = "exception";
-  } catch (...) {
-    Failure = "unknown";
-  }
-  Parallel->Inflight.erase(It);
-  if (Failure) {
-    ++Result.WorkerFailures;
-    telemetry::Registry &Reg = telemetry::Registry::global();
-    Reg.counter("search.worker_failures").add();
-    Reg.counter(std::string("search.worker_failures.") + Failure).add();
-    Parallel->PendingInlineRetry = true;
-  }
-}
-
-/// Counts one inline recomputation performed to recover from a failed
-/// speculation (set by awaitSpeculation, consumed by the first query the
-/// merge path actually computes for that candidate).
-static void noteInlineRetryIfPending(bool &Pending, unsigned &Retries) {
-  if (!Pending)
-    return;
-  Pending = false;
-  ++Retries;
-  telemetry::Registry::global().counter("search.inline_retries").add();
-}
-
 smt::SatAnswer DirectedSearch::solveSat(smt::TermId Alt) {
-  if (smt::QueryCache *QC = queryCache()) {
+  if (smt::QueryCache *QC = Options.SharedCache) {
     smt::TermFingerprint Fp = Arena.fingerprint(Alt);
     if (auto Hit = QC->lookup(Fp, 0, smt::QueryKind::Satisfiability,
                               Options.CacheEpoch)) {
-      // Another worker answered after the awaited one failed: no inline
-      // recomputation was needed after all.
-      if (Parallel)
-        Parallel->PendingInlineRetry = false;
       Result.SolverQueryStats.Checks += Hit->Checks;
       Result.SolverQueryStats.SupportsExplored += Hit->SupportsExplored;
       Result.SolverQueryStats.Decisions += Hit->Decisions;
@@ -701,9 +356,6 @@ smt::SatAnswer DirectedSearch::solveSat(smt::TermId Alt) {
   // Budgets (MaxDecisions, MaxSupports) are per-query: the context
   // charges each query to a fresh SolverStats. Work is aggregated into the
   // search-owned stats below.
-  if (Parallel)
-    noteInlineRetryIfPending(Parallel->PendingInlineRetry,
-                             Result.InlineRetries);
   if (!SatCtx)
     SatCtx = std::make_unique<smt::SolverContext>(Arena, Options.SolverOpts);
   smt::SolverStats S;
@@ -712,15 +364,12 @@ smt::SatAnswer DirectedSearch::solveSat(smt::TermId Alt) {
   Result.SolverQueryStats.SupportsExplored += S.SupportsExplored;
   Result.SolverQueryStats.Decisions += S.Decisions;
   Result.SolverQueryStats.Propagations += S.Propagations;
-  // Computed on the main arena, so any atoms it interned are permanent:
-  // the answer is transferable to every later consumer. Unknown answers
-  // stay out of a cross-session SharedCache, though: an Unknown computed
-  // under an armed stop control encodes this session's clock, and even a
-  // budget-driven Unknown buys a later session nothing — a miss merely
-  // recomputes (docs/serving.md).
-  if (smt::QueryCache *QC = queryCache();
-      QC && !(Options.SharedCache &&
-              Answer.Result == smt::SatResult::Unknown)) {
+  // Unknown answers stay out of the cross-session cache: an Unknown
+  // computed under an armed stop control encodes this session's clock,
+  // and even a budget-driven Unknown buys a later session nothing — a
+  // miss merely recomputes (docs/serving.md).
+  if (smt::QueryCache *QC = Options.SharedCache;
+      QC && Answer.Result != smt::SatResult::Unknown) {
     try {
       support::maybeInjectFault(support::FaultSite::CachePublish);
       QC->store(Arena.fingerprint(Alt), 0, smt::QueryKind::Satisfiability,
@@ -750,12 +399,10 @@ DirectedSearch::candidateKey(smt::TermId Alt,
 
 ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
   const uint64_t Gen = Options.UseAntecedent ? Samples.size() : 0;
-  if (smt::QueryCache *QC = queryCache()) {
+  if (smt::QueryCache *QC = Options.SharedCache) {
     smt::TermFingerprint Fp = Arena.fingerprint(Alt);
     if (auto Hit =
             QC->lookup(Fp, Gen, smt::QueryKind::Validity, Options.CacheEpoch)) {
-      if (Parallel)
-        Parallel->PendingInlineRetry = false;
       Result.ValidityQueryStats.SupportsExplored += Hit->ValiditySupports;
       Result.ValidityQueryStats.GroundingsTried += Hit->GroundingsTried;
       Result.ValidityQueryStats.GroundingsPruned += Hit->GroundingsPruned;
@@ -765,9 +412,6 @@ ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
       return Answer;
     }
   }
-  if (Parallel)
-    noteInlineRetryIfPending(Parallel->PendingInlineRetry,
-                             Result.InlineRetries);
   const smt::SampleTable &Antecedent =
       Options.UseAntecedent ? Samples : EmptySamples;
   ValidityOptions VOpts = Options.ValidityOpts;
@@ -780,10 +424,9 @@ ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
   Result.ValidityQueryStats.SupportsExplored += S.SupportsExplored;
   Result.ValidityQueryStats.GroundingsTried += S.GroundingsTried;
   Result.ValidityQueryStats.GroundingsPruned += S.GroundingsPruned;
-  // Same Unknown guard as solveSat for cross-session caches.
-  if (smt::QueryCache *QC = queryCache();
-      QC && !(Options.SharedCache &&
-              Answer.Status == ValidityStatus::Unknown)) {
+  // Same Unknown guard as solveSat.
+  if (smt::QueryCache *QC = Options.SharedCache;
+      QC && Answer.Status != ValidityStatus::Unknown) {
     try {
       support::maybeInjectFault(support::FaultSite::CachePublish);
       QC->store(Arena.fingerprint(Alt), Gen, smt::QueryKind::Validity,
@@ -866,7 +509,7 @@ void DirectedSearch::maybeEmitHeartbeat() {
   uint64_t Tests = Result.Tests.size();
   uint64_t Checks = Reg.counter("solver.checks").value();
   double IntervalS = static_cast<double>(Now - LastBeatNs) / 1e9;
-  smt::QueryCache *QC = queryCache();
+  smt::QueryCache *QC = Options.SharedCache;
   uint64_t CacheHits = QC ? QC->hits() : 0;
   uint64_t CacheMisses = QC ? QC->misses() : 0;
   uint64_t CacheTotal = CacheHits + CacheMisses;
@@ -887,8 +530,6 @@ void DirectedSearch::maybeEmitHeartbeat() {
               CacheTotal ? static_cast<double>(CacheHits) /
                                static_cast<double>(CacheTotal)
                          : 0.0);
-  E.set("queue_depth", static_cast<int64_t>(
-                           Parallel ? Parallel->Pool.queueDepth() : 0));
   E.set("frontier", static_cast<int64_t>(Frontier.size()));
   S->handle(E);
 
@@ -1010,7 +651,6 @@ SearchResult DirectedSearch::run() {
   LastBeatNs = SearchStartNs;
   LastBeatTests = 0;
   LastBeatChecks = Reg.counter("solver.checks").value();
-  initParallel();
   seedFrontier();
   while (!Frontier.empty() && Result.Tests.size() < Options.MaxTests) {
     maybeEmitHeartbeat();
@@ -1023,16 +663,9 @@ SearchResult DirectedSearch::run() {
       Result.Stopped = R;
       break;
     }
-    if (Parallel)
-      dispatchSpeculative();
     Candidate Cand = std::move(Frontier.front());
     Frontier.pop_front();
-    if (Parallel)
-      awaitSpeculation(Cand);
-    bool KeepGoing = processCandidate(Cand);
-    if (Parallel) // The retry flag never outlives its candidate.
-      Parallel->PendingInlineRetry = false;
-    if (!KeepGoing)
+    if (!processCandidate(Cand))
       break;
   }
   // A run that halted with RunStatus::Deadline also trips the poll above
@@ -1063,19 +696,12 @@ SearchResult DirectedSearch::run() {
     Reg.counter("search.test_budget_stops").add();
     break;
   }
-  if (smt::QueryCache *QC = queryCache()) {
+  if (smt::QueryCache *QC = Options.SharedCache) {
+    // The cache's cumulative counters: the per-search delta is not
+    // separable while other sessions share it (see SearchResult).
     Result.CacheHits = QC->hits();
     Result.CacheMisses = QC->misses();
-    // With a private cache these are exactly this search's traffic; a
-    // SharedCache reports its cumulative counters (the per-search delta is
-    // not separable, and both describe the schedule — see SearchResult).
-    if (!Options.SharedCache) {
-      Reg.counter("solver.cache_hits").add(Result.CacheHits);
-      Reg.counter("solver.cache_misses").add(Result.CacheMisses);
-    }
   }
-  if (Parallel)
-    Reg.counter("search.worker_busy_ns").add(Parallel->Pool.busyNanos());
   if (telemetry::TraceSink *S = telemetry::sink()) {
     // End-of-run totals: one event per search, with the stop reason — the
     // trace-side face of SearchResult.Stopped (docs/observability.md).
@@ -1086,7 +712,6 @@ SearchResult DirectedSearch::run() {
     E.set("bugs", int64_t(Result.Bugs.size()));
     E.set("covered_directions", int64_t(Result.Cov.coveredDirections()));
     E.set("divergences", int64_t(Result.Divergences));
-    E.set("worker_failures", int64_t(Result.WorkerFailures));
     E.set("inline_retries", int64_t(Result.InlineRetries));
     S->handle(E);
   }

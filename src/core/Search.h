@@ -80,38 +80,34 @@ struct SearchOptions {
   int64_t RandomLo = 0;
   int64_t RandomHi = 99;
   uint64_t Seed = 42;
-  /// Worker threads for speculative candidate evaluation. 1 = the plain
-  /// single-threaded loop (no pool, no query cache). Results are identical
-  /// for every value (docs/parallelism.md); modes the pipeline cannot
-  /// speculate for (SummarizeCalls, a user-supplied SolverOpts.Samples
-  /// table) silently fall back to 1.
+  /// Read by nothing: the search runs on one thread. Kept only because
+  /// perfbench/replay.cpp still sets it; it is deleted together with
+  /// perfbench's `jobs` column.
   unsigned Jobs = 1;
   smt::SolverOptions SolverOpts;
   ValidityOptions ValidityOpts;
   /// Emit a `heartbeat` trace event (tests/s, solver checks/s, cache hit
-  /// rate, queue depth, frontier size) at most every this many
+  /// rate, frontier size) at most every this many
   /// milliseconds, sampled at loop boundaries of the search. 0 (default)
   /// disables the heartbeat; it is also inert without a trace sink.
   uint64_t ProgressEveryMs = 0;
   /// Wall-clock stop controls (docs/robustness.md). The constructor
   /// threads them into SolverOpts and Limits (unless those carry their own
-  /// already), so one deadline bounds the whole stack: search loop, worker
-  /// dispatch, solver decision loops, validity grounding, and program
-  /// execution. Inactive by default — the search then never reads the
-  /// clock and results stay bit-identical across Jobs values.
+  /// already), so one deadline bounds the whole stack: search loop, solver
+  /// decision loops, validity grounding, and program execution. Inactive
+  /// by default — the search then never reads the clock.
   support::Deadline Deadline;
   support::CancelToken Cancel;
   /// A caller-owned query cache shared across searches (hotg-serve's
-  /// cross-session fabric, docs/serving.md). Null (the default) keeps the
-  /// classic behavior: a private cache when Jobs > 1, none when serial.
-  /// When set, both serial and parallel searches consult it, keyed by
-  /// CacheEpoch — the caller must guarantee that every search sharing an
-  /// epoch runs an identical job configuration (program, entry, policy,
-  /// options, seed, imported samples), which makes generation equality
-  /// imply sample-table equality across those sessions. Cached answers
-  /// are deterministic functions of the key, so sharing never changes
-  /// results — only CacheHits/CacheMisses, which are schedule-dependent
-  /// anyway. Must outlive the search.
+  /// cross-session fabric, docs/serving.md). Null (the default) means no
+  /// cache. When set, the search consults it keyed by CacheEpoch — the
+  /// caller must guarantee that every search sharing an epoch runs an
+  /// identical job configuration (program, entry, policy, options, seed,
+  /// imported samples), which makes generation equality imply
+  /// sample-table equality across those sessions. Cached answers are
+  /// deterministic functions of the key, so sharing never changes results
+  /// — only CacheHits/CacheMisses, which depend on what other sessions
+  /// ran first. Must outlive the search.
   smt::QueryCache *SharedCache = nullptr;
   uint64_t CacheEpoch = 0;
 };
@@ -147,26 +143,21 @@ struct SearchResult {
   unsigned MultiStepRuns = 0;
   /// Work accumulated across every satisfiability query of the search (each
   /// query is charged to a fresh SolverStats, so budgets stay per-query;
-  /// see docs/observability.md). Identical for every Jobs value.
+  /// see docs/observability.md). Cache hits fold the cached work, so it is
+  /// identical with and without a SharedCache.
   smt::SolverStats SolverQueryStats;
   /// Work accumulated across every validity query of the search.
   ValidityStats ValidityQueryStats;
-  /// Query-cache traffic (both zero when Jobs == 1 and no SharedCache is
-  /// installed; with a SharedCache these are the cache's cumulative
-  /// counters). These describe the schedule, not the search: they may
-  /// vary across Jobs values and runs.
+  /// Query-cache traffic: the SharedCache's cumulative counters, both zero
+  /// without one. They describe what other sessions ran, not the search.
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   /// Why the search returned: None = the frontier drained naturally;
   /// anything else means this is a partial (but internally consistent)
   /// result — all tests, bugs, coverage and stats accumulated so far.
   support::StopReason Stopped = support::StopReason::None;
-  /// Worker jobs that threw (injected fault or real failure) and were
-  /// recovered from by recomputing inline. Schedule-dependent, like
-  /// CacheHits; always 0 when Jobs == 1 and no faults are armed.
-  unsigned WorkerFailures = 0;
-  /// Inline recomputations/retries performed after failures (worker or
-  /// inline query faults). Schedule-dependent.
+  /// Query retries performed after a query threw (an injected fault or a
+  /// real failure; docs/robustness.md).
   unsigned InlineRetries = 0;
 
   bool foundErrorSite(lang::ErrorSiteId Site) const;
@@ -180,7 +171,7 @@ public:
   DirectedSearch(const lang::Program &Prog,
                  const interp::NativeRegistry &Natives,
                  std::string EntryName, SearchOptions Options = {});
-  ~DirectedSearch(); // Out of line: ParallelState is incomplete here.
+  ~DirectedSearch(); // Out of line: SolverContext is incomplete here.
 
   /// Runs the search to budget exhaustion or frontier exhaustion.
   SearchResult run();
@@ -213,15 +204,13 @@ private:
     interp::TestInput ParentInput;
     /// Index of the entry to negate.
     size_t NegateIndex = 0;
-    /// Monotonic identity, assigned at enqueue time (keys in-flight
-    /// speculative work).
+    /// Monotonic identity, assigned at enqueue time (query attribution +
+    /// the search-tree export of hotg-trace).
     uint64_t Id = 0;
     /// 1-based index of the test whose path spawned this candidate (query
     /// attribution + the search-tree export of hotg-trace).
     unsigned ParentTest = 0;
   };
-
-  struct ParallelState; // Defined in Search.cpp (Jobs > 1 only).
 
   void seedFrontier();
   void expand(const dse::PathResult &Result, const interp::TestInput &Input,
@@ -235,25 +224,11 @@ private:
                                   const interp::TestInput &Parent) const;
   bool processCandidate(const Candidate &Cand);
 
-  /// Decides the effective worker count (Options.Jobs, clamped to 1 for
-  /// modes the speculation pipeline cannot replay deterministically).
-  unsigned effectiveJobs() const;
   /// Decides the effective engine (Options.Engine, forced to the
   /// interpreter for SummarizeCalls — the VM collects no summaries).
   vm::EngineKind effectiveEngine() const;
-  /// Lazily builds ParallelState + the worker pool.
-  void initParallel();
-  /// Publishes arena/sample deltas and enqueues speculative evaluations of
-  /// the first few frontier candidates onto the worker pool.
-  void dispatchSpeculative();
-  /// Blocks until the speculative evaluation of \p Cand (if any) finished.
-  void awaitSpeculation(const Candidate &Cand);
-  /// The query cache consulted by solveSat/solveValidity:
-  /// Options.SharedCache when installed, else the private parallel-state
-  /// cache, else null (classic serial search).
-  smt::QueryCache *queryCache();
-  /// One satisfiability query (classic policies), via the query cache when
-  /// the search runs parallel; folds work stats into SolverQueryStats.
+  /// One satisfiability query (classic policies), via Options.SharedCache
+  /// when installed; folds work stats into SolverQueryStats.
   smt::SatAnswer solveSat(smt::TermId Alt);
   /// Structural identity of a candidate for frontier deduplication:
   /// (ALT fingerprint, sample generation, parent input cells). Two
@@ -261,8 +236,8 @@ private:
   /// complete to the same input, so the second is skipped.
   std::tuple<uint64_t, uint64_t, uint64_t, std::vector<int64_t>>
   candidateKey(smt::TermId Alt, const interp::TestInput &Parent) const;
-  /// One POST(Alt) validity query (HigherOrder), via the query cache when
-  /// the search runs parallel; folds work stats into ValidityQueryStats.
+  /// One POST(Alt) validity query (HigherOrder), via Options.SharedCache
+  /// when installed; folds work stats into ValidityQueryStats.
   ValidityAnswer solveValidity(smt::TermId Alt);
   /// solveSat/solveValidity wrapped in the bounded inline-retry loop of
   /// docs/robustness.md: a thrown fault drops the incremental context and
@@ -290,15 +265,14 @@ private:
 
   std::deque<Candidate> Frontier;
   std::set<std::vector<int64_t>> SeenInputs;
-  /// Keys of candidates already evaluated by the merge path (see
-  /// candidateKey); later structural duplicates are skipped
-  /// ("search.candidates_deduped").
+  /// Keys of candidates already evaluated (see candidateKey); later
+  /// structural duplicates are skipped ("search.candidates_deduped").
   std::set<std::tuple<uint64_t, uint64_t, uint64_t, std::vector<int64_t>>>
       EvaluatedCandidates;
   SearchResult Result;
-  /// Long-lived incremental context for the merge path's satisfiability
-  /// queries; created lazily. Its per-query stats do not depend on which
-  /// queries ran before, so they stay jobs-invariant (docs/solver.md).
+  /// Long-lived incremental context for the satisfiability queries,
+  /// retargeted per query; created lazily. Its per-query stats do not
+  /// depend on which queries ran before (docs/solver.md).
   std::unique_ptr<smt::SolverContext> SatCtx;
   uint64_t NextCandidateId = 0;
   /// Heartbeat sampling state (maybeEmitHeartbeat): search start time,
@@ -308,8 +282,6 @@ private:
   uint64_t LastBeatNs = 0;
   uint64_t LastBeatTests = 0;
   uint64_t LastBeatChecks = 0;
-  /// Null when the search runs serially (effectiveJobs() == 1).
-  std::unique_ptr<ParallelState> Parallel;
 };
 
 /// Blackbox random testing baseline (Section 7's comparison point): \p

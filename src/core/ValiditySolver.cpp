@@ -592,8 +592,6 @@ private:
   /// Disjunctions among the query entries (see assertQuerySince).
   size_t OpaqueEntries = 0;
   /// The assertion stack of every support and grounding of this query.
-  /// Lives inside one checkPost call, so it never outlives arena
-  /// truncation of parallel-search worker replicas.
   SolverContext Ctx;
 };
 

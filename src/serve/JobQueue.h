@@ -60,8 +60,7 @@ private:
   std::atomic<unsigned> InFlightValue{0};
 };
 
-/// The failure taxonomy of a thrown session, mirroring the worker-failure
-/// classification in core::DirectedSearch::awaitSpeculation.
+/// The failure taxonomy of a thrown session.
 enum class FailureKind : uint8_t {
   Injected,  ///< support::FaultInjected (deterministic test harness).
   Exception, ///< Any other std::exception.

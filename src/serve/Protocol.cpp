@@ -234,13 +234,6 @@ bool hotg::serve::decodeJobRequest(std::string_view Payload,
     } else if (Key == "multistep") {
       if (!decodeUnsigned(V, Out.MultiStep, Error, "multistep"))
         return false;
-    } else if (Key == "jobs") {
-      if (!decodeUnsigned(V, Out.Jobs, Error, "jobs"))
-        return false;
-      if (Out.Jobs == 0) {
-        Error = "field 'jobs' must be positive";
-        return false;
-      }
     } else if (Key == "seed") {
       if (!V.isInt()) {
         Error = "field 'seed' must be an integer";

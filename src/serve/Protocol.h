@@ -67,7 +67,6 @@ struct JobRequest {
   std::string Order = "bfs";
   unsigned MaxTests = 64;
   unsigned MultiStep = 2;
-  unsigned Jobs = 1; ///< Clamped to the server's per-session worker cap.
   uint64_t Seed = 42;
   uint64_t DeadlineMs = 0; ///< 0: the server's default job deadline.
   bool ExplorePaths = false;

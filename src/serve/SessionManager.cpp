@@ -82,14 +82,11 @@ uint64_t SessionManager::epochFor(const JobRequest &Request,
                                   std::string_view ResolvedSource,
                                   std::string_view ImportedSamples,
                                   uint64_t DeadlineMs) {
-  // Every field that influences the search's query stream. Jobs is
-  // deliberately absent: results (and per-query answers/stats) are
-  // bit-identical for every worker count — the repo-wide determinism
-  // contract (docs/parallelism.md) — so sessions differing only in Jobs
-  // may share answers. The digest covers the *resolved* program text,
-  // never ProgramPath: a file edited under --program-root while the
-  // daemon runs must split the epoch, and two requests naming the same
-  // bytes (inline vs. by path) run identical query streams.
+  // Every field that influences the search's query stream. The digest
+  // covers the *resolved* program text, never ProgramPath: a file edited
+  // under --program-root while the daemon runs must split the epoch, and
+  // two requests naming the same bytes (inline vs. by path) run identical
+  // query streams.
   Digest D;
   D.bytes(ResolvedSource);
   D.bytes(Request.Entry);
@@ -245,8 +242,8 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
 
   // ---- The attempt loop: run, and on a transient failure back off and
   // re-run with a fresh session (the throwing DirectedSearch — arena,
-  // replicas, pool, solver contexts — is completely destroyed by scope
-  // exit, which is the quarantine teardown).
+  // engine, solver contexts — is completely destroyed by scope exit,
+  // which is the quarantine teardown).
 
   unsigned Retries = 0;
   for (;;) {
@@ -285,7 +282,6 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
         Options.Policy = Policy->Policy;
         Options.MaxTests = Request.MaxTests;
         Options.MultiStepBound = Request.MultiStep;
-        Options.Jobs = std::min(Request.Jobs, std::max(1u, Config.MaxSessionJobs));
         Options.Seed = Request.Seed;
         if (Request.Input) {
           interp::TestInput Initial;

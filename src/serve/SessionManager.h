@@ -12,7 +12,7 @@
 ///    the engine layers treat malformed programs/entries/inputs as fatal
 ///    (core calls reportFatalError), so tenant input must never reach them
 ///    unchecked; validation failures become structured `rejected` responses;
-///  * the session's arena, replicas, solver contexts and pool live in a
+///  * the session's arena, engine and solver contexts live in a
 ///    per-attempt DirectedSearch scope, so a throwing session tears its
 ///    state down completely (quarantine) without touching any other
 ///    in-flight session;
@@ -74,9 +74,6 @@ private:
 
 /// Per-session knobs owned by the server.
 struct SessionConfig {
-  /// Per-session DirectedSearch worker cap; JobRequest.Jobs is clamped to
-  /// it (one shared pool serves the *sessions*; sessions default serial).
-  unsigned MaxSessionJobs = 1;
   /// Applied when a request carries deadline_ms 0. 0 = no deadline.
   uint64_t DefaultDeadlineMs = 0;
   /// Directory program_path requests resolve under; empty = inline

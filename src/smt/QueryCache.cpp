@@ -19,12 +19,6 @@ std::optional<PortableAnswer> QueryCache::lookup(const TermFingerprint &Fp,
   return It->second;
 }
 
-bool QueryCache::contains(const TermFingerprint &Fp, uint64_t Generation,
-                          QueryKind Kind, uint64_t Epoch) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Entries.count({Fp, Generation, Kind, Epoch}) != 0;
-}
-
 void QueryCache::store(const TermFingerprint &Fp, uint64_t Generation,
                        QueryKind Kind, PortableAnswer Answer, uint64_t Epoch) {
   std::lock_guard<std::mutex> Lock(Mutex);

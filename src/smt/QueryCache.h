@@ -6,8 +6,9 @@
 ///
 /// \file
 /// A shared, thread-safe memo of decided solver queries, layered in front
-/// of both smt::SolverContext and core::ValiditySolver by the parallel
-/// candidate-evaluation pipeline (docs/parallelism.md). Keys are
+/// of both smt::SolverContext and core::ValiditySolver by the directed
+/// search when its caller installs one (SearchOptions::SharedCache, the
+/// cross-session fabric of hotg-serve, docs/serving.md). Keys are
 ///
 ///     (epoch, term fingerprint, sample-table generation, query kind)
 ///
@@ -20,16 +21,14 @@
 /// Pure satisfiability queries carry generation 0.
 ///
 /// The epoch extends that soundness argument across sessions: hotg-serve
-/// keeps one QueryCache alive across many DirectedSearch sessions
-/// (docs/serving.md), and two sessions only grow identical sample tables
-/// when they run the same job configuration — so the serving layer keys
-/// each session by a digest of its full job configuration, and only
-/// same-epoch sessions share answers. Single-session callers use the
-/// default epoch 0.
+/// keeps one QueryCache alive across many DirectedSearch sessions, and two
+/// sessions only grow identical sample tables when they run the same job
+/// configuration — so the serving layer keys each session by a digest of
+/// its full job configuration, and only same-epoch sessions share answers.
 ///
 /// Values are arena-independent: a status byte plus the model rendered as
-/// (variable name, value) pairs, so answers computed on a worker's private
-/// arena can be consumed on the main arena and vice versa.
+/// (variable name, value) pairs, so an answer computed in one session's
+/// arena can be consumed in another's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +62,7 @@ struct PortableAnswer {
   std::vector<std::pair<std::string, int64_t>> Model;
   /// Work the query cost where it was actually computed. Consumers fold
   /// these into their search-owned aggregates, so the aggregates come out
-  /// identical whether the query ran inline or on a worker.
+  /// identical whether the query was computed or answered from the cache.
   uint32_t Checks = 0;
   uint32_t SupportsExplored = 0;
   uint32_t Decisions = 0;
@@ -81,11 +80,6 @@ public:
   std::optional<PortableAnswer> lookup(const TermFingerprint &Fp,
                                        uint64_t Generation, QueryKind Kind,
                                        uint64_t Epoch = 0);
-
-  /// Returns true without touching the hit/miss counters — used by workers
-  /// to skip recomputing an answer some other thread already published.
-  bool contains(const TermFingerprint &Fp, uint64_t Generation, QueryKind Kind,
-                uint64_t Epoch = 0);
 
   /// Publishes an answer; the first writer wins (answers are deterministic
   /// functions of the key, so duplicates are identical).

@@ -81,8 +81,8 @@ struct SatAnswer {
 /// event per query).
 ///
 /// Every field is a deterministic function of the query stream: it is
-/// identical whether a query ran in a reused incremental context, a fresh
-/// one, or on a parallel worker.
+/// identical whether a query ran in a reused incremental context or a
+/// fresh one.
 struct SolverStats {
   unsigned Checks = 0;
   unsigned SupportsExplored = 0;

@@ -1015,7 +1015,7 @@ SatAnswer SolverContext::solveFormula(TermId Formula,
 /// Folds \p QueryStats into \p CumStats and emits the per-query telemetry
 /// counters, latency-histogram sample, and SolverCheck trace event. The
 /// event also carries \p ScopeDepth and the thread's query attribution
-/// (test / candidate / worker / grounding).
+/// (test / candidate / grounding).
 static void foldQueryTelemetry(const SatAnswer &Answer,
                                const SolverStats &QueryStats,
                                SolverStats &CumStats, int64_t ElapsedNs,

@@ -22,8 +22,8 @@
 /// change an answer or a per-query statistic (docs/solver.md spells out
 /// the determinism argument). It is the one solver object: every query
 /// is a check() of an asserted stack or a checkFormula() of a formula.
-/// core::DirectedSearch keeps one context per frontier group (and per
-/// parallel worker); core::ValiditySolver keeps one per query, asserts
+/// core::DirectedSearch keeps one context for its satisfiability queries;
+/// core::ValiditySolver keeps one per query, asserts
 /// each grounding choice in its own scopes, and cuts every grounding under
 /// a refuted stack; the §7 ad-hoc baseline checks its rewritten formula in
 /// a fresh one.

@@ -420,100 +420,6 @@ TermId TermArena::import(const TermArena &Src, TermId SrcTerm) {
   return importTerm(Src.exportTerm(SrcTerm));
 }
 
-ArenaMark TermArena::mark() const {
-  ArenaMark M;
-  M.NumNodes = static_cast<uint32_t>(Nodes.size());
-  M.NumOperands = static_cast<uint32_t>(OperandPool.size());
-  M.NumVars = static_cast<uint32_t>(VarNames.size());
-  M.NumFuncs = static_cast<uint32_t>(Funcs.size());
-  return M;
-}
-
-ArenaDelta TermArena::deltaSince(const ArenaMark &M) const {
-  if (M.NumNodes > Nodes.size() || M.NumOperands > OperandPool.size() ||
-      M.NumVars > VarNames.size() || M.NumFuncs > Funcs.size())
-    reportFatalError("deltaSince: mark is ahead of the arena");
-  ArenaDelta D;
-  D.Base = M;
-  D.Nodes.assign(Nodes.begin() + M.NumNodes, Nodes.end());
-  D.Operands.assign(OperandPool.begin() + M.NumOperands, OperandPool.end());
-  D.Vars.assign(VarNames.begin() + M.NumVars, VarNames.end());
-  D.Funcs.assign(Funcs.begin() + M.NumFuncs, Funcs.end());
-  return D;
-}
-
-void TermArena::applyDelta(const ArenaDelta &D) {
-  if (!(mark() == D.Base))
-    reportFatalError("applyDelta: delta applied out of stream order");
-
-  for (const std::string &Name : D.Vars) {
-    VarByName.emplace(Name, static_cast<VarId>(VarNames.size()));
-    VarNames.push_back(Name);
-  }
-  for (const FuncSymbol &Sym : D.Funcs) {
-    FuncByName.emplace(Sym.Name, static_cast<FuncId>(Funcs.size()));
-    Funcs.push_back(Sym);
-  }
-
-  // Node operand offsets are absolute pool positions; because the base
-  // sizes match, the copied nodes and operand slices line up verbatim.
-  OperandPool.insert(OperandPool.end(), D.Operands.begin(), D.Operands.end());
-  Nodes.reserve(Nodes.size() + D.Nodes.size());
-  for (const TermNode &N : D.Nodes) {
-    TermId Id = static_cast<TermId>(Nodes.size());
-    Nodes.push_back(N);
-    std::span<const TermId> Ops{OperandPool.data() + N.OperandBegin,
-                                N.NumOperands};
-    DedupBuckets[nodeHash(N.Kind, N.Payload, Ops)].push_back(Id);
-  }
-}
-
-void TermArena::truncateTo(const ArenaMark &M) {
-  if (M.NumNodes > Nodes.size() || M.NumOperands > OperandPool.size() ||
-      M.NumVars > VarNames.size() || M.NumFuncs > Funcs.size())
-    reportFatalError("truncateTo: mark is ahead of the arena");
-
-  for (size_t Id = Nodes.size(); Id-- > M.NumNodes;) {
-    const TermNode &N = Nodes[Id];
-    std::span<const TermId> Ops{OperandPool.data() + N.OperandBegin,
-                                N.NumOperands};
-    auto It = DedupBuckets.find(nodeHash(N.Kind, N.Payload, Ops));
-    assert(It != DedupBuckets.end() && "interned node missing its bucket");
-    auto &Bucket = It->second;
-    auto Pos = std::find(Bucket.begin(), Bucket.end(),
-                         static_cast<TermId>(Id));
-    assert(Pos != Bucket.end() && "interned node missing from its bucket");
-    Bucket.erase(Pos);
-    if (Bucket.empty())
-      DedupBuckets.erase(It);
-  }
-  Nodes.resize(M.NumNodes);
-  OperandPool.resize(M.NumOperands);
-
-  for (size_t I = VarNames.size(); I-- > M.NumVars;)
-    VarByName.erase(VarNames[I]);
-  VarNames.resize(M.NumVars);
-  for (size_t I = Funcs.size(); I-- > M.NumFuncs;)
-    FuncByName.erase(Funcs[I].Name);
-  Funcs.resize(M.NumFuncs);
-
-  // The memoized simplified forms may reference ids that were just
-  // un-interned; the memo is an optimization only, so drop it wholesale.
-  SimplifiedForm.clear();
-  if (Fingerprints.size() > M.NumNodes)
-    Fingerprints.resize(M.NumNodes);
-}
-
-unsigned TermArena::numAtomsCreatedSince(const ArenaMark &M) const {
-  unsigned Count = static_cast<unsigned>(VarNames.size() - M.NumVars) +
-                   static_cast<unsigned>(Funcs.size() - M.NumFuncs);
-  for (size_t Id = M.NumNodes; Id != Nodes.size(); ++Id)
-    if (Nodes[Id].Kind == TermKind::IntVar ||
-        Nodes[Id].Kind == TermKind::UFApp)
-      ++Count;
-  return Count;
-}
-
 namespace {
 /// splitmix64 finalizer — the avalanche step behind the fingerprint mixes.
 uint64_t mix64(uint64_t X) {

@@ -92,44 +92,10 @@ struct TermFingerprint {
   bool operator==(const TermFingerprint &Other) const = default;
 };
 
-/// A consistent position in a TermArena's append-only history. Everything
-/// an arena owns (nodes, operand pool, variables, function symbols) only
-/// ever grows, so a mark plus the tail appended after it fully describes
-/// the arena's evolution — the basis of worker-arena replication
-/// (docs/parallelism.md).
-struct ArenaMark {
-  uint32_t NumNodes = 0;
-  uint32_t NumOperands = 0;
-  uint32_t NumVars = 0;
-  uint32_t NumFuncs = 0;
-
-  bool operator==(const ArenaMark &Other) const = default;
-};
-
-/// Everything appended to an arena between two marks. Produced by
-/// TermArena::deltaSince on the owning thread and replayed with
-/// TermArena::applyDelta into a replica arena; replaying the same delta
-/// stream yields an arena with *identical* TermId/VarId/FuncId numbering,
-/// which is what makes solver answers computed on a replica
-/// interchangeable with answers computed on the original.
-struct ArenaDelta {
-  ArenaMark Base;
-  std::vector<TermNode> Nodes;
-  std::vector<TermId> Operands;
-  std::vector<std::string> Vars;
-  std::vector<FuncSymbol> Funcs;
-
-  bool empty() const {
-    return Nodes.empty() && Vars.empty() && Funcs.empty();
-  }
-};
-
 /// An arena-independent snapshot of one term DAG: nodes in topological
 /// order (operands before users, root last), with variables and function
 /// symbols resolved to names. Produced by TermArena::exportTerm on one
-/// thread and re-interned by TermArena::importTerm on another — the
-/// translation step that lets each solver worker own a private arena
-/// (docs/parallelism.md).
+/// arena and re-interned by TermArena::importTerm on another.
 struct PortableTerm {
   struct Node {
     TermKind Kind;
@@ -280,37 +246,6 @@ public:
   /// Arena-independent structural digest of \p Term (memoized per arena;
   /// hash-consing makes the memo stable for the arena's lifetime).
   TermFingerprint fingerprint(TermId Term);
-
-  //===------------------------------------------------------------------===//
-  // Replication (append-only history)
-  //===------------------------------------------------------------------===//
-
-  /// Returns the current position in this arena's append-only history.
-  ArenaMark mark() const;
-
-  /// Copies everything appended after \p M into a delta. \p M must be a
-  /// mark previously taken on this arena (sizes must not exceed the
-  /// current ones). Cost is proportional to the tail, not the arena.
-  ArenaDelta deltaSince(const ArenaMark &M) const;
-
-  /// Replays \p D onto this arena. The arena's current mark must equal
-  /// D.Base (deltas must be applied in stream order, fatal otherwise);
-  /// afterwards every id appended by the delta matches the source arena.
-  void applyDelta(const ArenaDelta &D);
-
-  /// Rolls the arena back to \p M, un-interning every term, variable and
-  /// function symbol appended after it. Intended for worker replicas that
-  /// discard a query's scratch terms to stay an exact prefix of the
-  /// source arena; the simplification memo is dropped wholesale because
-  /// retained entries could point at un-interned ids.
-  void truncateTo(const ArenaMark &M);
-
-  /// Number of *atom* terms (IntVar or UFApp nodes) plus variable and
-  /// function symbols interned after \p M. The solver's observable
-  /// behaviour depends on the relative TermId order of atoms only, so a
-  /// query that created zero atoms is provably independent of everything
-  /// interned after the replica's snapshot (docs/parallelism.md).
-  unsigned numAtomsCreatedSince(const ArenaMark &M) const;
 
   //===------------------------------------------------------------------===//
   // Traversal and printing

@@ -6,26 +6,27 @@
 ///
 /// \file
 /// A seeded, deterministic fault-injection harness (docs/robustness.md)
-/// for exercising the degraded paths of the fault-tolerant search: worker
-/// failures, dropped cache publishes, broken arena replicas, failing
-/// solver checks. Production code marks each recoverable failure point
-/// with a named *site*:
+/// for exercising the degraded paths of the fault-tolerant search and
+/// server: failing solver checks and grounding searches, dropped cache
+/// publishes, undecodable frames, failed session spawns. Production code
+/// marks each recoverable failure point with a named *site*:
 ///
-///   support::maybeInjectFault(support::FaultSite::WorkerDispatch);
+///   support::maybeInjectFault(support::FaultSite::SolverCheck);
 ///
 /// With no injector installed (the default) that call is a null-pointer
 /// branch. Tests and CI install one via an env-style spec:
 ///
-///   HOTG_FAULT_SPEC="worker-dispatch:0.2:7"  (site : probability : seed)
+///   HOTG_FAULT_SPEC="solver-check:0.05:7"  (site : probability : seed)
 ///
 /// and the marked call then throws FaultInjected on a deterministic
 /// subset of its executions. Code that computes an identifiable unit of
 /// work (the directed search's queries, hotg-serve's frames) names it
 /// with a FaultScope; every probe inside the scope fires iff
-/// hash(seed, site, key, attempt) maps below the probability threshold. The decision never depends on wall
-/// clock, thread identity or how threads interleave, so a multi-threaded
-/// search faults exactly the same query attempts on every run, and a
-/// retry (the next attempt ordinal) draws afresh. A probe outside any
+/// hash(seed, site, key, attempt) maps below the probability threshold.
+/// The decision never depends on wall clock, thread identity or how
+/// threads interleave, so searches on hotg-serve's worker threads fault
+/// exactly the same query attempts on every run, and a retry (the next
+/// attempt ordinal) draws afresh. A probe outside any
 /// scope is keyed by its per-site probe index instead, which is
 /// reproducible only when a single thread probes that site.
 ///
@@ -49,19 +50,17 @@ namespace hotg::support {
 /// place where the surrounding code promises to recover (docs/robustness.md
 /// catalogues the recovery path per site).
 enum class FaultSite : uint8_t {
-  WorkerDispatch, ///< Start of a speculative worker job.
   CachePublish,   ///< Publishing a query answer to the shared cache.
-  ArenaDelta,     ///< Applying one arena delta to a worker replica.
   SolverCheck,    ///< Entry of a solver satisfiability check.
   ValidityGround, ///< Starting one support's grounding search (validity).
   JobDecode,      ///< Decoding one serve-protocol job frame.
   SessionSpawn,   ///< Spawning one search session in hotg-serve.
 };
 
-inline constexpr unsigned NumFaultSites = 7;
+inline constexpr unsigned NumFaultSites = 5;
 
-/// "worker-dispatch", "cache-publish", "arena-delta", "solver-check",
-/// "validity-ground", "serve.job-decode", "serve.session-spawn".
+/// "cache-publish", "solver-check", "validity-ground", "serve.job-decode",
+/// "serve.session-spawn".
 const char *faultSiteName(FaultSite Site);
 
 /// The exception an armed site throws. Derived from std::runtime_error so
@@ -84,7 +83,7 @@ private:
 class FaultInjector {
 public:
   /// Parses "site:prob:seed[,site:prob:seed...]" (e.g.
-  /// "worker-dispatch:0.2:7"). Returns null and fills \p Error on a
+  /// "solver-check:0.05:7"). Returns null and fills \p Error on a
   /// malformed spec or unknown site name. An empty spec is an error.
   static std::unique_ptr<FaultInjector> parse(const std::string &Spec,
                                               std::string &Error);

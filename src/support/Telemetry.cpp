@@ -106,13 +106,6 @@ Histogram &Registry::histogram(std::string_view Name) {
   return It->second;
 }
 
-PhaseTimer &Registry::gauge(std::string_view Name) {
-  PhaseTimer &T = timer(Name);
-  std::lock_guard<std::mutex> Lock(Mutex);
-  CountNames.emplace(Name);
-  return T;
-}
-
 Histogram &Registry::valueHistogram(std::string_view Name) {
   Histogram &H = histogram(Name);
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -140,8 +133,7 @@ RegistrySnapshot Registry::snapshot() const {
     Snap.Counters.emplace_back(Name, C.value());
   Snap.Timers.reserve(Timers.size());
   for (const auto &[Name, T] : Timers)
-    Snap.Timers.push_back({Name, T.count(), T.totalNs(), T.maxNs(),
-                           CountNames.count(Name) != 0});
+    Snap.Timers.push_back({Name, T.count(), T.totalNs(), T.maxNs()});
   Snap.Histograms.reserve(Histograms.size());
   for (const auto &[Name, H] : Histograms)
     Snap.Histograms.push_back({Name, H.count(), H.maxNs(),
@@ -168,25 +160,19 @@ std::string Registry::statsTable() const {
   for (const auto &[Name, Value] : Snap.Counters)
     Out += formatString("  %-*s %12llu\n", W, Name.c_str(),
                         static_cast<unsigned long long>(Value));
-  // Durations print in milliseconds. Count-valued entries (gauge(),
-  // valueHistogram()) print as plain values in their own tables, which
-  // are omitted when empty.
+  // Durations print in milliseconds. Count-valued histograms
+  // (valueHistogram()) print as plain values in their own table, which is
+  // omitted when empty.
   auto Ms = [](uint64_t Ns) { return static_cast<double>(Ns) / 1e6; };
-  std::string Timers, Gauges;
+  std::string Timers;
   for (const auto &T : Snap.Timers) {
     double Mean = T.Count ? static_cast<double>(T.TotalNs) /
                                 static_cast<double>(T.Count)
                           : 0;
-    if (T.Counts)
-      Gauges += formatString("  %-*s %12llu %12llu %12.3f\n", W,
-                             T.Name.c_str(),
-                             static_cast<unsigned long long>(T.Count),
-                             static_cast<unsigned long long>(T.MaxNs), Mean);
-    else
-      Timers += formatString("  %-*s %12llu %12.3f %12.3f %12.3f\n", W,
-                             T.Name.c_str(),
-                             static_cast<unsigned long long>(T.Count),
-                             Ms(T.TotalNs), Ms(T.MaxNs), Mean / 1e6);
+    Timers += formatString("  %-*s %12llu %12.3f %12.3f %12.3f\n", W,
+                           T.Name.c_str(),
+                           static_cast<unsigned long long>(T.Count),
+                           Ms(T.TotalNs), Ms(T.MaxNs), Mean / 1e6);
   }
   std::string Latencies, Values;
   for (const auto &H : Snap.Histograms) {
@@ -215,11 +201,6 @@ std::string Registry::statsTable() const {
                                        "name", "count", "total", "max",
                                        "mean") +
                               Timers;
-  if (!Gauges.empty())
-    Out += "== telemetry gauges ==\n" +
-           formatString("  %-*s %12s %12s %12s\n", W, "name", "samples",
-                        "max", "mean") +
-           Gauges;
   Out += "== telemetry latency histograms (ms) ==\n";
   Out += Latencies.empty() ? "  (none)\n" : HistHeader + Latencies;
   if (!Values.empty())
@@ -492,8 +473,6 @@ void hotg::telemetry::attachAttribution(Event &E) {
   E.set("test", A.Test);
   if (A.Candidate >= 0)
     E.set("candidate", A.Candidate);
-  if (A.Worker >= 0)
-    E.set("worker", A.Worker);
   if (!A.GroundingFamily.empty())
     E.set("grounding", A.GroundingFamily);
   if (uint64_t Span = CurrentSpan)

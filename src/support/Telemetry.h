@@ -42,18 +42,18 @@
 ///    as parent, and a small per-thread id, so an offline consumer
 ///    (`hotg-trace`, docs/observability.md) can rebuild the exact call
 ///    tree of a run — which candidate's validity query issued which
-///    solver checks, on which worker. With no sink attached a span is a
+///    solver checks, on which thread. With no sink attached a span is a
 ///    null-pointer branch: no clock read, no id allocation, no event.
 ///
 ///  * **Query attribution** — a thread-local `QueryAttribution` record
-///    (originating test, candidate id, worker id, grounding family) that
+///    (originating test, candidate id, grounding family) that
 ///    the search and validity layers keep current and the solver layer
 ///    stamps onto every `solver_check`/`validity_query` event, tying each
 ///    query back to the search decision that issued it.
 ///
 /// The registry, counters, timers, and the shipped sinks are thread-safe:
-/// worker threads of the parallel candidate-evaluation pipeline
-/// (docs/parallelism.md) run fully instrumented solver code. Counter and
+/// hotg-serve's worker threads (docs/serving.md) each run a fully
+/// instrumented search. Counter and
 /// timer updates are relaxed atomics; sink handle() implementations
 /// serialize internally. setSink() itself must still be called only while
 /// no instrumented code is running.
@@ -185,12 +185,11 @@ private:
 /// once the instrumented code has quiesced, approximate while it runs —
 /// good enough for heartbeats).
 struct RegistrySnapshot {
-  /// \c Counts marks entries registered through gauge() /
-  /// valueHistogram(): their "Ns" fields hold counts, not durations.
+  /// \c Counts marks histograms registered through valueHistogram():
+  /// their "Ns" fields hold counts, not durations.
   struct TimerRow {
     std::string Name;
     uint64_t Count = 0, TotalNs = 0, MaxNs = 0;
-    bool Counts = false;
   };
   struct HistogramRow {
     std::string Name;
@@ -217,10 +216,6 @@ public:
   Counter &counter(std::string_view Name);
   PhaseTimer &timer(std::string_view Name);
   Histogram &histogram(std::string_view Name);
-  /// A PhaseTimer whose notes are sampled counts (a queue depth), not
-  /// durations. Same storage and --stats-json keys as timer(); --stats
-  /// prints it as a plain-valued gauge instead of milliseconds.
-  PhaseTimer &gauge(std::string_view Name);
   /// A Histogram of counts (a core size, a queue depth), not durations.
   /// Same storage and --stats-json keys as histogram(); --stats prints
   /// its percentiles as plain values instead of milliseconds.
@@ -244,7 +239,7 @@ private:
   std::map<std::string, Counter, std::less<>> Counters;
   std::map<std::string, PhaseTimer, std::less<>> Timers;
   std::map<std::string, Histogram, std::less<>> Histograms;
-  /// Names registered through gauge() / valueHistogram().
+  /// Names registered through valueHistogram().
   std::set<std::string, std::less<>> CountNames;
 };
 
@@ -419,14 +414,12 @@ private:
 
 /// Thread-local attribution of in-flight solver/validity work back to the
 /// search decision that issued it. The search driver sets Test/Candidate
-/// while processing a candidate, worker jobs set Worker, and the validity
-/// grounding enumeration sets GroundingFamily per grounding; the solver
-/// telemetry stamps whatever is current onto each `solver_check` /
+/// while processing a candidate, and the validity grounding enumeration
+/// sets GroundingFamily per grounding; the solver telemetry stamps whatever is current onto each `solver_check` /
 /// `validity_query` event (docs/observability.md lists the fields).
 struct QueryAttribution {
   int64_t Test = 0;       ///< 1-based originating test id; 0 = none.
   int64_t Candidate = -1; ///< Candidate::Id; -1 = none.
-  int64_t Worker = -1;    ///< Worker index; -1 = the merge/main thread.
   /// Compact grounding-choice signature of the current validity grounding
   /// ("d0s2p0u1": disjunct/sample/pair/unbound counts); empty = none.
   std::string GroundingFamily;
@@ -449,7 +442,7 @@ private:
 };
 
 /// Stamps the thread's non-default attribution fields onto \p E
-/// ("test", "candidate", "worker", "grounding"), plus the innermost
+/// ("test", "candidate", "grounding"), plus the innermost
 /// active span id ("span") when one is open.
 void attachAttribution(Event &E);
 

@@ -38,11 +38,6 @@ ThreadPool::submit(std::function<void(unsigned WorkerIndex)> Task) {
   return Result;
 }
 
-size_t ThreadPool::queueDepth() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Queue.size();
-}
-
 void ThreadPool::workerMain(unsigned Index) {
   for (;;) {
     Item It;

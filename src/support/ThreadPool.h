@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size thread pool used by the parallel candidate-evaluation
-/// pipeline of core::DirectedSearch (docs/parallelism.md). Tasks receive the
-/// index of the worker executing them, so callers can maintain per-worker
-/// state (term arenas, sample tables, solvers) without any locking inside
-/// the task itself.
+/// A small fixed-size thread pool; hotg-serve runs its search sessions on
+/// one (docs/serving.md). Tasks receive the index of the worker executing
+/// them, so callers can maintain per-worker state without any locking
+/// inside the task itself.
 ///
 /// The destructor drains the queue: every submitted task runs before the
 /// workers join. Submitters therefore must keep task-referenced state alive
@@ -49,9 +48,6 @@ public:
   /// Enqueues \p Task; the future becomes ready when the task returns (or
   /// carries the task's exception).
   std::future<void> submit(std::function<void(unsigned WorkerIndex)> Task);
-
-  /// Tasks currently queued (not yet picked up by a worker).
-  size_t queueDepth() const;
 
   /// Total wall-clock nanoseconds workers spent executing tasks.
   uint64_t busyNanos() const { return BusyNs.load(std::memory_order_relaxed); }

@@ -119,7 +119,6 @@ const std::vector<KindSpec> &schema() {
         {"scope_depth", FieldType::Int, false},
         {"test", FieldType::Int, false},
         {"candidate", FieldType::Int, false},
-        {"worker", FieldType::Int, false},
         {"grounding", FieldType::Str, false},
         {"span", FieldType::Int, false}}},
       {"validity_query",
@@ -132,7 +131,6 @@ const std::vector<KindSpec> &schema() {
         {"reason", FieldType::Str, false},
         {"test", FieldType::Int, false},
         {"candidate", FieldType::Int, false},
-        {"worker", FieldType::Int, false},
         {"grounding", FieldType::Str, false},
         {"span", FieldType::Int, false}}},
       {"sample_learned",
@@ -157,7 +155,6 @@ const std::vector<KindSpec> &schema() {
         {"bugs", FieldType::Int, true},
         {"covered_directions", FieldType::Int, true},
         {"divergences", FieldType::Int, true},
-        {"worker_failures", FieldType::Int, true},
         {"inline_retries", FieldType::Int, true}}},
       {"span_begin",
        {{"span", FieldType::Int, true},
@@ -182,7 +179,6 @@ const std::vector<KindSpec> &schema() {
         {"cache_hits", FieldType::Int, true},
         {"cache_misses", FieldType::Int, true},
         {"cache_hit_rate", FieldType::Number, true},
-        {"queue_depth", FieldType::Int, true},
         {"frontier", FieldType::Int, true}}},
   };
   return Specs;
@@ -416,7 +412,6 @@ Report hotg::trace::buildReport(const Trace &T, unsigned TopK) {
           E.Kind == "solver_check" ? "result" : "status"));
       Q.Test = E.Json.getInt("test");
       Q.Candidate = E.Json.getInt("candidate", -1);
-      Q.Worker = E.Json.getInt("worker", -1);
       Q.Grounding = std::string(E.Json.getString("grounding"));
       Q.ScopeDepth = E.Json.getInt("scope_depth", -1);
       if (E.Kind == "validity_query") {
@@ -433,8 +428,6 @@ Report hotg::trace::buildReport(const Trace &T, unsigned TopK) {
     } else if (E.Kind == "heartbeat") {
       ++R.Heartbeats;
     } else if (E.Kind == "search_summary") {
-      R.WorkerFailures =
-          static_cast<uint64_t>(E.Json.getInt("worker_failures"));
       R.InlineRetries =
           static_cast<uint64_t>(E.Json.getInt("inline_retries"));
       R.StopReason = std::string(E.Json.getString("stop_reason"));
@@ -465,17 +458,15 @@ std::string hotg::trace::renderReport(const Report &R) {
                       static_cast<unsigned long long>(R.Divergences),
                       static_cast<unsigned long long>(R.Heartbeats));
   if (uint64_t Enum = R.GroundingsTried + R.GroundingsPruned)
-    Out += formatString("  groundings: %llu tried, %llu pruned by unsat "
-                        "cores (%.1f%% pruned)\n",
+    Out += formatString("  groundings: %llu tried, %llu pruned "
+                        "(%.1f%% pruned)\n",
                         static_cast<unsigned long long>(R.GroundingsTried),
                         static_cast<unsigned long long>(R.GroundingsPruned),
                         100.0 * static_cast<double>(R.GroundingsPruned) /
                             static_cast<double>(Enum));
   if (!R.StopReason.empty())
-    Out += formatString("  stop reason %s  worker failures %llu  "
-                        "inline retries %llu\n",
+    Out += formatString("  stop reason %s  inline retries %llu\n",
                         R.StopReason.c_str(),
-                        static_cast<unsigned long long>(R.WorkerFailures),
                         static_cast<unsigned long long>(R.InlineRetries));
   if (R.SearchWallNs)
     Out += formatString("  search wall %.3f ms, %.1f%% attributed to "
@@ -509,8 +500,6 @@ std::string hotg::trace::renderReport(const Report &R) {
                         static_cast<long long>(Q.Test));
     if (Q.Candidate >= 0)
       Out += formatString("  cand %lld", static_cast<long long>(Q.Candidate));
-    if (Q.Worker >= 0)
-      Out += formatString("  worker %lld", static_cast<long long>(Q.Worker));
     if (!Q.Grounding.empty())
       Out += formatString("  grounding %s", Q.Grounding.c_str());
     if (Q.GroundingsTried >= 0)

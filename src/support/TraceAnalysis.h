@@ -75,7 +75,7 @@ struct SpanNode {
 };
 
 /// The reconstructed span trees of one trace (one tree per top-level span;
-/// worker threads root their own trees).
+/// each thread roots its own trees).
 struct SpanForest {
   std::vector<SpanNode> Nodes;
   /// Indices of parentless spans, in begin order.
@@ -111,7 +111,6 @@ struct SlowQuery {
   std::string Outcome; ///< result/status field.
   int64_t Test = 0;
   int64_t Candidate = -1;
-  int64_t Worker = -1;
   std::string Grounding;
   int64_t ScopeDepth = -1;
   /// validity_query only (-1 for solver checks): enumeration size split
@@ -140,7 +139,7 @@ struct Report {
   /// grounding, never enumerated.
   uint64_t GroundingsTried = 0, GroundingsPruned = 0;
   /// From search_summary (0 when the trace has none).
-  uint64_t WorkerFailures = 0, InlineRetries = 0;
+  uint64_t InlineRetries = 0;
   std::string StopReason;
 };
 

@@ -34,8 +34,7 @@ enum class EngineKind : uint8_t {
 const char *engineName(EngineKind Kind);
 
 /// One execution engine bound to a program, a native registry and a term
-/// arena. Not thread-safe: one engine per search worker, like
-/// SymbolicExecutor.
+/// arena. Not thread-safe: one engine per search, like SymbolicExecutor.
 class IExecEngine {
 public:
   virtual ~IExecEngine() = default;

@@ -30,7 +30,7 @@ struct Scratch;
 } // namespace detail
 
 /// A virtual machine bound to one compiled program. Reusable across runs;
-/// not thread-safe (one VM per worker, like SymbolicExecutor). Reuse is
+/// not thread-safe (one VM per search, like SymbolicExecutor). Reuse is
 /// where the replay speed comes from: the register file, shadow file,
 /// heap storage and call stack persist across runs (see detail::Scratch
 /// in VM.cpp for the per-run reset protocol).

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Fault recovery under a busy machine: runs the solver-check-faulted
-# --jobs 4 lexer search RUNS times while three CPU-spinning processes
-# compete for the cores, and requires every faulted report to equal the
-# clean run. Fault decisions are keyed by query and attempt, not by thread
-# interleaving, so the load must not change a single byte.
+# lexer search RUNS times while three CPU-spinning processes compete for
+# the cores, and requires every faulted report to equal the clean run.
+# Fault decisions are keyed by query and attempt, not by timing, so the
+# load must not change a single byte.
 #
 #   fault_under_load.sh HOTG_RUN LEXER_ML OUT_DIR [RUNS]
 set -u
@@ -13,7 +13,7 @@ if [ $# -lt 3 ]; then
 fi
 run=$1 lexer=$2 out=$3 runs=${4:-10}
 search() {
-  "$run" "$lexer" --entry lex_main --explore-paths --max-tests 48 --jobs 4 "$@"
+  "$run" "$lexer" --entry lex_main --explore-paths --max-tests 48 "$@"
 }
 
 search > "$out/fault_load_clean.txt" || exit 1

@@ -3,18 +3,17 @@
 # of the four concretization policies and compares the full stdout (entry
 # banner, every executed test, summary, bug lines, stop reason) with the
 # committed copy in the golden directory. The reports are deterministic for
-# a fixed seed and identical for every --jobs value, so any difference is a
-# change in search behaviour.
+# a fixed seed, so any difference is a change in search behaviour.
 #
-#   golden_reports.sh HOTG_RUN EXAMPLES_DIR GOLDEN_DIR JOBS [--update]
+#   golden_reports.sh HOTG_RUN EXAMPLES_DIR GOLDEN_DIR [--update]
 #
 # --update rewrites the golden copies instead of comparing against them.
 set -u
-if [ $# -lt 4 ]; then
-  echo "usage: $0 HOTG_RUN EXAMPLES_DIR GOLDEN_DIR JOBS [--update]" >&2
+if [ $# -lt 3 ]; then
+  echo "usage: $0 HOTG_RUN EXAMPLES_DIR GOLDEN_DIR [--update]" >&2
   exit 1
 fi
-run=$1 examples=$2 golden=$3 jobs=$4 update=${5:-}
+run=$1 examples=$2 golden=$3 update=${4:-}
 tmp=$(mktemp) || exit 1
 trap 'rm -f "$tmp"' EXIT
 
@@ -29,7 +28,7 @@ for program in "$examples"/*.ml; do
     expected="$golden/$name.$policy.txt"
     # shellcheck disable=SC2086
     "$run" "$program" $entry --policy "$policy" --max-tests 64 \
-      --explore-paths --dump-tests --jobs "$jobs" > "$tmp"
+      --explore-paths --dump-tests > "$tmp"
     code=$?
     if [ $code -ne 0 ]; then
       echo "FAIL $name/$policy: hotg-run exited $code"
@@ -43,5 +42,5 @@ for program in "$examples"/*.ml; do
     count=$((count + 1))
   done
 done
-[ $status -eq 0 ] && echo "golden reports identical: $count at --jobs $jobs"
+[ $status -eq 0 ] && echo "golden reports identical: $count"
 exit $status

@@ -1,20 +1,20 @@
 //===- tests/test_core_search_robustness.cpp - Fault-tolerant search ------------===//
 //
-// Worker-failure recovery, stop controls, and degraded-mode behaviour of
-// the directed search (docs/robustness.md). The headline guarantee: an
-// injected fault at any recoverable site may cost retries and replica
-// rebuilds, but the SearchResult stays bit-identical to the fault-free
-// serial search — recovery is invisible in the deterministic fields and
-// visible only in WorkerFailures / InlineRetries / telemetry.
+// Query-fault recovery, stop controls, and degraded-mode behaviour of the
+// directed search (docs/robustness.md). The headline guarantee: an
+// injected fault at any recoverable site may cost retries, but the
+// SearchResult stays bit-identical to the fault-free search — recovery is
+// invisible in the deterministic fields and visible only in
+// InlineRetries / telemetry.
 //
 //===----------------------------------------------------------------------===//
 
 #include "app/KeywordLexer.h"
 #include "core/Search.h"
 #include "lang/Parser.h"
+#include "smt/QueryCache.h"
 #include "support/Deadline.h"
 #include "support/FaultInjector.h"
-#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -27,9 +27,9 @@ using namespace hotg::support;
 
 namespace {
 
-/// The deterministic subset of SearchResult (everything except the
-/// schedule-dependent CacheHits/CacheMisses/WorkerFailures/InlineRetries
-/// and context-reuse stats) must match the fault-free serial run.
+/// The deterministic subset of SearchResult (everything except
+/// CacheHits/CacheMisses/InlineRetries and context-reuse stats) must match
+/// the fault-free run.
 void expectSameResult(const SearchResult &A, const SearchResult &B,
                       const char *What) {
   ASSERT_EQ(A.Tests.size(), B.Tests.size()) << What;
@@ -93,7 +93,7 @@ protected:
     Natives.registerDefaultHashes();
   }
 
-  SearchOptions baseOptions(unsigned Jobs) {
+  SearchOptions baseOptions() {
     SearchOptions Options;
     Options.Policy = ConcretizationPolicy::HigherOrder;
     Options.MaxTests = 48;
@@ -101,7 +101,6 @@ protected:
     Options.RandomLo = 32;
     Options.RandomHi = 126;
     Options.SkipCoveredTargets = false;
-    Options.Jobs = Jobs;
     return Options;
   }
 
@@ -115,86 +114,49 @@ protected:
   NativeRegistry Natives;
 };
 
-TEST_F(SearchRobustnessTest, EveryWorkerJobFailingStillMatchesSerial) {
-  // The merge point must catch the throwing job (satellite: worker-job
-  // exceptions are caught and classified, not propagated out of run())
-  // and recover by computing the query inline.
-  SearchResult Baseline = runWith(baseOptions(1));
-  ScopedInjector Injector("worker-dispatch:1.0:7");
-  SearchResult Faulty = runWith(baseOptions(2));
-  expectSameResult(Baseline, Faulty, "all worker jobs throwing");
-  EXPECT_GT(Faulty.WorkerFailures, 0u);
-  EXPECT_GT(Faulty.InlineRetries, 0u);
-  EXPECT_GT(Injector->fired(FaultSite::WorkerDispatch), 0u);
-  EXPECT_EQ(Baseline.WorkerFailures, 0u);
-}
-
-TEST_F(SearchRobustnessTest, ModerateWorkerFaultRateAcrossSeeds) {
-  // The acceptance scenario: p = 0.2 worker-dispatch faults at --jobs 4.
-  // Each seed produces a different (deterministic) fire set; every one of
-  // them must recover to the identical SearchResult.
-  SearchResult Baseline = runWith(baseOptions(1));
-  unsigned TotalFailures = 0;
-  for (const char *Spec : {"worker-dispatch:0.2:1", "worker-dispatch:0.2:2",
-                           "worker-dispatch:0.2:3"}) {
-    ScopedInjector Injector(Spec);
-    SearchResult Faulty = runWith(baseOptions(4));
-    expectSameResult(Baseline, Faulty, Spec);
-    TotalFailures += Faulty.WorkerFailures;
-  }
-  EXPECT_GT(TotalFailures, 0u);
-}
-
-TEST_F(SearchRobustnessTest, BrokenReplicasAreRebuiltFromTheDeltaStream) {
-  // A fault while applying an arena delta poisons the worker's replica;
-  // the next job on that worker must rebuild it from delta zero instead
-  // of trusting half-applied state.
-  SearchResult Baseline = runWith(baseOptions(1));
-  telemetry::Counter &Rebuilds =
-      telemetry::Registry::global().counter("search.replica_rebuilds");
-  uint64_t RebuildsBefore = Rebuilds.value();
-  ScopedInjector Injector("arena-delta:0.3:11");
-  SearchResult Faulty = runWith(baseOptions(2));
-  expectSameResult(Baseline, Faulty, "arena-delta faults");
-  EXPECT_GT(Faulty.WorkerFailures, 0u);
-  EXPECT_GT(Rebuilds.value(), RebuildsBefore);
-}
-
 TEST_F(SearchRobustnessTest, DroppedCachePublishesOnlyCostRecomputation) {
-  SearchResult Baseline = runWith(baseOptions(1));
+  // Only a caller-installed cache (hotg-serve's fabric) is published to.
+  // With every publish dropped, a second search of the same epoch misses
+  // and recomputes the identical answers.
+  SearchResult Baseline = runWith(baseOptions());
+  smt::QueryCache Cache;
+  SearchOptions Options = baseOptions();
+  Options.SharedCache = &Cache;
   ScopedInjector Injector("cache-publish:1.0:5");
-  SearchResult Faulty = runWith(baseOptions(2));
-  expectSameResult(Baseline, Faulty, "all cache publishes dropped");
+  for (const char *What : {"first session", "second session"})
+    expectSameResult(Baseline, runWith(Options), What);
+  EXPECT_GT(Injector->probes(FaultSite::CachePublish), 0u);
+  EXPECT_EQ(Cache.size(), 0u);
+  EXPECT_EQ(Cache.hits(), 0u);
 }
 
 TEST_F(SearchRobustnessTest, SerialSolverFaultsRetryInline) {
-  // Serial mode has no workers: a fault thrown from inside a query lands
-  // in the guarded solve wrapper, which retries a bounded number of times
-  // before degrading that one query to Unknown.
+  // A fault thrown from inside a query lands in the guarded solve wrapper,
+  // which retries a bounded number of times before degrading that one
+  // query to Unknown.
   ScopedInjector Injector("validity-ground:0.05:13");
-  SearchResult Faulty = runWith(baseOptions(1));
-  EXPECT_EQ(Faulty.WorkerFailures, 0u);
+  SearchResult Faulty = runWith(baseOptions());
   EXPECT_GT(Faulty.InlineRetries, 0u);
   EXPECT_GE(Faulty.Tests.size(), 1u);
 }
 
 TEST_F(SearchRobustnessTest, QueryFaultsRecoverIdenticallyOnAnySchedule) {
   // Faults inside queries are keyed by the query and its attempt ordinal
-  // (support::FaultScope), never by how worker threads interleave, so the
-  // serial run and every parallel run fault the same query attempts; a
-  // bounded retry redraws, and every run recovers to the clean result.
-  SearchResult Baseline = runWith(baseOptions(1));
+  // (support::FaultScope), never by timing or by which thread runs the
+  // search, so repeated runs fault the same query attempts; a bounded
+  // retry redraws, and every run recovers to the clean result.
+  SearchResult Baseline = runWith(baseOptions());
   for (const char *Spec : {"solver-check:0.05:7", "validity-ground:0.05:13"})
-    for (unsigned Jobs : {1u, 4u, 4u, 4u}) {
+    for (unsigned Run = 0; Run != 2; ++Run) {
       ScopedInjector Injector(Spec);
-      SearchResult Faulty = runWith(baseOptions(Jobs));
+      SearchResult Faulty = runWith(baseOptions());
       expectSameResult(Baseline, Faulty, Spec);
-      EXPECT_GT(Faulty.InlineRetries, 0u) << Spec << " jobs " << Jobs;
+      EXPECT_GT(Faulty.InlineRetries, 0u) << Spec << " run " << Run;
     }
 }
 
 TEST_F(SearchRobustnessTest, PreExpiredDeadlineYieldsPartialResult) {
-  SearchOptions Options = baseOptions(1);
+  SearchOptions Options = baseOptions();
   Options.Deadline = Deadline::afterNanos(0);
   SearchResult R = runWith(Options);
   EXPECT_EQ(R.Stopped, StopReason::DeadlineExpired);
@@ -204,21 +166,19 @@ TEST_F(SearchRobustnessTest, PreExpiredDeadlineYieldsPartialResult) {
   EXPECT_LT(R.Tests.size(), 48u);
 }
 
-TEST_F(SearchRobustnessTest, DeadlineExpiryMatchesAcrossJobs) {
+TEST_F(SearchRobustnessTest, DeadlineExpiryMidSearchStops) {
   // Not bit-identical (a deadline run is inherently timing-dependent) but
-  // both must stop, stay well-formed, and report the reason.
-  for (unsigned Jobs : {1u, 4u}) {
-    SearchOptions Options = baseOptions(Jobs);
-    Options.MaxTests = 100000;
-    Options.Deadline = Deadline::afterMillis(1);
-    SearchResult R = runWith(Options);
-    EXPECT_EQ(R.Stopped, StopReason::DeadlineExpired) << Jobs << " jobs";
-    EXPECT_GE(R.Tests.size(), 1u) << Jobs << " jobs";
-  }
+  // it must stop, stay well-formed, and report the reason.
+  SearchOptions Options = baseOptions();
+  Options.MaxTests = 100000;
+  Options.Deadline = Deadline::afterMillis(1);
+  SearchResult R = runWith(Options);
+  EXPECT_EQ(R.Stopped, StopReason::DeadlineExpired);
+  EXPECT_GE(R.Tests.size(), 1u);
 }
 
 TEST_F(SearchRobustnessTest, CancellationStopsTheSearch) {
-  SearchOptions Options = baseOptions(1);
+  SearchOptions Options = baseOptions();
   Options.Cancel = CancelToken::create();
   Options.Cancel.requestCancel();
   SearchResult R = runWith(Options);
@@ -227,7 +187,7 @@ TEST_F(SearchRobustnessTest, CancellationStopsTheSearch) {
 }
 
 TEST_F(SearchRobustnessTest, TestBudgetWithRemainingWorkIsReported) {
-  SearchOptions Options = baseOptions(1);
+  SearchOptions Options = baseOptions();
   Options.MaxTests = 3;
   SearchResult R = runWith(Options);
   EXPECT_EQ(R.Stopped, StopReason::TestBudget);
@@ -235,8 +195,7 @@ TEST_F(SearchRobustnessTest, TestBudgetWithRemainingWorkIsReported) {
 }
 
 TEST_F(SearchRobustnessTest, FaultFreeRunReportsNoFailures) {
-  SearchResult R = runWith(baseOptions(4));
-  EXPECT_EQ(R.WorkerFailures, 0u);
+  SearchResult R = runWith(baseOptions());
   EXPECT_EQ(R.InlineRetries, 0u);
   // No stop control is armed, so only natural completion or the test
   // budget can be reported.

@@ -1,5 +1,7 @@
 //===- tests/test_core_search_unit.cpp - Search/coverage/random-baseline units ----===//
 
+#include "app/KeywordLexer.h"
+#include "app/PacketParser.h"
 #include "core/Coverage.h"
 #include "core/Search.h"
 #include "lang/Parser.h"
@@ -8,6 +10,7 @@
 #include <gtest/gtest.h>
 
 using namespace hotg;
+using namespace hotg::app;
 using namespace hotg::core;
 using namespace hotg::dse;
 using namespace hotg::interp;
@@ -251,6 +254,56 @@ TEST_F(SearchUnitTest, HigherOrderSearchEmitsTelemetryEvents) {
     ASSERT_NE(E.find("new_coverage"), nullptr);
     ASSERT_NE(E.find("us"), nullptr);
   }
+}
+
+TEST(SearchQueryStats, ClassicAggregatesAcrossTheWholeSearch) {
+  // The satisfiability work of a search is aggregated in the
+  // SearchResult: one solver check per classic candidate, so
+  // Checks == SolverCalls. The packet parser is
+  // used because under unsound concretization the lexer's hashed branches
+  // leave no negatable linear constraints at all.
+  PacketApp App = buildPacketParser();
+  DiagnosticEngine Diags;
+  auto Prog = lang::parseAndCheck(App.Source, Diags);
+  ASSERT_TRUE(Prog) << Diags.render("packet");
+  NativeRegistry Natives;
+  registerPacketNatives(Natives);
+
+  SearchOptions Options;
+  Options.Policy = ConcretizationPolicy::Unsound;
+  Options.MaxTests = 24;
+  Options.InitialInput = App.validPacket(1, {1, 2});
+  Options.SkipCoveredTargets = false;
+  DirectedSearch Search(*Prog, Natives, App.Entry, Options);
+  SearchResult R = Search.run();
+
+  EXPECT_GT(R.SolverCalls, 0u);
+  EXPECT_EQ(R.SolverQueryStats.Checks, R.SolverCalls);
+  EXPECT_EQ(R.ValidityQueryStats.SupportsExplored, 0u);
+  EXPECT_EQ(R.ValidityQueryStats.GroundingsTried, 0u);
+}
+
+TEST(SearchQueryStats, HigherOrderAggregatesValidityWork) {
+  LexerApp App = buildKeywordLexer({4, 1});
+  DiagnosticEngine Diags;
+  auto Prog = lang::parseAndCheck(App.Source, Diags);
+  ASSERT_TRUE(Prog) << Diags.render("lexer");
+  NativeRegistry Natives;
+  Natives.registerDefaultHashes();
+
+  SearchOptions Options;
+  Options.Policy = ConcretizationPolicy::HigherOrder;
+  Options.MaxTests = 24;
+  Options.InitialInput = App.identifierInput();
+  Options.SkipCoveredTargets = false;
+  DirectedSearch Search(*Prog, Natives, App.Entry, Options);
+  SearchResult R = Search.run();
+
+  EXPECT_GT(R.ValidityCalls, 0u);
+  EXPECT_GT(R.ValidityQueryStats.SupportsExplored, 0u);
+  EXPECT_GT(R.ValidityQueryStats.GroundingsTried, 0u);
+  EXPECT_EQ(R.SolverQueryStats.Checks, 0u)
+      << "higher-order candidates query the validity solver only";
 }
 
 } // namespace

@@ -266,7 +266,7 @@ TEST(ServeProtocolTest, DecodeFillsDefaultsAndRejectsStructuralErrors) {
   // Not an object.
   EXPECT_FALSE(decodeJobRequest(R"([1,2])", Limits, Req, Error));
   // Id survives decode failures for correlation.
-  EXPECT_FALSE(decodeJobRequest(R"({"id":"keep","program":"x","jobs":0})",
+  EXPECT_FALSE(decodeJobRequest(R"({"id":"keep","program":"x","max_tests":-1})",
                                 Limits, Req, Error));
   EXPECT_EQ(Req.Id, "keep");
 }
@@ -280,6 +280,17 @@ TEST(ServeProtocolTest, EngineFieldIsRejectedAsUnknown) {
   EXPECT_FALSE(decodeJobRequest(R"({"id":"j","program":"x","engine":"vm"})",
                                 Limits, Req, Error));
   EXPECT_EQ(Error, "unknown field 'engine'");
+  EXPECT_EQ(Req.Id, "j");
+}
+
+/// The search runs on one thread, so there is no per-job worker count.
+TEST(ServeProtocolTest, JobsFieldIsRejectedAsUnknown) {
+  json::ParseLimits Limits;
+  JobRequest Req;
+  std::string Error;
+  EXPECT_FALSE(decodeJobRequest(R"({"id":"j","program":"x","jobs":2})",
+                                Limits, Req, Error));
+  EXPECT_EQ(Error, "unknown field 'jobs'");
   EXPECT_EQ(Req.Id, "j");
 }
 
@@ -388,7 +399,7 @@ TEST(ServeSessionTest, DeadlineJobsDegradeWithPartialResults) {
       << ById["slow"].Output;
 }
 
-TEST(ServeSessionTest, EpochSharesAcrossJobsValuesButNotConfigs) {
+TEST(ServeSessionTest, EpochSharesAcrossIdentityFieldsButNotConfigs) {
   SharedFabric Fabric;
   SessionManager Sessions(Fabric, {});
   JobRequest A;
@@ -397,8 +408,7 @@ TEST(ServeSessionTest, EpochSharesAcrossJobsValuesButNotConfigs) {
   const std::string Src = A.Program;
   JobRequest B = A;
   B.Id = "b";
-  B.Tenant = "other";
-  B.Jobs = 4; // Jobs and identity fields never split an epoch.
+  B.Tenant = "other"; // Identity fields never split an epoch.
   EXPECT_EQ(Sessions.epochFor(A, Src, "", 0), Sessions.epochFor(B, Src, "", 0));
   B.Seed = 7; // Anything that changes the query stream does.
   EXPECT_NE(Sessions.epochFor(A, Src, "", 0), Sessions.epochFor(B, Src, "", 0));

@@ -1,15 +1,14 @@
-//===- tests/test_smt_translate.cpp - Cross-arena translation and replication ----===//
+//===- tests/test_smt_translate.cpp - Cross-arena translation and caching --------===//
 //
-// The parallel candidate-evaluation pipeline (docs/parallelism.md) rests on
-// three smt-layer mechanisms exercised here:
+// The smt-layer mechanisms behind hotg-serve's cross-session query cache
+// (docs/serving.md):
 //
 //  * PortableTerm export/import — structural mapping between arenas that
 //    preserves hash-consing invariants (structural equality ⇒ same TermId),
 //    UF symbols and variable identities;
 //  * TermFingerprint — an arena-independent digest equal across arenas iff
 //    the terms are structurally equal (the query-cache key);
-//  * ArenaDelta replication + truncateTo rollback — worker replicas stay
-//    *exact prefixes* of the main arena, with identical id numbering.
+//  * QueryCache — generation- and kind-keyed answers, first writer wins.
 //
 //===----------------------------------------------------------------------===//
 
@@ -90,70 +89,6 @@ TEST(Translate, FingerprintEqualAcrossArenasIffStructurallyEqual) {
   EXPECT_EQ(A.fingerprint(RootA), A.fingerprint(RootA));
 }
 
-TEST(Replication, DeltaStreamYieldsIdenticalIdNumbering) {
-  TermArena Main, Replica;
-  ArenaMark Published = Replica.mark(); // Fresh arenas share the empty mark.
-
-  TermId Root1 = buildSample(Main);
-  ArenaDelta D1 = Main.deltaSince(Published);
-  Replica.applyDelta(D1);
-  Published = Main.mark();
-
-  TermId W = Main.mkVar("w");
-  TermId Root2 = Main.mkAnd(Root1, Main.mkGe(W, Main.mkIntConst(1)));
-  Replica.applyDelta(Main.deltaSince(Published));
-
-  // Exact prefix: same ids, same rendering, same var/func numbering.
-  ASSERT_EQ(Replica.numTerms(), Main.numTerms());
-  EXPECT_EQ(Replica.toString(Root1), Main.toString(Root1));
-  EXPECT_EQ(Replica.toString(Root2), Main.toString(Root2));
-  EXPECT_EQ(Replica.numVars(), Main.numVars());
-  EXPECT_EQ(Replica.numFuncs(), Main.numFuncs());
-  EXPECT_EQ(Replica.getOrCreateVar("w"), Main.getOrCreateVar("w"));
-  // Replica interning dedups against replayed nodes.
-  EXPECT_EQ(Replica.mkVar("x"), Main.mkVar("x"));
-  EXPECT_EQ(Replica.mkAnd(Root1, Replica.mkGe(W, Replica.mkIntConst(1))),
-            Root2);
-}
-
-TEST(Replication, TruncateRestoresDedupAndIds) {
-  TermArena A;
-  TermId Root = buildSample(A);
-  ArenaMark M = A.mark();
-
-  // Scratch work past the mark: new atoms and compounds.
-  TermId V = A.mkVar("scratch");
-  FuncId H = A.getOrCreateFunc("h", 1);
-  TermId App = A.mkUFApp(H, {{V}});
-  TermId Scratch = A.mkAnd(Root, A.mkEq(App, A.mkIntConst(5)));
-  EXPECT_GT(A.numAtomsCreatedSince(M), 0u);
-  (void)Scratch;
-
-  A.truncateTo(M);
-  ASSERT_TRUE(A.mark() == M);
-  EXPECT_EQ(A.numAtomsCreatedSince(M), 0u);
-  // Pre-mark terms still dedup to their original ids.
-  EXPECT_EQ(buildSample(A), Root);
-  // Re-interning the scratch terms after rollback reuses the same ids the
-  // first interning produced (the append position is identical).
-  TermId V2 = A.mkVar("scratch");
-  EXPECT_EQ(V2, V);
-  EXPECT_EQ(A.mkUFApp(A.getOrCreateFunc("h", 1),
-                      {{V2}}),
-            App);
-}
-
-TEST(Replication, AtomCountingSeesVarsFuncsAndAppsOnly) {
-  TermArena A;
-  TermId X = A.mkVar("x");
-  ArenaMark M = A.mark();
-  // Non-atom scratch: constants, arithmetic, comparisons, connectives.
-  A.mkAnd(A.mkLt(X, A.mkIntConst(3)), A.mkGt(X, A.mkIntConst(-3)));
-  EXPECT_EQ(A.numAtomsCreatedSince(M), 0u);
-  A.mkVar("fresh");
-  EXPECT_GT(A.numAtomsCreatedSince(M), 0u);
-}
-
 TEST(QueryCacheTest, StoreLookupAndGenerationKeying) {
   QueryCache Cache;
   TermFingerprint Fp{0x1234, 0x5678};
@@ -178,12 +113,6 @@ TEST(QueryCacheTest, StoreLookupAndGenerationKeying) {
   // A different generation or kind is a different key.
   EXPECT_FALSE(Cache.lookup(Fp, 1, QueryKind::Validity).has_value());
   EXPECT_FALSE(Cache.lookup(Fp, 0, QueryKind::Satisfiability).has_value());
-  // contains() does not touch the counters.
-  uint64_t Hits = Cache.hits(), Misses = Cache.misses();
-  EXPECT_TRUE(Cache.contains(Fp, 0, QueryKind::Validity));
-  EXPECT_FALSE(Cache.contains(Fp, 9, QueryKind::Validity));
-  EXPECT_EQ(Cache.hits(), Hits);
-  EXPECT_EQ(Cache.misses(), Misses);
 }
 
 TEST(QueryCacheTest, FirstWriterWins) {

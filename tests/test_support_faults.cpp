@@ -90,24 +90,27 @@ TEST(FaultInjectorTest, ParseRejectsMalformedSpecs) {
   EXPECT_EQ(FaultInjector::parse("", Error), nullptr);
   EXPECT_EQ(FaultInjector::parse("bogus:0.5:1", Error), nullptr);
   EXPECT_NE(Error.find("bogus"), std::string::npos);
-  EXPECT_EQ(FaultInjector::parse("worker-dispatch", Error), nullptr);
-  EXPECT_EQ(FaultInjector::parse("worker-dispatch:nope:1", Error), nullptr);
-  EXPECT_EQ(FaultInjector::parse("worker-dispatch:1.5:1", Error), nullptr);
-  EXPECT_EQ(FaultInjector::parse("worker-dispatch:-0.1:1", Error), nullptr);
+  EXPECT_EQ(FaultInjector::parse("cache-publish", Error), nullptr);
+  EXPECT_EQ(FaultInjector::parse("cache-publish:nope:1", Error), nullptr);
+  EXPECT_EQ(FaultInjector::parse("cache-publish:1.5:1", Error), nullptr);
+  EXPECT_EQ(FaultInjector::parse("cache-publish:-0.1:1", Error), nullptr);
+  // Retired site names are rejected like any typo.
+  EXPECT_EQ(FaultInjector::parse("worker-dispatch:0.2:7", Error), nullptr);
+  EXPECT_EQ(FaultInjector::parse("arena-delta:0.2:7", Error), nullptr);
 }
 
 TEST(FaultInjectorTest, ParseArmsOnlyTheNamedSites) {
   std::string Error;
   auto Injector =
-      FaultInjector::parse("worker-dispatch:0.5:7,solver-check:1.0:9", Error);
+      FaultInjector::parse("cache-publish:0.5:7,solver-check:1.0:9", Error);
   ASSERT_NE(Injector, nullptr) << Error;
-  EXPECT_TRUE(Injector->armed(FaultSite::WorkerDispatch));
+  EXPECT_TRUE(Injector->armed(FaultSite::CachePublish));
   EXPECT_TRUE(Injector->armed(FaultSite::SolverCheck));
-  EXPECT_FALSE(Injector->armed(FaultSite::CachePublish));
-  EXPECT_FALSE(Injector->armed(FaultSite::ArenaDelta));
+  EXPECT_FALSE(Injector->armed(FaultSite::ValidityGround));
+  EXPECT_FALSE(Injector->armed(FaultSite::SessionSpawn));
   // Unarmed sites never fire and do not count probes.
-  EXPECT_FALSE(Injector->shouldFail(FaultSite::CachePublish));
-  EXPECT_EQ(Injector->probes(FaultSite::CachePublish), 0u);
+  EXPECT_FALSE(Injector->shouldFail(FaultSite::ValidityGround));
+  EXPECT_EQ(Injector->probes(FaultSite::ValidityGround), 0u);
 }
 
 TEST(FaultInjectorTest, ProbabilityZeroNeverFiresProbabilityOneAlwaysDoes) {
@@ -143,32 +146,32 @@ TEST(FaultInjectorTest, SameSpecReplaysTheExactSameFireSet) {
 
 TEST(FaultInjectorTest, DifferentSeedsGiveDifferentFireSets) {
   FaultInjector A, B;
-  A.arm(FaultSite::ArenaDelta, 0.5, 1);
-  B.arm(FaultSite::ArenaDelta, 0.5, 2);
+  A.arm(FaultSite::SessionSpawn, 0.5, 1);
+  B.arm(FaultSite::SessionSpawn, 0.5, 2);
   std::vector<bool> FiresA, FiresB;
   for (int I = 0; I != 200; ++I) {
-    FiresA.push_back(A.shouldFail(FaultSite::ArenaDelta));
-    FiresB.push_back(B.shouldFail(FaultSite::ArenaDelta));
+    FiresA.push_back(A.shouldFail(FaultSite::SessionSpawn));
+    FiresB.push_back(B.shouldFail(FaultSite::SessionSpawn));
   }
   EXPECT_NE(FiresA, FiresB);
 }
 
 TEST(FaultInjectorTest, MaybeInjectFaultThrowsWithSiteAndName) {
   FaultInjector Injector;
-  Injector.arm(FaultSite::WorkerDispatch, 1.0, 5);
+  Injector.arm(FaultSite::CachePublish, 1.0, 5);
   setFaultInjector(&Injector);
   try {
-    maybeInjectFault(FaultSite::WorkerDispatch);
+    maybeInjectFault(FaultSite::CachePublish);
     setFaultInjector(nullptr);
     FAIL() << "expected FaultInjected";
   } catch (const FaultInjected &E) {
     setFaultInjector(nullptr);
-    EXPECT_EQ(E.site(), FaultSite::WorkerDispatch);
-    EXPECT_NE(std::string(E.what()).find("worker-dispatch"),
+    EXPECT_EQ(E.site(), FaultSite::CachePublish);
+    EXPECT_NE(std::string(E.what()).find("cache-publish"),
               std::string::npos);
   }
   // With no injector installed the hook is a no-op.
-  EXPECT_NO_THROW(maybeInjectFault(FaultSite::WorkerDispatch));
+  EXPECT_NO_THROW(maybeInjectFault(FaultSite::CachePublish));
 }
 
 TEST(FaultInjectorTest, SummaryListsArmedSitesWithCounts) {
@@ -179,7 +182,7 @@ TEST(FaultInjectorTest, SummaryListsArmedSitesWithCounts) {
   std::string Summary = Injector.summary();
   EXPECT_NE(Summary.find("solver-check"), std::string::npos);
   EXPECT_NE(Summary.find("2"), std::string::npos);
-  EXPECT_EQ(Summary.find("worker-dispatch"), std::string::npos);
+  EXPECT_EQ(Summary.find("cache-publish"), std::string::npos);
 }
 
 /// Inside a FaultScope the decision depends on the scope's key and attempt
@@ -242,10 +245,10 @@ TEST(FaultScopeTest, RetryAttemptDrawsAfresh) {
 /// Scopes nest: the innermost applies, and leaving it restores the outer.
 TEST(FaultScopeTest, InnermostScopeApplies) {
   FaultInjector Injector;
-  Injector.arm(FaultSite::ArenaDelta, 0.5, 11);
+  Injector.arm(FaultSite::SessionSpawn, 0.5, 11);
   auto Decide = [&](uint64_t Key) {
     FaultScope Scope(Key, 0);
-    return Injector.shouldFail(FaultSite::ArenaDelta);
+    return Injector.shouldFail(FaultSite::SessionSpawn);
   };
   uint64_t Fires = 0, Spares = 0;
   while (!Decide(Fires))
@@ -255,9 +258,9 @@ TEST(FaultScopeTest, InnermostScopeApplies) {
   FaultScope Outer(Fires, 0);
   {
     FaultScope Inner(Spares, 0);
-    EXPECT_FALSE(Injector.shouldFail(FaultSite::ArenaDelta));
+    EXPECT_FALSE(Injector.shouldFail(FaultSite::SessionSpawn));
   }
-  EXPECT_TRUE(Injector.shouldFail(FaultSite::ArenaDelta));
+  EXPECT_TRUE(Injector.shouldFail(FaultSite::SessionSpawn));
 }
 
 } // namespace

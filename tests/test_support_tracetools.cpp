@@ -18,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 using namespace hotg;
 
@@ -125,12 +128,12 @@ const char *miniTrace() {
 {"event":"span_begin","span":2,"parent":1,"thread":1,"name":"search.candidate","ts_ns":100}
 {"event":"solver_check","result":"sat","supports":1,"decisions":4,"propagations":9,"ns":5000,"scope_depth":2,"test":3,"candidate":7,"span":2}
 {"event":"solver_check","result":"unsat","supports":0,"decisions":1,"propagations":2,"ns":300}
-{"event":"validity_query","status":"valid","supports":1,"groundings_tried":2,"groundings_pruned":3,"learn_requests":0,"ns":9000,"test":2,"candidate":5,"worker":1,"grounding":"d1s0p0u0","span":2}
+{"event":"validity_query","status":"valid","supports":1,"groundings_tried":2,"groundings_pruned":3,"learn_requests":0,"ns":9000,"test":2,"candidate":5,"grounding":"d1s0p0u0","span":2}
 {"event":"span_end","span":2,"parent":1,"thread":1,"name":"search.candidate","ts_ns":700,"dur_ns":600}
 {"event":"span_begin","span":3,"parent":1,"thread":1,"name":"search.test","ts_ns":700}
 {"event":"span_end","span":3,"parent":1,"thread":1,"name":"search.test","ts_ns":900,"dur_ns":200}
-{"event":"heartbeat","ts_ns":950,"elapsed_ms":1,"tests":4,"tests_per_s":4000.0,"solver_checks":2,"solver_checks_per_s":2000.0,"cache_hits":1,"cache_misses":1,"cache_hit_rate":0.5,"queue_depth":0,"frontier":3}
-{"event":"search_summary","stop_reason":"test-budget","tests":4,"bugs":1,"covered_directions":6,"divergences":0,"worker_failures":0,"inline_retries":0}
+{"event":"heartbeat","ts_ns":950,"elapsed_ms":1,"tests":4,"tests_per_s":4000.0,"solver_checks":2,"solver_checks_per_s":2000.0,"cache_hits":1,"cache_misses":1,"cache_hit_rate":0.5,"frontier":3}
+{"event":"search_summary","stop_reason":"test-budget","tests":4,"bugs":1,"covered_directions":6,"divergences":0,"inline_retries":0}
 {"event":"span_end","span":1,"parent":0,"thread":1,"name":"search.run","ts_ns":1000,"dur_ns":1000}
 )";
 }
@@ -248,7 +251,6 @@ TEST(ReportTest, ComputesCoverageSelfTimeAndSlowQueries) {
   EXPECT_EQ(R.SlowQueries[0].Kind, "validity_query");
   EXPECT_EQ(R.SlowQueries[0].Ns, 9000);
   EXPECT_EQ(R.SlowQueries[0].Test, 2);
-  EXPECT_EQ(R.SlowQueries[0].Worker, 1);
   EXPECT_EQ(R.SlowQueries[0].Grounding, "d1s0p0u0");
   EXPECT_EQ(R.SlowQueries[1].Kind, "solver_check");
   EXPECT_EQ(R.SlowQueries[1].Ns, 5000);
@@ -258,6 +260,16 @@ TEST(ReportTest, ComputesCoverageSelfTimeAndSlowQueries) {
   EXPECT_NE(Text.find("search.run"), std::string::npos);
   EXPECT_NE(Text.find("80.0% attributed"), std::string::npos) << Text;
   EXPECT_NE(Text.find("validity_query"), std::string::npos);
+  // Groundings are pruned by the assert-time cut or the domain filter;
+  // the search has no unsat cores and no workers to report on.
+  EXPECT_NE(Text.find("groundings: 2 tried, 3 pruned (60.0% pruned)"),
+            std::string::npos)
+      << Text;
+  EXPECT_EQ(Text.find("unsat cores"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("stop reason test-budget  inline retries 0\n"),
+            std::string::npos)
+      << Text;
+  EXPECT_EQ(Text.find("worker"), std::string::npos) << Text;
 }
 
 TEST(ChromeExportTest, EmitsValidTraceEventJson) {
@@ -311,9 +323,8 @@ protected:
     Natives.registerDefaultHashes();
   }
 
-  /// Runs a short higher-order search with a JSONL sink attached and
-  /// returns the loaded trace.
-  trace::Trace capture(unsigned Jobs = 1) {
+  /// A short higher-order search with heartbeats.
+  core::SearchOptions options() const {
     core::SearchOptions Options;
     Options.Policy = dse::ConcretizationPolicy::HigherOrder;
     Options.MaxTests = 24;
@@ -321,14 +332,25 @@ protected:
     Options.RandomLo = 32;
     Options.RandomHi = 126;
     Options.SkipCoveredTargets = false;
-    Options.Jobs = Jobs;
     Options.ProgressEveryMs = 1;
+    return Options;
+  }
+
+  /// Runs \p Searches copies of the search concurrently, one per thread,
+  /// with one JSONL sink attached (as hotg-serve's workers do), and
+  /// returns the loaded trace. Result holds the last search's result.
+  trace::Trace capture(unsigned Searches = 1) {
     std::ostringstream Out;
     {
       telemetry::JsonlTraceSink Sink(Out);
       telemetry::ScopedSink Guard(&Sink);
-      core::DirectedSearch Search(Prog, Natives, App.Entry, Options);
-      Result = Search.run();
+      // Declared after the sink, so the workers join before it goes away.
+      std::vector<std::jthread> Workers;
+      for (unsigned I = 1; I < Searches; ++I)
+        Workers.emplace_back([this] {
+          core::DirectedSearch(Prog, Natives, App.Entry, options()).run();
+        });
+      Result = core::DirectedSearch(Prog, Natives, App.Entry, options()).run();
     }
     std::istringstream In(Out.str());
     return trace::loadTrace(In);
@@ -379,19 +401,19 @@ TEST_F(TraceEndToEndTest, RecordedTraceExportsChromeAndTree) {
 }
 
 TEST_F(TraceEndToEndTest, ParallelTraceValidatesWithWorkerSpans) {
-  trace::Trace T = capture(/*Jobs=*/3);
+  // Searches on concurrent worker threads share one sink: their events
+  // interleave, yet the trace validates and each thread roots its own
+  // span trees.
+  trace::Trace T = capture(/*Searches=*/2);
   std::vector<std::string> Problems = trace::validateTrace(T);
   ASSERT_TRUE(Problems.empty())
       << Problems.size() << " problems, first: " << Problems.front();
-  bool SawWorkerJob = false;
-  for (const trace::TraceEvent &E : T.Events)
-    if (E.Kind == "span_begin" &&
-        E.Json.getString("name") == "search.worker_job")
-      SawWorkerJob = true;
-  EXPECT_TRUE(SawWorkerJob);
-  // Worker spans root their own per-thread trees.
   trace::SpanForest F = trace::buildSpans(T);
-  EXPECT_GT(F.Roots.size(), 1u);
+  std::set<uint64_t> RootThreads;
+  for (size_t Root : F.Roots)
+    if (F.Nodes[Root].Name == "search.run")
+      RootThreads.insert(F.Nodes[Root].Thread);
+  EXPECT_EQ(RootThreads.size(), 2u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 //===- tests/test_vm_differential.cpp - VM vs interpreter byte identity ---------===//
 //
 // The acceptance contract of the bytecode VM (docs/minilang.md "Bytecode
-// VM"): for every example program, every concretization policy and every
-// worker count, a search run on the VM engine produces byte-identical
-// output to the tree-walking reference pair — same tests, same bugs, same
+// VM"): for every example program and every concretization policy, a
+// search run on the VM engine produces byte-identical output to the
+// tree-walking reference pair — same tests, same bugs, same
 // coverage, same solver-call counts — and a single shadow run produces the
 // same path constraint down to the numeric term ids (which encodes the
 // arena interning order, the strongest equivalence the term layer has).
@@ -14,6 +14,7 @@
 #include "core/Search.h"
 #include "dse/SymbolicExecutor.h"
 #include "lang/Parser.h"
+#include "smt/QueryCache.h"
 #include "support/FaultInjector.h"
 #include "vm/Compiler.h"
 #include "vm/VM.h"
@@ -23,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 using namespace hotg;
 using namespace hotg::core;
@@ -71,9 +73,8 @@ lang::Program loadProgram(const std::filesystem::path &Path) {
   return std::move(*Prog);
 }
 
-/// Field-by-field identity of two search results. Cache traffic and
-/// worker-failure tallies are schedule-dependent by contract and excluded;
-/// everything else must match exactly.
+/// Field-by-field identity of two search results. Cache traffic and retry
+/// tallies are excluded; everything else must match exactly.
 void expectIdentical(const SearchResult &A, const SearchResult &B,
                      const std::string &Context) {
   ASSERT_EQ(A.Tests.size(), B.Tests.size()) << Context;
@@ -108,11 +109,10 @@ void expectIdentical(const SearchResult &A, const SearchResult &B,
 SearchResult runSearch(const lang::Program &Prog,
                        const NativeRegistry &Natives,
                        const std::string &Entry, ConcretizationPolicy Policy,
-                       unsigned Jobs, vm::EngineKind Engine) {
+                       vm::EngineKind Engine) {
   SearchOptions Options;
   Options.Policy = Policy;
   Options.MaxTests = 24;
-  Options.Jobs = Jobs;
   Options.Engine = Engine;
   DirectedSearch Search(Prog, Natives, Entry, Options);
   return Search.run();
@@ -120,8 +120,10 @@ SearchResult runSearch(const lang::Program &Prog,
 
 /// The faulted lexer search of the CLI fault contract (hotg-run lexer.ml
 /// --entry lex_main --explore-paths --max-tests 48), on \p Engine, with
-/// \p FaultSpec armed for its duration ("" runs it clean).
-SearchResult runFaultedLexer(const NativeRegistry &Natives, unsigned Jobs,
+/// \p FaultSpec armed for its duration ("" runs it clean). The search
+/// gets a private query cache, as a hotg-serve session does, so the
+/// cache-publish site has publishes to drop.
+SearchResult runFaultedLexer(const NativeRegistry &Natives,
                              vm::EngineKind Engine,
                              const std::string &FaultSpec) {
   lang::Program Prog =
@@ -130,8 +132,9 @@ SearchResult runFaultedLexer(const NativeRegistry &Natives, unsigned Jobs,
   Options.Policy = ConcretizationPolicy::HigherOrder;
   Options.MaxTests = 48;
   Options.SkipCoveredTargets = false;
-  Options.Jobs = Jobs;
   Options.Engine = Engine;
+  smt::QueryCache Cache;
+  Options.SharedCache = &Cache;
   std::unique_ptr<support::FaultInjector> Injector;
   if (!FaultSpec.empty()) {
     std::string Error;
@@ -139,19 +142,17 @@ SearchResult runFaultedLexer(const NativeRegistry &Natives, unsigned Jobs,
     EXPECT_TRUE(Injector) << Error;
   }
   support::setFaultInjector(Injector.get());
-  SearchResult Result;
-  {
-    // Destroyed before disarming: its pool may still be running
-    // speculative jobs that probe the injector.
-    DirectedSearch Search(Prog, Natives, "lex_main", Options);
-    Result = Search.run();
+  SearchResult Result =
+      DirectedSearch(Prog, Natives, "lex_main", Options).run();
+  for (unsigned I = 0; Injector && I != support::NumFaultSites; ++I) {
+    if (Injector->armed(support::FaultSite(I))) {
+      EXPECT_GT(Injector->probes(support::FaultSite(I)), 0u) << FaultSpec;
+    }
   }
   support::setFaultInjector(nullptr);
   return Result;
 }
 
-/// TSan-friendly fixture name: the thread-sanitizer CI leg filters on
-/// VmDifferentialTest.* to exercise the engine seam under Jobs > 1.
 class VmDifferentialTest : public ::testing::Test {
 protected:
   NativeRegistry Natives;
@@ -168,45 +169,36 @@ TEST_F(VmDifferentialTest, SearchOutputIdenticalAcrossEnginesSerial) {
     std::string Entry = entryOf(Prog);
     for (ConcretizationPolicy Policy : AllPolicies) {
       SearchResult A =
-          runSearch(Prog, Natives, Entry, Policy, 1, vm::EngineKind::Interp);
+          runSearch(Prog, Natives, Entry, Policy, vm::EngineKind::Interp);
       SearchResult B =
-          runSearch(Prog, Natives, Entry, Policy, 1, vm::EngineKind::VM);
+          runSearch(Prog, Natives, Entry, Policy, vm::EngineKind::VM);
       expectIdentical(A, B,
-                      Path.filename().string() + " / " + policyName(Policy) +
-                          " / jobs 1");
+                      Path.filename().string() + " / " + policyName(Policy));
     }
   }
 }
 
+/// hotg-serve runs one search per worker thread: the two engines searching
+/// side by side on two threads (each on its own parse of the program, as
+/// two sessions are) still agree.
 TEST_F(VmDifferentialTest, SearchOutputIdenticalAcrossEnginesParallel) {
   for (const auto &Path : examplePaths()) {
-    lang::Program Prog = loadProgram(Path);
-    std::string Entry = entryOf(Prog);
+    lang::Program InterpProg = loadProgram(Path);
+    lang::Program VmProg = loadProgram(Path);
+    std::string Entry = entryOf(VmProg);
     for (ConcretizationPolicy Policy : AllPolicies) {
-      SearchResult A =
-          runSearch(Prog, Natives, Entry, Policy, 4, vm::EngineKind::Interp);
-      SearchResult B =
-          runSearch(Prog, Natives, Entry, Policy, 4, vm::EngineKind::VM);
+      SearchResult A, B;
+      {
+        std::jthread Worker([&] {
+          A = runSearch(InterpProg, Natives, Entry, Policy,
+                        vm::EngineKind::Interp);
+        });
+        B = runSearch(VmProg, Natives, Entry, Policy, vm::EngineKind::VM);
+      }
       expectIdentical(A, B,
                       Path.filename().string() + " / " + policyName(Policy) +
-                          " / jobs 4");
+                          " / concurrent");
     }
-  }
-}
-
-/// Worker counts must not interact with the engine choice: VM at jobs 4
-/// equals interpreter at jobs 1.
-TEST_F(VmDifferentialTest, EngineAndJobsCommute) {
-  for (const auto &Path : examplePaths()) {
-    lang::Program Prog = loadProgram(Path);
-    std::string Entry = entryOf(Prog);
-    SearchResult A = runSearch(Prog, Natives, Entry,
-                               ConcretizationPolicy::HigherOrder, 1,
-                               vm::EngineKind::Interp);
-    SearchResult B = runSearch(Prog, Natives, Entry,
-                               ConcretizationPolicy::HigherOrder, 4,
-                               vm::EngineKind::VM);
-    expectIdentical(A, B, Path.filename().string() + " / cross jobs");
   }
 }
 
@@ -214,29 +206,28 @@ TEST_F(VmDifferentialTest, EngineAndJobsCommute) {
 /// replays tests. Serial searches under solver-check faults are identical
 /// on both engines, and identical to the clean search.
 TEST_F(VmDifferentialTest, FaultedSearchIdenticalAcrossEnginesSerial) {
-  SearchResult Clean = runFaultedLexer(Natives, 1, vm::EngineKind::VM, "");
+  SearchResult Clean = runFaultedLexer(Natives, vm::EngineKind::VM, "");
   for (const char *Spec : {"solver-check:0.05:7", "solver-check:0.05:19"}) {
     SearchResult Interp =
-        runFaultedLexer(Natives, 1, vm::EngineKind::Interp, Spec);
-    SearchResult VM = runFaultedLexer(Natives, 1, vm::EngineKind::VM, Spec);
+        runFaultedLexer(Natives, vm::EngineKind::Interp, Spec);
+    SearchResult VM = runFaultedLexer(Natives, vm::EngineKind::VM, Spec);
     expectIdentical(Interp, VM, std::string(Spec) + " / interp vs vm");
     expectIdentical(Clean, Interp, std::string(Spec) + " / interp vs clean");
     EXPECT_GT(Interp.InlineRetries, 0u) << Spec;
   }
 }
 
-/// The interpreter engine recovers from every search fault site at
-/// --jobs 4 to the clean VM search.
+/// The interpreter engine recovers from every search fault site to the
+/// clean VM search.
 TEST_F(VmDifferentialTest, FaultedInterpreterMatchesCleanVmAtEverySite) {
-  SearchResult Clean = runFaultedLexer(Natives, 4, vm::EngineKind::VM, "");
+  SearchResult Clean = runFaultedLexer(Natives, vm::EngineKind::VM, "");
   for (const char *Site :
-       {"worker-dispatch:0.2", "cache-publish:0.2", "arena-delta:0.2",
-        "solver-check:0.05"})
+       {"cache-publish:0.2", "solver-check:0.05", "validity-ground:0.05"})
     for (const char *Seed : {":7", ":19"}) {
       std::string Spec = std::string(Site) + Seed;
       expectIdentical(
-          Clean, runFaultedLexer(Natives, 4, vm::EngineKind::Interp, Spec),
-          Spec + " / interp jobs 4");
+          Clean, runFaultedLexer(Natives, vm::EngineKind::Interp, Spec),
+          Spec + " / interp");
     }
 }
 

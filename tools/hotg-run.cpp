@@ -10,9 +10,6 @@
 //                      (default) | random
 //   --max-tests N      execution budget (default 64)
 //   --multistep K      learning-run bound for higher-order (default 2)
-//   --jobs N           worker threads for speculative candidate evaluation
-//                      (default 1 = serial; results are identical for any
-//                      N, see docs/parallelism.md)
 //   --input a,b,c      initial input cells (default: random)
 //   --seed-input a,b,c additional seed-corpus input (repeatable)
 //   --seed N           PRNG seed (default 42)
@@ -29,17 +26,17 @@
 //                      docs/observability.md documents the event schema,
 //                      and the hotg-trace tool analyzes the result
 //   --progress-ms N    emit a sampled heartbeat trace event (tests/s,
-//                      solver checks/s, cache hit rate, queue depth,
-//                      frontier size) at most every N ms; needs a trace
-//                      sink (--trace-out)
+//                      solver checks/s, frontier size) at most every N ms;
+//                      needs a trace sink (--trace-out)
 //   --deadline-ms N    wall-clock budget for the search; on expiry the
 //                      partial SearchResult is reported and the exit code
 //                      is 2 (see docs/robustness.md)
 //   --fault-spec S     arm the deterministic fault injector, e.g.
-//                      "worker-dispatch:0.2:7"; overrides HOTG_FAULT_SPEC
+//                      "solver-check:0.05:7"; overrides HOTG_FAULT_SPEC
 //
-// Programs run on the register bytecode VM, or on the tree-walking
-// interpreter pair under --summarize (docs/minilang.md "Bytecode VM").
+// The search runs on one thread. Programs run on the register bytecode
+// VM, or on the tree-walking interpreter pair under --summarize
+// (docs/minilang.md "Bytecode VM").
 //
 // Available natives: hash(1), hash2(1), hash4(4), fstep(1).
 //
@@ -80,7 +77,7 @@ namespace {
   std::fprintf(stderr,
                "usage: hotg-run <file.ml> [--entry NAME] "
                "[--policy unsound|sound|sound-delayed|higher-order|random] "
-               "[--max-tests N] [--multistep K] [--jobs N] [--input a,b,c] "
+               "[--max-tests N] [--multistep K] [--input a,b,c] "
                "[--seed-input a,b,c] [--seed N] [--samples-in F] "
                "[--samples-out F] [--summarize] [--explore-paths] "
                "[--order bfs|dfs] [--dump-tests] "
@@ -109,7 +106,6 @@ int runTool(int Argc, char **Argv) {
   std::string Policy = "higher-order";
   unsigned MaxTests = 64;
   unsigned MultiStep = 2;
-  unsigned Jobs = 1;
   uint64_t Seed = 42;
   std::optional<TestInput> Initial;
   std::vector<TestInput> Seeds;
@@ -135,12 +131,6 @@ int runTool(int Argc, char **Argv) {
     else if (!std::strcmp(Argv[I], "--multistep"))
       MultiStep = static_cast<unsigned>(
           std::strtoul(NextArg("--multistep"), nullptr, 10));
-    else if (!std::strcmp(Argv[I], "--jobs")) {
-      Jobs = static_cast<unsigned>(
-          std::strtoul(NextArg("--jobs"), nullptr, 10));
-      if (Jobs == 0)
-        usageError("--jobs expects a positive worker count");
-    }
     else if (!std::strcmp(Argv[I], "--input"))
       Initial = parseCells(NextArg("--input"));
     else if (!std::strcmp(Argv[I], "--seed-input"))
@@ -300,7 +290,6 @@ int runTool(int Argc, char **Argv) {
       usageError("unknown policy");
     Options.MaxTests = MaxTests;
     Options.MultiStepBound = MultiStep;
-    Options.Jobs = Jobs;
     Options.Seed = Seed;
     Options.InitialInput = Initial;
     Options.SeedInputs = Seeds;

@@ -6,11 +6,10 @@
 //   hotg-serve [options]                 read frames from stdin (batch mode)
 //   hotg-serve --socket PATH [options]   accept connections on a Unix socket
 //
-//   --workers N          session worker threads (default 2)
+//   --workers N          session worker threads (default 2); each runs
+//                        one single-threaded search at a time
 //   --queue-capacity N   admission-gate bound: jobs queued or running
 //                        before new ones are shed (default 8)
-//   --jobs N             per-session DirectedSearch worker cap; the `jobs`
-//                        request field is clamped to it (default 1)
 //   --deadline-ms N      default per-job deadline applied when a request
 //                        carries none (default 0 = unbounded)
 //   --max-retries N      bounded retry budget for transiently-failed
@@ -60,7 +59,7 @@ namespace {
   std::fprintf(stderr, "hotg-serve: %s\n", Message);
   std::fprintf(stderr,
                "usage: hotg-serve [--socket PATH] [--workers N] "
-               "[--queue-capacity N] [--jobs N] [--deadline-ms N] "
+               "[--queue-capacity N] [--deadline-ms N] "
                "[--max-retries N] [--backoff-ms N] [--program-root DIR] "
                "[--max-frame-bytes N] [--stats] [--stats-json F] "
                "[--trace-out F] [--fault-spec site:prob:seed[,...]]\n");
@@ -111,11 +110,6 @@ int runTool(int Argc, char **Argv) {
           static_cast<unsigned>(NextUnsigned("--queue-capacity"));
       if (Options.QueueCapacity == 0)
         usageError("--queue-capacity expects a positive count");
-    } else if (!std::strcmp(Argv[I], "--jobs")) {
-      Options.Session.MaxSessionJobs =
-          static_cast<unsigned>(NextUnsigned("--jobs"));
-      if (Options.Session.MaxSessionJobs == 0)
-        usageError("--jobs expects a positive worker count");
     } else if (!std::strcmp(Argv[I], "--deadline-ms"))
       Options.Session.DefaultDeadlineMs = NextUnsigned("--deadline-ms");
     else if (!std::strcmp(Argv[I], "--max-retries"))

@@ -385,20 +385,22 @@ smt::SatAnswer DirectedSearch::solveSat(smt::TermId Alt) {
 std::tuple<uint64_t, uint64_t, uint64_t, std::vector<int64_t>>
 DirectedSearch::candidateKey(smt::TermId Alt,
                              const TestInput &Parent) const {
-  // The generation matches the query-cache keying: satisfiability answers
-  // never depend on the growing sample table, validity answers do (via the
-  // antecedent), so a duplicate at a later generation is re-evaluated.
-  const uint64_t Gen = Options.Policy == ConcretizationPolicy::HigherOrder &&
-                               Options.UseAntecedent
-                           ? Samples.size()
-                           : 0;
+  // A duplicate at a later generation is re-evaluated: its validity
+  // query sees a larger antecedent.
   smt::TermFingerprint Fp =
       const_cast<smt::TermArena &>(Arena).fingerprint(Alt);
-  return {Fp.Hi, Fp.Lo, Gen, Parent.Cells};
+  return {Fp.Hi, Fp.Lo, sampleGeneration(), Parent.Cells};
+}
+
+uint64_t DirectedSearch::sampleGeneration() const {
+  return Options.Policy == ConcretizationPolicy::HigherOrder &&
+                 Options.UseAntecedent
+             ? Samples.size()
+             : 0;
 }
 
 ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
-  const uint64_t Gen = Options.UseAntecedent ? Samples.size() : 0;
+  const uint64_t Gen = sampleGeneration();
   if (smt::QueryCache *QC = Options.SharedCache) {
     smt::TermFingerprint Fp = Arena.fingerprint(Alt);
     if (auto Hit =
@@ -472,8 +474,7 @@ ValidityAnswer DirectedSearch::solveValidityGuarded(smt::TermId Alt) {
   constexpr unsigned MaxInlineRetries = 3;
   const uint64_t FaultKey =
       support::faultInjector()
-          ? queryFaultKey(Arena.fingerprint(Alt),
-                          Options.UseAntecedent ? Samples.size() : 0,
+          ? queryFaultKey(Arena.fingerprint(Alt), sampleGeneration(),
                           smt::QueryKind::Validity)
           : 0;
   for (unsigned Attempt = 0;; ++Attempt) {
@@ -509,10 +510,6 @@ void DirectedSearch::maybeEmitHeartbeat() {
   uint64_t Tests = Result.Tests.size();
   uint64_t Checks = Reg.counter("solver.checks").value();
   double IntervalS = static_cast<double>(Now - LastBeatNs) / 1e9;
-  smt::QueryCache *QC = Options.SharedCache;
-  uint64_t CacheHits = QC ? QC->hits() : 0;
-  uint64_t CacheMisses = QC ? QC->misses() : 0;
-  uint64_t CacheTotal = CacheHits + CacheMisses;
 
   telemetry::Event E(telemetry::EventKind::Heartbeat);
   E.set("ts_ns", static_cast<int64_t>(Now));
@@ -524,12 +521,6 @@ void DirectedSearch::maybeEmitHeartbeat() {
   E.set("solver_checks", static_cast<int64_t>(Checks));
   E.setDouble("solver_checks_per_s",
               static_cast<double>(Checks - LastBeatChecks) / IntervalS);
-  E.set("cache_hits", static_cast<int64_t>(CacheHits));
-  E.set("cache_misses", static_cast<int64_t>(CacheMisses));
-  E.setDouble("cache_hit_rate",
-              CacheTotal ? static_cast<double>(CacheHits) /
-                               static_cast<double>(CacheTotal)
-                         : 0.0);
   E.set("frontier", static_cast<int64_t>(Frontier.size()));
   S->handle(E);
 
@@ -695,12 +686,6 @@ SearchResult DirectedSearch::run() {
   case support::StopReason::TestBudget:
     Reg.counter("search.test_budget_stops").add();
     break;
-  }
-  if (smt::QueryCache *QC = Options.SharedCache) {
-    // The cache's cumulative counters: the per-search delta is not
-    // separable while other sessions share it (see SearchResult).
-    Result.CacheHits = QC->hits();
-    Result.CacheMisses = QC->misses();
   }
   if (telemetry::TraceSink *S = telemetry::sink()) {
     // End-of-run totals: one event per search, with the stop reason — the

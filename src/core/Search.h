@@ -86,10 +86,10 @@ struct SearchOptions {
   unsigned Jobs = 1;
   smt::SolverOptions SolverOpts;
   ValidityOptions ValidityOpts;
-  /// Emit a `heartbeat` trace event (tests/s, solver checks/s, cache hit
-  /// rate, frontier size) at most every this many
-  /// milliseconds, sampled at loop boundaries of the search. 0 (default)
-  /// disables the heartbeat; it is also inert without a trace sink.
+  /// Emit a `heartbeat` trace event (tests/s, solver checks/s, frontier
+  /// size) at most every this many milliseconds, sampled at loop
+  /// boundaries of the search. 0 (default) disables the heartbeat; it is
+  /// also inert without a trace sink.
   uint64_t ProgressEveryMs = 0;
   /// Wall-clock stop controls (docs/robustness.md). The constructor
   /// threads them into SolverOpts and Limits (unless those carry their own
@@ -98,16 +98,16 @@ struct SearchOptions {
   /// by default — the search then never reads the clock.
   support::Deadline Deadline;
   support::CancelToken Cancel;
-  /// A caller-owned query cache shared across searches (hotg-serve's
-  /// cross-session fabric, docs/serving.md). Null (the default) means no
-  /// cache. When set, the search consults it keyed by CacheEpoch — the
-  /// caller must guarantee that every search sharing an epoch runs an
-  /// identical job configuration (program, entry, policy, options, seed,
-  /// imported samples), which makes generation equality imply
-  /// sample-table equality across those sessions. Cached answers are
-  /// deterministic functions of the key, so sharing never changes results
-  /// — only CacheHits/CacheMisses, which depend on what other sessions
-  /// ran first. Must outlive the search.
+  /// A caller-owned query cache (hotg-serve's cross-session fabric, or a
+  /// deadline-armed session's own cache; docs/serving.md). Null (the
+  /// default) means no cache. When set, the search consults it keyed by
+  /// CacheEpoch — the caller must guarantee that every search sharing an
+  /// epoch runs an identical job configuration (program, entry, policy,
+  /// options, seed, imported samples), which makes generation equality
+  /// imply sample-table equality across those sessions. Cached answers
+  /// are deterministic functions of the key and carry the work they cost,
+  /// so a cache never changes tests, bugs, coverage or query stats. Must
+  /// outlive the search.
   smt::QueryCache *SharedCache = nullptr;
   uint64_t CacheEpoch = 0;
 };
@@ -148,10 +148,6 @@ struct SearchResult {
   smt::SolverStats SolverQueryStats;
   /// Work accumulated across every validity query of the search.
   ValidityStats ValidityQueryStats;
-  /// Query-cache traffic: the SharedCache's cumulative counters, both zero
-  /// without one. They describe what other sessions ran, not the search.
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
   /// Why the search returned: None = the frontier drained naturally;
   /// anything else means this is a partial (but internally consistent)
   /// result — all tests, bugs, coverage and stats accumulated so far.
@@ -230,6 +226,11 @@ private:
   /// One satisfiability query (classic policies), via Options.SharedCache
   /// when installed; folds work stats into SolverQueryStats.
   smt::SatAnswer solveSat(smt::TermId Alt);
+  /// The sample-table generation a query sees now: the number of recorded
+  /// IOF samples when validity queries read them as the antecedent
+  /// (HigherOrder with UseAntecedent), else 0. Keys the query cache, the
+  /// fault identity of a validity query, and candidateKey.
+  uint64_t sampleGeneration() const;
   /// Structural identity of a candidate for frontier deduplication:
   /// (ALT fingerprint, sample generation, parent input cells). Two
   /// candidates with equal keys see byte-identical solver queries and

@@ -80,8 +80,7 @@ struct Digest {
 
 uint64_t SessionManager::epochFor(const JobRequest &Request,
                                   std::string_view ResolvedSource,
-                                  std::string_view ImportedSamples,
-                                  uint64_t DeadlineMs) {
+                                  std::string_view ImportedSamples) {
   // Every field that influences the search's query stream. The digest
   // covers the *resolved* program text, never ProgramPath: a file edited
   // under --program-root while the daemon runs must split the epoch, and
@@ -107,12 +106,6 @@ uint64_t SessionManager::epochFor(const JobRequest &Request,
       D.num(static_cast<uint64_t>(Cell));
   }
   D.bytes(ImportedSamples);
-  if (DeadlineMs != 0) {
-    // Deadline-armed sessions race the wall clock; their query streams are
-    // not a pure function of the config, so they never share an epoch.
-    D.num(DeadlineMs);
-    D.num(UniqueEpochCounter.fetch_add(1, std::memory_order_relaxed));
-  }
   return D.H;
 }
 
@@ -230,15 +223,16 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
       Request.DeadlineMs ? Request.DeadlineMs : Config.DefaultDeadlineMs;
 
   // ShareSamples jobs warm-start from the fabric's table for this job
-  // family (the epoch digest *without* imports or deadline salt — the
-  // family key stays stable as the table itself grows).
+  // family (the epoch digest *without* imports — the family key stays
+  // stable as the table itself grows).
   std::string ImportedSamples;
   uint64_t SampleKey = 0;
   if (Request.ShareSamples && !Policy->Random) {
-    SampleKey = epochFor(Request, Source, "", 0);
+    SampleKey = epochFor(Request, Source, "");
     if (auto Entry = Fabric.lookupSamples(SampleKey))
       ImportedSamples = std::move(Entry->Text);
   }
+  const uint64_t Epoch = epochFor(Request, Source, ImportedSamples);
 
   // ---- The attempt loop: run, and on a transient failure back off and
   // re-run with a fresh session (the throwing DirectedSearch — arena,
@@ -257,13 +251,6 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
         support::FaultScope Scope(Frame, Retries);
         support::maybeInjectFault(support::FaultSite::SessionSpawn);
       }
-
-      // Per-attempt epoch: deadline-armed streams are clock-dependent, so
-      // a retried attempt must not consume validity entries published by
-      // its aborted predecessor — the fresh salt guarantees it. Without a
-      // deadline the digest is pure, identical across attempts.
-      const uint64_t Epoch =
-          epochFor(Request, Source, ImportedSamples, DeadlineMs);
 
       support::Deadline Deadline;
       if (DeadlineMs != 0)
@@ -299,7 +286,13 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
                             : core::SearchOptions::OrderKind::BreadthFirst;
         Options.Deadline = Deadline;
         Options.Cancel = Cancel;
-        Options.SharedCache = &Fabric.cache();
+        // A deadline-armed session races the wall clock, so its query
+        // stream is not a pure function of the epoch: it keeps its reuse
+        // within the session in a cache that dies with this attempt, and
+        // no other session, nor a retry of this one, reads its answers.
+        smt::QueryCache AttemptCache;
+        Options.SharedCache =
+            DeadlineMs != 0 ? &AttemptCache : &Fabric.cache();
         Options.CacheEpoch = Epoch;
 
         core::DirectedSearch Search(*Prog, Natives, Entry, Options);
@@ -315,13 +308,6 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
             Policy->Policy == dse::ConcretizationPolicy::HigherOrder)
           Fabric.publishSamples(SampleKey, Search.exportSamples(),
                                 Search.samples().size());
-        // Generation-keyed eviction: answers below this session's final
-        // generation can only be re-hit by a same-epoch session that is
-        // still behind — which would recompute identical answers anyway.
-        size_t Evicted = Fabric.cache().evictGenerationsBelow(
-            Epoch, Search.samples().size());
-        if (Evicted)
-          Reg.counter("serve.cache_evicted").add(Evicted);
       }
 
       Resp.Retries = Retries;

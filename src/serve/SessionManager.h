@@ -20,9 +20,10 @@
 ///    an exponential backoff — sessions are deterministic, so a clean
 ///    re-run after an injected/transient fault produces the canonical
 ///    result;
-///  * sessions of one SharedFabric share the smt::QueryCache (epoch-keyed)
-///    and, opt-in, the learned IOF sample tables, with generation-keyed
-///    eviction when a session finishes.
+///  * sessions of one SharedFabric share the smt::QueryCache (epoch-keyed,
+///    never evicted) and, opt-in, the learned IOF sample tables; a
+///    deadline-armed attempt caches into a private QueryCache that dies
+///    with its scope instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,17 +107,16 @@ public:
   /// \p ResolvedSource is the program text the session actually runs —
   /// for program_path requests, the *contents* loaded from disk, so an
   /// edit to the file under --program-root changes the epoch even though
-  /// the path string does not. Deadline-armed jobs get a unique epoch
-  /// (never shared, fresh per attempt): their results depend on the wall
-  /// clock. Exposed for tests.
-  uint64_t epochFor(const JobRequest &Request, std::string_view ResolvedSource,
-                    std::string_view ImportedSamples, uint64_t DeadlineMs);
+  /// the path string does not. The deadline is not digested:
+  /// deadline-armed sessions never read or write the fabric cache.
+  /// Exposed for tests.
+  static uint64_t epochFor(const JobRequest &Request,
+                           std::string_view ResolvedSource,
+                           std::string_view ImportedSamples);
 
 private:
   SharedFabric &Fabric;
   SessionConfig Config;
-  /// Salts the unique epochs handed to deadline-armed jobs.
-  std::atomic<uint64_t> UniqueEpochCounter{1};
 };
 
 } // namespace hotg::serve

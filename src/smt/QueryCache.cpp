@@ -25,23 +25,6 @@ void QueryCache::store(const TermFingerprint &Fp, uint64_t Generation,
   Entries.try_emplace({Fp, Generation, Kind, Epoch}, std::move(Answer));
 }
 
-size_t QueryCache::evictGenerationsBelow(uint64_t Epoch,
-                                         uint64_t MinGeneration) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  size_t Dropped = 0;
-  for (auto It = Entries.begin(); It != Entries.end();) {
-    const Key &K = It->first;
-    if (K.Epoch == Epoch && K.Generation != 0 &&
-        K.Generation < MinGeneration) {
-      It = Entries.erase(It);
-      ++Dropped;
-    } else {
-      ++It;
-    }
-  }
-  return Dropped;
-}
-
 size_t QueryCache::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Entries.size();

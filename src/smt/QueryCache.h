@@ -7,8 +7,9 @@
 /// \file
 /// A shared, thread-safe memo of decided solver queries, layered in front
 /// of both smt::SolverContext and core::ValiditySolver by the directed
-/// search when its caller installs one (SearchOptions::SharedCache, the
-/// cross-session fabric of hotg-serve, docs/serving.md). Keys are
+/// search when its caller installs one (SearchOptions::SharedCache: the
+/// cross-session fabric of hotg-serve, or the private cache of one
+/// deadline-armed serve session; docs/serving.md). Keys are
 ///
 ///     (epoch, term fingerprint, sample-table generation, query kind)
 ///
@@ -25,6 +26,9 @@
 /// sessions only grow identical sample tables when they run the same job
 /// configuration — so the serving layer keys each session by a digest of
 /// its full job configuration, and only same-epoch sessions share answers.
+/// Nothing is evicted: a repeated higher-order job re-asks its validity
+/// queries at every generation its predecessor reached, so every entry
+/// stays readable for the life of the cache.
 ///
 /// Values are arena-independent: a status byte plus the model rendered as
 /// (variable name, value) pairs, so an answer computed in one session's
@@ -85,15 +89,6 @@ public:
   /// functions of the key, so duplicates are identical).
   void store(const TermFingerprint &Fp, uint64_t Generation, QueryKind Kind,
              PortableAnswer Answer, uint64_t Epoch = 0);
-
-  /// Generation-keyed eviction for long-lived caches: drops every entry of
-  /// \p Epoch whose generation is in [1, MinGeneration). Generation-0
-  /// entries (pure satisfiability, reusable at any table state) survive.
-  /// Called by the serving layer when a session of that epoch finishes at
-  /// MinGeneration — a concurrent same-epoch session still below that
-  /// generation merely re-misses and recomputes the identical answer, so
-  /// eviction affects performance, never results. Returns entries dropped.
-  size_t evictGenerationsBelow(uint64_t Epoch, uint64_t MinGeneration);
 
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }

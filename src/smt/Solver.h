@@ -38,13 +38,6 @@ const char *satResultName(SatResult Result);
 
 /// Tuning knobs for the solver.
 struct SolverOptions {
-  /// Preferred domain for otherwise-unconstrained branch candidates.
-  int64_t PreferredLo = -1000000;
-  int64_t PreferredHi = 1000000;
-  /// Enumerate a finite domain exhaustively when at most this wide.
-  int64_t SmallDomainWidth = 16;
-  /// Maximum branching candidates for an under-constrained atom.
-  unsigned MaxBranchCandidates = 16;
   /// Search-node budget across all supports of one query.
   unsigned MaxDecisions = 20000;
   /// Maximum number of conjunctive supports explored per query.
@@ -52,8 +45,6 @@ struct SolverOptions {
   /// Optional IOF table: constrains UF applications at sampled points and
   /// seeds branching candidates (the Section 7 hash-inversion behaviour).
   const SampleTable *Samples = nullptr;
-  /// Deterministic seed for probe candidates.
-  uint64_t Seed = 0x5eed;
   /// Wall-clock stop controls (docs/robustness.md). Both are inactive by
   /// default, in which case the search loop never reads the clock and the
   /// solver stays fully deterministic. When the deadline expires (or the

@@ -30,6 +30,18 @@ const char *hotg::smt::satResultName(SatResult Result) {
 
 namespace {
 
+// Branch-candidate generation for under-constrained atoms (candidatesFor).
+
+/// Preferred domain for otherwise-unconstrained candidates.
+constexpr int64_t PreferredLo = -1000000;
+constexpr int64_t PreferredHi = 1000000;
+/// Enumerate a finite domain exhaustively when at most this wide.
+constexpr int64_t SmallDomainWidth = 16;
+/// Maximum branching candidates for one atom.
+constexpr size_t MaxBranchCandidates = 16;
+/// Deterministic seed for probe candidates.
+constexpr uint64_t CandidateSeed = 0x5eed;
+
 /// Reduces the Eq rows of \p Rows to integer echelon form (Gauss–Jordan with
 /// cross-multiplication and gcd normalization). Returns false when a row is
 /// integer-infeasible. Rows whose cross-multiplication would overflow 64
@@ -471,7 +483,7 @@ private:
         Out.push_back(V);
     };
 
-    if (Dom.isFinite() && Dom.width() <= Options.SmallDomainWidth) {
+    if (Dom.isFinite() && Dom.width() <= SmallDomainWidth) {
       for (int64_t V = Dom.Lo; V <= Dom.Hi; ++V)
         Push(V);
       return Out;
@@ -511,17 +523,17 @@ private:
     Push(0);
     Push(1);
     Push(-1);
-    int64_t PrefLo = std::max(Dom.Lo, Options.PreferredLo);
-    int64_t PrefHi = std::min(Dom.Hi, Options.PreferredHi);
+    int64_t PrefLo = std::max(Dom.Lo, PreferredLo);
+    int64_t PrefHi = std::min(Dom.Hi, PreferredHi);
     if (PrefLo <= PrefHi) {
       Push(PrefLo);
       Push(PrefHi);
-      RandomGen Rng(Options.Seed + Idx * 7919);
-      for (int I = 0; I < 4 && Out.size() < Options.MaxBranchCandidates; ++I)
+      RandomGen Rng(CandidateSeed + Idx * 7919);
+      for (int I = 0; I < 4 && Out.size() < MaxBranchCandidates; ++I)
         Push(Rng.nextInRange(PrefLo, PrefHi));
     }
-    if (Out.size() > Options.MaxBranchCandidates)
-      Out.resize(Options.MaxBranchCandidates);
+    if (Out.size() > MaxBranchCandidates)
+      Out.resize(MaxBranchCandidates);
     return Out;
   }
 

@@ -283,143 +283,6 @@ FuncId TermArena::funcIdOf(TermId Term) const {
   return static_cast<FuncId>(node(Term).Payload);
 }
 
-PortableTerm TermArena::exportTerm(TermId Term) const {
-  PortableTerm Out;
-  // Map from this arena's ids to snapshot indices; InvalidTerm = unvisited.
-  std::vector<TermId> NodeIndex(numTerms(), InvalidTerm);
-  std::vector<TermId> VarIndex(numVars(), InvalidTerm);
-  std::vector<TermId> FuncIndex(numFuncs(), InvalidTerm);
-
-  // Iterative postorder: emit operands before their users, root last.
-  std::vector<std::pair<TermId, bool>> Stack = {{Term, false}};
-  while (!Stack.empty()) {
-    auto [T, Expanded] = Stack.back();
-    Stack.pop_back();
-    if (NodeIndex[T] != InvalidTerm)
-      continue;
-    if (!Expanded) {
-      Stack.push_back({T, true});
-      auto Ops = operands(T);
-      for (size_t I = Ops.size(); I != 0; --I)
-        Stack.push_back({Ops[I - 1], false});
-      continue;
-    }
-    const TermNode &N = node(T);
-    PortableTerm::Node Copy;
-    Copy.Kind = N.Kind;
-    Copy.Type = N.Type;
-    Copy.OperandBegin = static_cast<uint32_t>(Out.Operands.size());
-    Copy.NumOperands = N.NumOperands;
-    for (TermId Op : operands(T)) {
-      assert(NodeIndex[Op] != InvalidTerm && "operand emitted after user");
-      Out.Operands.push_back(NodeIndex[Op]);
-    }
-    switch (N.Kind) {
-    case TermKind::IntVar: {
-      VarId Var = static_cast<VarId>(N.Payload);
-      if (VarIndex[Var] == InvalidTerm) {
-        VarIndex[Var] = static_cast<TermId>(Out.Vars.size());
-        Out.Vars.emplace_back(varName(Var));
-      }
-      Copy.Payload = VarIndex[Var];
-      break;
-    }
-    case TermKind::UFApp: {
-      FuncId Func = static_cast<FuncId>(N.Payload);
-      if (FuncIndex[Func] == InvalidTerm) {
-        FuncIndex[Func] = static_cast<TermId>(Out.Funcs.size());
-        Out.Funcs.push_back(func(Func));
-      }
-      Copy.Payload = FuncIndex[Func];
-      break;
-    }
-    default:
-      Copy.Payload = N.Payload;
-      break;
-    }
-    NodeIndex[T] = static_cast<TermId>(Out.Nodes.size());
-    Out.Nodes.push_back(Copy);
-  }
-  return Out;
-}
-
-TermId TermArena::importTerm(const PortableTerm &Snapshot) {
-  assert(!Snapshot.empty() && "cannot import an empty snapshot");
-
-  std::vector<VarId> Vars;
-  Vars.reserve(Snapshot.Vars.size());
-  for (const std::string &Name : Snapshot.Vars)
-    Vars.push_back(getOrCreateVar(Name));
-
-  std::vector<FuncId> Funcs;
-  Funcs.reserve(Snapshot.Funcs.size());
-  for (const FuncSymbol &Sym : Snapshot.Funcs)
-    Funcs.push_back(getOrCreateFunc(Sym.Name, Sym.Arity));
-
-  std::vector<TermId> Local(Snapshot.Nodes.size(), InvalidTerm);
-  std::vector<TermId> Ops;
-  for (size_t I = 0; I != Snapshot.Nodes.size(); ++I) {
-    const PortableTerm::Node &N = Snapshot.Nodes[I];
-    Ops.clear();
-    for (uint32_t K = 0; K != N.NumOperands; ++K) {
-      TermId Op = Local[Snapshot.Operands[N.OperandBegin + K]];
-      assert(Op != InvalidTerm && "snapshot is not topologically ordered");
-      Ops.push_back(Op);
-    }
-    switch (N.Kind) {
-    case TermKind::IntConst:
-      Local[I] = mkIntConst(N.Payload);
-      break;
-    case TermKind::BoolConst:
-      Local[I] = mkBoolConst(N.Payload != 0);
-      break;
-    case TermKind::IntVar:
-      Local[I] = mkVar(Vars[static_cast<size_t>(N.Payload)]);
-      break;
-    case TermKind::Add:
-      Local[I] = mkAdd(Ops);
-      break;
-    case TermKind::Sub:
-      Local[I] = mkSub(Ops[0], Ops[1]);
-      break;
-    case TermKind::Neg:
-      Local[I] = mkNeg(Ops[0]);
-      break;
-    case TermKind::Mul:
-      Local[I] = mkMul(Ops[0], Ops[1]);
-      break;
-    case TermKind::Eq:
-    case TermKind::Ne:
-    case TermKind::Lt:
-    case TermKind::Le:
-    case TermKind::Gt:
-    case TermKind::Ge:
-      Local[I] = mkCmp(N.Kind, Ops[0], Ops[1]);
-      break;
-    case TermKind::Not:
-      Local[I] = mkNot(Ops[0]);
-      break;
-    case TermKind::And:
-      Local[I] = mkAnd(Ops);
-      break;
-    case TermKind::Or:
-      Local[I] = mkOr(Ops);
-      break;
-    case TermKind::Implies:
-      Local[I] = mkImplies(Ops[0], Ops[1]);
-      break;
-    case TermKind::UFApp:
-      Local[I] = mkUFApp(Funcs[static_cast<size_t>(N.Payload)], Ops);
-      break;
-    }
-  }
-  return Local.back();
-}
-
-TermId TermArena::import(const TermArena &Src, TermId SrcTerm) {
-  return importTerm(Src.exportTerm(SrcTerm));
-}
-
 namespace {
 /// splitmix64 finalizer — the avalanche step behind the fingerprint mixes.
 uint64_t mix64(uint64_t X) {

@@ -92,30 +92,6 @@ struct TermFingerprint {
   bool operator==(const TermFingerprint &Other) const = default;
 };
 
-/// An arena-independent snapshot of one term DAG: nodes in topological
-/// order (operands before users, root last), with variables and function
-/// symbols resolved to names. Produced by TermArena::exportTerm on one
-/// arena and re-interned by TermArena::importTerm on another.
-struct PortableTerm {
-  struct Node {
-    TermKind Kind;
-    TermType Type;
-    /// IntConst value, BoolConst 0/1, IntVar index into Vars, or UFApp
-    /// index into Funcs.
-    int64_t Payload = 0;
-    uint32_t OperandBegin = 0;
-    uint32_t NumOperands = 0;
-  };
-
-  std::vector<Node> Nodes;
-  /// Operand lists; values are indices into Nodes.
-  std::vector<uint32_t> Operands;
-  std::vector<std::string> Vars;
-  std::vector<FuncSymbol> Funcs;
-
-  bool empty() const { return Nodes.empty(); }
-};
-
 /// Owns all terms, variables and function symbols for one analysis session.
 ///
 /// All factory methods hash-cons: building the same term twice yields the
@@ -224,24 +200,8 @@ public:
   }
 
   //===------------------------------------------------------------------===//
-  // Cross-arena translation and fingerprints
+  // Fingerprints
   //===------------------------------------------------------------------===//
-
-  /// Snapshots the DAG rooted at \p Term into an arena-independent form
-  /// (names instead of VarId/FuncId, topologically ordered nodes).
-  PortableTerm exportTerm(TermId Term) const;
-
-  /// Interns every node of \p Snapshot, registering variables and function
-  /// symbols by name, and returns the root's TermId. Because the factories
-  /// hash-cons, importing a snapshot into the arena it was exported from
-  /// returns the original TermId, and importing the same snapshot twice
-  /// returns the same TermId (structural equality ⇒ identity).
-  TermId importTerm(const PortableTerm &Snapshot);
-
-  /// Imports the DAG rooted at \p SrcTerm of \p Src into this arena,
-  /// mapping variables and function symbols by name. Equivalent to
-  /// importTerm(Src.exportTerm(SrcTerm)).
-  TermId import(const TermArena &Src, TermId SrcTerm);
 
   /// Arena-independent structural digest of \p Term (memoized per arena;
   /// hash-consing makes the memo stable for the arena's lifetime).

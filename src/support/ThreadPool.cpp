@@ -2,8 +2,6 @@
 
 #include "support/ThreadPool.h"
 
-#include "support/Telemetry.h"
-
 using namespace hotg;
 using namespace hotg::support;
 
@@ -49,21 +47,12 @@ void ThreadPool::workerMain(unsigned Index) {
       It = std::move(Queue.front());
       Queue.pop_front();
     }
-    // Account the busy time *before* fulfilling the promise: a caller
-    // returning from future::get() must observe this job's contribution
-    // in busyNanos().
-    uint64_t Start = telemetry::monotonicNanos();
-    std::exception_ptr Err;
     try {
       It.Fn(Index);
     } catch (...) {
-      Err = std::current_exception();
+      It.Done.set_exception(std::current_exception());
+      continue;
     }
-    BusyNs.fetch_add(telemetry::monotonicNanos() - Start,
-                     std::memory_order_relaxed);
-    if (Err)
-      It.Done.set_exception(std::move(Err));
-    else
-      It.Done.set_value();
+    It.Done.set_value();
   }
 }

@@ -19,9 +19,7 @@
 #ifndef HOTG_SUPPORT_THREADPOOL_H
 #define HOTG_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -49,9 +47,6 @@ public:
   /// carries the task's exception).
   std::future<void> submit(std::function<void(unsigned WorkerIndex)> Task);
 
-  /// Total wall-clock nanoseconds workers spent executing tasks.
-  uint64_t busyNanos() const { return BusyNs.load(std::memory_order_relaxed); }
-
 private:
   struct Item {
     std::function<void(unsigned)> Fn;
@@ -64,7 +59,6 @@ private:
   std::condition_variable WakeUp;
   std::deque<Item> Queue;
   bool Stopping = false;
-  std::atomic<uint64_t> BusyNs{0};
   std::vector<std::thread> Workers;
 };
 

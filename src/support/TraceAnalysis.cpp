@@ -176,9 +176,6 @@ const std::vector<KindSpec> &schema() {
         {"tests_per_s", FieldType::Number, true},
         {"solver_checks", FieldType::Int, true},
         {"solver_checks_per_s", FieldType::Number, true},
-        {"cache_hits", FieldType::Int, true},
-        {"cache_misses", FieldType::Int, true},
-        {"cache_hit_rate", FieldType::Number, true},
         {"frontier", FieldType::Int, true}}},
   };
   return Specs;

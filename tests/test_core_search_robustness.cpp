@@ -28,8 +28,7 @@ using namespace hotg::support;
 namespace {
 
 /// The deterministic subset of SearchResult (everything except
-/// CacheHits/CacheMisses/InlineRetries and context-reuse stats) must match
-/// the fault-free run.
+/// InlineRetries and context-reuse stats) must match the fault-free run.
 void expectSameResult(const SearchResult &A, const SearchResult &B,
                       const char *What) {
   ASSERT_EQ(A.Tests.size(), B.Tests.size()) << What;

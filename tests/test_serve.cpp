@@ -8,7 +8,10 @@
 //    ordinary parse errors, never UB;
 //  * admission control — a full gate sheds with structured rejections and
 //    nothing is silently dropped (responses == frames, always);
-//  * deadline jobs degrade (partial results, `degraded` status);
+//  * deadline jobs degrade (partial results, `degraded` status) and never
+//    touch the fabric cache;
+//  * the fabric cache keeps every generation, so a repeated higher-order
+//    job hits most of its lookups;
 //  * transiently-failed sessions retry with backoff and then succeed;
 //  * a quarantined session never perturbs its neighbors: the surviving
 //    jobs' outputs are byte-identical to a fault-free server's;
@@ -16,6 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "app/Examples.h"
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/SessionManager.h"
@@ -65,6 +69,13 @@ std::string obscureRequest(std::string_view Id, std::string_view Extra = {}) {
          jsonEscape(readExample("obscure.ml")) +
          "\",\"policy\":\"higher-order\",\"input\":[33,42]" +
          std::string(Extra) + "}";
+}
+
+/// Example 3 (`bar`) as a higher-order job: seed 42, input 33,42.
+std::string barRequest(std::string_view Id) {
+  return "{\"id\":\"" + std::string(Id) + "\",\"program\":\"" +
+         jsonEscape(app::exampleByName("bar").Source) +
+         "\",\"policy\":\"higher-order\",\"seed\":42,\"input\":[33,42]}";
 }
 
 /// One decoded response frame.
@@ -409,23 +420,20 @@ TEST(ServeSessionTest, EpochSharesAcrossIdentityFieldsButNotConfigs) {
   JobRequest B = A;
   B.Id = "b";
   B.Tenant = "other"; // Identity fields never split an epoch.
-  EXPECT_EQ(Sessions.epochFor(A, Src, "", 0), Sessions.epochFor(B, Src, "", 0));
+  EXPECT_EQ(Sessions.epochFor(A, Src, ""), Sessions.epochFor(B, Src, ""));
   B.Seed = 7; // Anything that changes the query stream does.
-  EXPECT_NE(Sessions.epochFor(A, Src, "", 0), Sessions.epochFor(B, Src, "", 0));
-  EXPECT_NE(Sessions.epochFor(A, Src, "", 0),
-            Sessions.epochFor(A, Src, "samples", 0));
+  EXPECT_NE(Sessions.epochFor(A, Src, ""), Sessions.epochFor(B, Src, ""));
+  EXPECT_NE(Sessions.epochFor(A, Src, ""),
+            Sessions.epochFor(A, Src, "samples"));
   // The epoch digests the program text the session actually runs, never
   // the path it was named by: an edited file under --program-root splits
   // the epoch, and a path spelling alone never does.
-  EXPECT_NE(Sessions.epochFor(A, Src, "", 0),
-            Sessions.epochFor(A, "fun main() -> int { return 1; }", "", 0));
+  EXPECT_NE(Sessions.epochFor(A, Src, ""),
+            Sessions.epochFor(A, "fun main() -> int { return 1; }", ""));
   JobRequest ByPath = A;
   ByPath.Program.clear();
   ByPath.ProgramPath = "some/dir/main.ml";
-  EXPECT_EQ(Sessions.epochFor(A, Src, "", 0),
-            Sessions.epochFor(ByPath, Src, "", 0));
-  // Deadline-armed jobs never share an epoch, not even with themselves.
-  EXPECT_NE(Sessions.epochFor(A, Src, "", 5), Sessions.epochFor(A, Src, "", 5));
+  EXPECT_EQ(Sessions.epochFor(A, Src, ""), Sessions.epochFor(ByPath, Src, ""));
 }
 
 TEST(ServeSessionTest, CrossSessionCacheServesRepeatJobs) {
@@ -439,6 +447,38 @@ TEST(ServeSessionTest, CrossSessionCacheServesRepeatJobs) {
   EXPECT_EQ(First["r1"].Output, Second["r2"].Output);
   EXPECT_EQ(First["r1"].Status, "bugs");
   EXPECT_EQ(Second["r2"].Status, "bugs");
+}
+
+TEST(ServeSessionTest, RepeatHigherOrderJobHitsEveryGeneration) {
+  // Multi-step generation grows the sample table between intermediate
+  // runs (Example 7), so a repeated higher-order job re-asks its validity
+  // queries at every generation its predecessor reached. The fabric keeps
+  // them all, so most of the repeat's lookups hit.
+  Server Daemon(withWorkers(1));
+  const smt::QueryCache &Cache = Daemon.fabric().cache();
+  auto First = byId(runBatch(Daemon, {barRequest("b1")}));
+  const uint64_t HitsBefore = Cache.hits();
+  const uint64_t MissesBefore = Cache.misses();
+  auto Second = byId(runBatch(Daemon, {barRequest("b2")}));
+  const uint64_t Hits = Cache.hits() - HitsBefore;
+  const uint64_t Lookups = Hits + Cache.misses() - MissesBefore;
+  EXPECT_GT(2 * Hits, Lookups) << Hits << " hits of " << Lookups;
+  EXPECT_EQ(First["b1"].Status, Second["b2"].Status);
+  EXPECT_EQ(First["b1"].Output, Second["b2"].Output);
+}
+
+TEST(ServeSessionTest, DeadlineArmedJobsLeaveTheFabricCacheEmpty) {
+  // A deadline-armed session caches into a private cache that dies with
+  // its attempt; its deadline-free twin publishes into the fabric. The
+  // deadline is far enough away never to fire, so both report alike.
+  Server Daemon(withWorkers(1));
+  auto Armed =
+      byId(runBatch(Daemon, {obscureRequest("armed", ",\"deadline_ms\":60000")}));
+  EXPECT_EQ(Armed["armed"].Status, "bugs");
+  EXPECT_EQ(Daemon.fabric().cache().size(), 0u);
+  auto Free = byId(runBatch(Daemon, {obscureRequest("free")}));
+  EXPECT_GT(Daemon.fabric().cache().size(), 0u);
+  EXPECT_EQ(Armed["armed"].Output, Free["free"].Output);
 }
 
 TEST(ServeSessionTest, ShareSamplesPublishesOneTablePerFamily) {

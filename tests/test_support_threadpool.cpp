@@ -63,16 +63,4 @@ TEST(ThreadPool, DestructorDrainsTheQueue) {
   EXPECT_EQ(Ran.load(), 32);
 }
 
-TEST(ThreadPool, BusyNanosAccumulates) {
-  ThreadPool Pool(2);
-  auto F = Pool.submit([](unsigned) {
-    // Touch the clock so even a coarse timer sees nonzero work.
-    volatile uint64_t X = 0;
-    for (int I = 0; I != 100000; ++I)
-      X = X + I;
-  });
-  F.get();
-  EXPECT_GT(Pool.busyNanos(), 0u);
-}
-
 } // namespace

@@ -132,7 +132,7 @@ const char *miniTrace() {
 {"event":"span_end","span":2,"parent":1,"thread":1,"name":"search.candidate","ts_ns":700,"dur_ns":600}
 {"event":"span_begin","span":3,"parent":1,"thread":1,"name":"search.test","ts_ns":700}
 {"event":"span_end","span":3,"parent":1,"thread":1,"name":"search.test","ts_ns":900,"dur_ns":200}
-{"event":"heartbeat","ts_ns":950,"elapsed_ms":1,"tests":4,"tests_per_s":4000.0,"solver_checks":2,"solver_checks_per_s":2000.0,"cache_hits":1,"cache_misses":1,"cache_hit_rate":0.5,"frontier":3}
+{"event":"heartbeat","ts_ns":950,"elapsed_ms":1,"tests":4,"tests_per_s":4000.0,"solver_checks":2,"solver_checks_per_s":2000.0,"frontier":3}
 {"event":"search_summary","stop_reason":"test-budget","tests":4,"bugs":1,"covered_directions":6,"divergences":0,"inline_retries":0}
 {"event":"span_end","span":1,"parent":0,"thread":1,"name":"search.run","ts_ns":1000,"dur_ns":1000}
 )";

@@ -414,15 +414,16 @@ ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
       return Answer;
     }
   }
-  const smt::SampleTable &Antecedent =
-      Options.UseAntecedent ? Samples : EmptySamples;
-  ValidityOptions VOpts = Options.ValidityOpts;
-  VOpts.SolverOpts = Options.SolverOpts;
-  if (Options.SummarizeCalls)
-    VOpts.Summaries = &Summaries;
-  ValiditySolver Validity(Arena, Antecedent, VOpts);
-  ValidityAnswer Answer = Validity.checkPost(Alt);
-  const ValidityStats &S = Validity.stats();
+  if (!Validity) {
+    ValidityOptions VOpts = Options.ValidityOpts;
+    VOpts.SolverOpts = Options.SolverOpts;
+    if (Options.SummarizeCalls)
+      VOpts.Summaries = &Summaries;
+    Validity = std::make_unique<ValiditySolver>(
+        Arena, Options.UseAntecedent ? Samples : EmptySamples, VOpts);
+  }
+  ValidityAnswer Answer = Validity->checkPost(Alt);
+  const ValidityStats &S = Validity->stats();
   Result.ValidityQueryStats.SupportsExplored += S.SupportsExplored;
   Result.ValidityQueryStats.GroundingsTried += S.GroundingsTried;
   Result.ValidityQueryStats.GroundingsPruned += S.GroundingsPruned;

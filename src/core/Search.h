@@ -275,6 +275,9 @@ private:
   /// retargeted per query; created lazily. Its per-query stats do not
   /// depend on which queries ran before (docs/solver.md).
   std::unique_ptr<smt::SolverContext> SatCtx;
+  /// Long-lived validity solver for the higher-order queries, created
+  /// lazily; each query leaves it as a fresh one would be.
+  std::unique_ptr<ValiditySolver> Validity;
   uint64_t NextCandidateId = 0;
   /// Heartbeat sampling state (maybeEmitHeartbeat): search start time,
   /// plus time and counter values at the previous beat for the

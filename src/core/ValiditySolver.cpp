@@ -59,7 +59,9 @@ struct ForcednessResult {
   bool HardFailure = false;        ///< A literal is outright not forceable.
 };
 
-class SupportValidity {
+} // namespace
+
+class hotg::core::SupportValidity {
 public:
   SupportValidity(TermArena &Arena, const SampleTable &Samples,
                   const ValidityOptions &Options, ValidityStats &Stats)
@@ -80,6 +82,10 @@ public:
     // inner solver.
     support::maybeInjectFault(support::FaultSite::ValidityGround);
     Outcome Result;
+    // A query that threw (a fault fired at an inner check) left its scopes
+    // open; popping them restores the empty stack exactly.
+    while (Ctx.numScopes() != 0)
+      Ctx.pop();
 
     // Seed the worklist with the support's UF applications and the query
     // with its literals. Grounding choices may introduce further
@@ -94,7 +100,8 @@ public:
     DeterminedApps.clear();
     OpaqueEntries = 0;
 
-    std::vector<TermId> Seen;
+    std::vector<TermId> &Seen = FreshApps;
+    Seen.clear();
     for (TermId Lit : Literals)
       Arena.collectApps(Lit, Seen);
     for (TermId App : Seen)
@@ -146,7 +153,7 @@ private:
       if (Arena.funcIdOf(Apps[J]) == Func)
         Peers.push_back(J);
     Apps.push_back(App);
-    AppSamples.push_back(Samples.samplesFor(Func));
+    AppSamples.push_back(&Samples.samplesFor(Func));
     if (Options.Summaries && Options.Summaries->isSummary(Func))
       AppDisjuncts.push_back(Options.Summaries->disjunctsFor(Func));
     else
@@ -166,9 +173,10 @@ private:
     // below intern terms, which may reallocate the arena's shared operand
     // pool under a live operands() span.
     auto ArgsSpan = Arena.operands(Apps[Index]);
-    std::vector<TermId> Args(ArgsSpan.begin(), ArgsSpan.end());
+    std::vector<TermId> &Args = ArgTerms;
+    Args.assign(ArgsSpan.begin(), ArgsSpan.end());
     if (C.ChoiceKind == GroundingChoice::Kind::Sample) {
-      const Sample &S = AppSamples[Index][C.SampleIndex];
+      const Sample &S = (*AppSamples[Index])[C.SampleIndex];
       assert(S.Args.size() == Args.size() && "arity mismatch in samples");
       for (size_t A = 0; A != Args.size(); ++A)
         Query.push_back(Arena.mkEq(Args[A], Arena.mkIntConst(S.Args[A])));
@@ -187,13 +195,15 @@ private:
       DeterminedApps.insert(Apps[Index]);
     } else if (C.ChoiceKind == GroundingChoice::Kind::PairWith) {
       auto PeerSpan = Arena.operands(Apps[C.PeerApp]);
-      std::vector<TermId> PeerArgs(PeerSpan.begin(), PeerSpan.end());
+      std::vector<TermId> &PeerArgs = PeerArgTerms;
+      PeerArgs.assign(PeerSpan.begin(), PeerSpan.end());
       for (size_t A = 0; A != Args.size(); ++A)
         Query.push_back(Arena.mkEq(Args[A], PeerArgs[A]));
     }
     // Nested applications introduced by the instantiation join the
     // worklist so they get grounded too (the compositional recursion).
-    std::vector<TermId> Fresh;
+    std::vector<TermId> &Fresh = FreshApps;
+    Fresh.clear();
     for (size_t Q = QMark; Q != Query.size(); ++Q)
       Arena.collectApps(Query[Q], Fresh);
     for (TermId App : Fresh)
@@ -240,7 +250,7 @@ private:
   /// formula. Returns false when the stack is refuted — by a `false`
   /// literal or at assert time — which refutes every grounding below.
   bool assertQuerySince(size_t From) {
-    std::vector<TermId> Work;
+    std::vector<TermId> &Work = Pending;
     for (size_t Q = From; Q != Query.size(); ++Q) {
       Work.assign(1, toNNF(Arena, Query[Q]));
       while (!Work.empty()) {
@@ -291,7 +301,7 @@ private:
     for (size_t D = 0; D != AppDisjuncts[Index].size(); ++D)
       if (Visit(GroundingChoice{GroundingChoice::Kind::Disjunct, 0, D, 0}))
         return true;
-    for (size_t S = 0; S != AppSamples[Index].size(); ++S)
+    for (size_t S = 0; S != AppSamples[Index]->size(); ++S)
       if (Visit(GroundingChoice{GroundingChoice::Kind::Sample, S, 0, 0}))
         return true;
     for (size_t P = 0; P != AppPeers[Index].size(); ++P)
@@ -325,7 +335,7 @@ private:
       ChoiceMark M = mark();
       bool Found = false;
       if (C.ChoiceKind == GroundingChoice::Kind::Sample &&
-          sampleExcluded(Index, AppSamples[Index][C.SampleIndex])) {
+          sampleExcluded(Index, (*AppSamples[Index])[C.SampleIndex])) {
         // Cut before anything is asserted. Applications nested in the
         // arguments still go through pushChoice, which registers them (or
         // hits the application cap) as the assert-time path would.
@@ -412,7 +422,8 @@ private:
     uint64_t Leaves = 1;
     for (size_t I = Index; I != Apps.size(); ++I)
       Leaves = std::min<uint64_t>(
-          Leaves * (AppSamples[I].size() + AppPeers[I].size() + 1), Left + 1);
+          Leaves * (AppSamples[I]->size() + AppPeers[I].size() + 1),
+          Left + 1);
     Stats.GroundingsPruned += static_cast<unsigned>(std::min(Leaves, Left));
     if (Leaves > Left)
       SawUnknown = true;
@@ -544,7 +555,7 @@ private:
       break;
     }
 
-    auto Atom = normalizeComparison(Arena, Term);
+    const std::optional<LinearAtom> &Atom = normalizedComparison(Arena, Term);
     if (!Atom) {
       Result.Forced = false;
       Result.HardFailure = true;
@@ -552,20 +563,22 @@ private:
     }
     // Group application monomials into universal classes keyed by
     // (function, evaluated arguments); sampled points and summary-pinned
-    // applications are determined.
+    // applications are determined. Only an undetermined class costs an
+    // allocation.
     std::map<std::pair<FuncId, std::vector<int64_t>>, int64_t> ClassCoeff;
+    std::vector<int64_t> &Args = ArgValues;
     for (const LinearMonomial &Mono : Atom->Expr.Monomials) {
       if (Arena.kind(Mono.Atom) != TermKind::UFApp)
         continue;
       if (Determined.count(Mono.Atom))
         continue; // Pinned by an instantiated summary disjunct.
       FuncId Func = Arena.funcIdOf(Mono.Atom);
-      std::vector<int64_t> Args;
+      Args.clear();
       for (TermId Arg : Arena.operands(Mono.Atom))
         Args.push_back(M.evalInt(Arena, Arg));
       if (Samples.lookup(Func, Args))
         continue; // Determined by the antecedent.
-      ClassCoeff[{Func, std::move(Args)}] += Mono.Coeff;
+      ClassCoeff[{Func, Args}] += Mono.Coeff;
     }
     for (auto &[Key, Coeff] : ClassCoeff) {
       if (Coeff == 0)
@@ -583,7 +596,9 @@ private:
   ValidityStats &Stats;
 
   std::vector<TermId> Apps;
-  std::vector<std::vector<Sample>> AppSamples;
+  /// The sample list of each application's function symbol; the table
+  /// does not change during a query.
+  std::vector<const std::vector<Sample> *> AppSamples;
   std::vector<std::vector<dse::SummaryDisjunct>> AppDisjuncts;
   std::vector<std::vector<size_t>> AppPeers;
   std::vector<GroundingChoice> Choices;
@@ -591,11 +606,14 @@ private:
   std::unordered_set<TermId> DeterminedApps;
   /// Disjunctions among the query entries (see assertQuerySince).
   size_t OpaqueEntries = 0;
-  /// The assertion stack of every support and grounding of this query.
+  /// Buffers reused across the choices of a query: argument terms of
+  /// pushChoice, applications found by collectApps, assertQuerySince's
+  /// worklist and the evaluated arguments of checkTermForced.
+  std::vector<TermId> ArgTerms, PeerArgTerms, FreshApps, Pending;
+  std::vector<int64_t> ArgValues;
+  /// The assertion stack of every support and grounding of every query.
   SolverContext Ctx;
 };
-
-} // namespace
 
 namespace {
 
@@ -716,6 +734,12 @@ ValidityAnswer ValiditySolver::checkAdHoc(TermId PathCondition) {
   HOTG_UNREACHABLE("unknown sat result");
 }
 
+ValiditySolver::ValiditySolver(TermArena &Arena, const SampleTable &Samples,
+                               ValidityOptions Options)
+    : Arena(Arena), Samples(Samples), Options(Options) {}
+
+ValiditySolver::~ValiditySolver() = default;
+
 ValidityAnswer ValiditySolver::checkPost(TermId PathCondition) {
   telemetry::Registry &Reg = telemetry::Registry::global();
   static telemetry::PhaseTimer &CheckTimer = Reg.timer("validity.check");
@@ -727,12 +751,17 @@ ValidityAnswer ValiditySolver::checkPost(TermId PathCondition) {
 
   ValidityAnswer Answer = checkPostImpl(PathCondition);
 
-  Reg.counter("validity.groundings_tried").add(Stats.GroundingsTried);
-  Reg.counter("validity.groundings_pruned").add(Stats.GroundingsPruned);
+  static telemetry::Counter &Tried = Reg.counter("validity.groundings_tried");
+  static telemetry::Counter &Pruned =
+      Reg.counter("validity.groundings_pruned");
+  Tried.add(Stats.GroundingsTried);
+  Pruned.add(Stats.GroundingsPruned);
   switch (Answer.Status) {
-  case ValidityStatus::Valid:
-    Reg.counter("validity.strategy_found").add();
+  case ValidityStatus::Valid: {
+    static telemetry::Counter &Found = Reg.counter("validity.strategy_found");
+    Found.add();
     break;
+  }
   case ValidityStatus::NeedsSamples:
     // No one-shot strategy: the search falls back to multi-step learning.
     Reg.counter("validity.fallback_taken").add();
@@ -775,7 +804,8 @@ ValidityAnswer ValiditySolver::checkPostImpl(TermId PathCondition) {
     return Answer;
   }
 
-  SupportValidity Support(Arena, Samples, Options, Stats);
+  if (!Support)
+    Support = std::make_unique<SupportValidity>(Arena, Samples, Options, Stats);
   bool SawUnknown = false;
   std::optional<ValidityAnswer> Learnable;
 
@@ -788,7 +818,7 @@ ValidityAnswer ValiditySolver::checkPostImpl(TermId PathCondition) {
           SawUnknown = true;
           return true; // Halt the support enumeration.
         }
-        auto Outcome = Support.solve(Literals);
+        auto Outcome = Support->solve(Literals);
         switch (Outcome.Status) {
         case ValidityStatus::Valid:
           Answer.Status = ValidityStatus::Valid;

@@ -46,6 +46,7 @@
 #include "smt/Solver.h"
 #include "smt/Term.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -131,15 +132,25 @@ struct ValidityStats {
   unsigned GroundingsPruned = 0;
 };
 
+class SupportValidity; // The per-support enumeration (ValiditySolver.cpp).
+
 /// Decides POST(pc) validity and extracts strategies.
+///
+/// One solver may answer many queries: the enumeration state and its
+/// incremental solver context are kept between checkPost calls (every
+/// query pops the context back to its empty stack, which restores exactly
+/// the state of a fresh one), so a long-lived solver reuses their buffers.
 class ValiditySolver {
 public:
   /// \p Samples is the IOF table forming the antecedent A; it must outlive
   /// the solver. Pass an empty table to reproduce the "no antecedent"
   /// ablation (Example 4 / Example 6 failures).
   ValiditySolver(smt::TermArena &Arena, const smt::SampleTable &Samples,
-                 ValidityOptions Options = {})
-      : Arena(Arena), Samples(Samples), Options(Options) {}
+                 ValidityOptions Options = {});
+  ~ValiditySolver();
+
+  ValiditySolver(const ValiditySolver &) = delete;
+  ValiditySolver &operator=(const ValiditySolver &) = delete;
 
   /// Decides ∀F ∃X : A ⟹ \p PathCondition.
   ValidityAnswer checkPost(smt::TermId PathCondition);
@@ -160,6 +171,8 @@ private:
   const smt::SampleTable &Samples;
   ValidityOptions Options;
   ValidityStats Stats;
+  /// Created by the first ground-then-verify query.
+  std::unique_ptr<SupportValidity> Support;
 };
 
 } // namespace hotg::core

@@ -25,14 +25,13 @@ void CongruenceClosure::rollbackTo(const Mark &M) {
     UndoRecord &R = Trail.back();
     switch (R.K) {
     case UndoRecord::Kind::ParentInsert:
-      Parent.erase(R.A);
-      ClassConstant.erase(R.A);
+      Terms.erase(R.A);
       break;
     case UndoRecord::Kind::ParentWrite:
-      Parent[R.A] = R.B;
+      Terms.at(R.A).Parent = R.B;
       break;
     case UndoRecord::Kind::ConstWrite:
-      ClassConstant[R.A] = R.OldConst;
+      Terms.at(R.A).Constant = R.OldConst;
       break;
     case UndoRecord::Kind::DistinctInsert: {
       auto It = Distincts.find(R.A);
@@ -75,14 +74,12 @@ void CongruenceClosure::rollbackTo(const Mark &M) {
 }
 
 void CongruenceClosure::addTerm(TermId Term) {
-  if (Parent.count(Term))
-    return;
-  Parent[Term] = Term;
-  log({UndoRecord::Kind::ParentInsert, Term});
+  std::optional<int64_t> Constant;
   if (Arena.isIntConst(Term))
-    ClassConstant[Term] = Arena.intConstValue(Term);
-  else
-    ClassConstant[Term] = std::nullopt;
+    Constant = Arena.intConstValue(Term);
+  if (!Terms.try_emplace(Term, TermInfo{Term, Constant}).second)
+    return;
+  log({UndoRecord::Kind::ParentInsert, Term});
 
   for (TermId Op : Arena.operands(Term)) {
     addTerm(Op);
@@ -123,14 +120,15 @@ void CongruenceClosure::insertSignature(TermId Term) {
 }
 
 TermId CongruenceClosure::findRepr(TermId Term) {
-  auto It = Parent.find(Term);
-  assert(It != Parent.end() && "term not registered");
-  if (It->second == Term)
+  auto It = Terms.find(Term);
+  assert(It != Terms.end() && "term not registered");
+  TermId &Parent = It->second.Parent;
+  if (Parent == Term)
     return Term;
-  TermId Root = findRepr(It->second);
-  if (It->second != Root) {
-    log({UndoRecord::Kind::ParentWrite, Term, It->second});
-    It->second = Root; // Path compression.
+  TermId Root = findRepr(Parent);
+  if (Parent != Root) {
+    log({UndoRecord::Kind::ParentWrite, Term, Parent});
+    Parent = Root; // Path compression.
   }
   return Root;
 }
@@ -142,8 +140,8 @@ bool CongruenceClosure::merge(TermId A, TermId B) {
     return true;
 
   // Conflict checks: distinct constants or asserted disequality.
-  const auto &CA = ClassConstant.at(RA);
-  const auto &CB = ClassConstant.at(RB);
+  const auto &CA = Terms.at(RA).Constant;
+  const auto &CB = Terms.at(RB).Constant;
   auto DA = Distincts.find(RA);
   if ((CA && CB && *CA != *CB) ||
       (DA != Distincts.end() && DA->second.count(RB))) {
@@ -162,11 +160,11 @@ bool CongruenceClosure::merge(TermId A, TermId B) {
     DA = Distincts.find(RA);
   }
   log({UndoRecord::Kind::ParentWrite, RA, RA});
-  Parent[RA] = RB;
-  if (const auto &Const = ClassConstant.at(RA)) {
-    log({UndoRecord::Kind::ConstWrite, RB, InvalidTerm, 0,
-         ClassConstant.at(RB)});
-    ClassConstant[RB] = Const;
+  TermInfo &IA = Terms.at(RA), &IB = Terms.at(RB);
+  IA.Parent = RB;
+  if (IA.Constant) {
+    log({UndoRecord::Kind::ConstWrite, RB, InvalidTerm, 0, IB.Constant});
+    IB.Constant = IA.Constant;
   }
 
   // Move disequalities.
@@ -257,8 +255,8 @@ bool CongruenceClosure::areDistinct(TermId A, TermId B) {
   TermId RB = findRepr(B);
   if (RA == RB)
     return false;
-  const auto &CA = ClassConstant.at(RA);
-  const auto &CB = ClassConstant.at(RB);
+  const auto &CA = Terms.at(RA).Constant;
+  const auto &CB = Terms.at(RB).Constant;
   if (CA && CB && *CA != *CB)
     return true;
   auto It = Distincts.find(RA);
@@ -267,5 +265,5 @@ bool CongruenceClosure::areDistinct(TermId A, TermId B) {
 
 std::optional<int64_t> CongruenceClosure::constantOf(TermId Term) {
   addTerm(Term);
-  return ClassConstant.at(findRepr(Term));
+  return Terms.at(findRepr(Term)).Constant;
 }

@@ -101,9 +101,10 @@ private:
   /// One logged mutation; applied in reverse on rollback.
   struct UndoRecord {
     enum class Kind : uint8_t {
-      ParentInsert,    ///< addTerm registered A: erase Parent[A].
-      ParentWrite,     ///< Parent[A] had value B (merge root, compression).
-      ConstWrite,      ///< ClassConstant[A] had value OldConst.
+      ParentInsert,    ///< addTerm registered A: erase Terms[A].
+      ParentWrite,     ///< Terms[A].Parent had value B (merge root,
+                       ///< compression).
+      ConstWrite,      ///< Terms[A].Constant had value OldConst.
       DistinctInsert,  ///< Distincts[A].insert(B): erase it.
       DistinctErase,   ///< Distincts[A].erase(B): re-insert it.
       DistinctSetErase,///< Distincts.erase(A): restore SavedSets.back().
@@ -136,8 +137,14 @@ private:
   /// Reused signatureOf buffers.
   std::vector<uint64_t> SigBuf, OtherSigBuf;
 
-  std::unordered_map<TermId, TermId> Parent;
-  std::unordered_map<TermId, std::optional<int64_t>> ClassConstant;
+  /// Union-find parent and class constant of every registered term (the
+  /// constant is read on class representatives), in one entry so that a
+  /// registration or a lookup costs one hash probe.
+  struct TermInfo {
+    TermId Parent;
+    std::optional<int64_t> Constant;
+  };
+  std::unordered_map<TermId, TermInfo> Terms;
   /// For each class representative, the set of class reps it is distinct
   /// from.
   std::unordered_map<TermId, std::unordered_set<TermId>> Distincts;

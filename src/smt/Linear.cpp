@@ -161,3 +161,14 @@ std::optional<LinearAtom> hotg::smt::normalizeComparison(const TermArena &Arena,
     HOTG_UNREACHABLE("normalizeComparison: not a comparison term");
   }
 }
+
+const std::optional<LinearAtom> &
+hotg::smt::normalizedComparison(TermArena &Arena, TermId Cmp) {
+  auto &Memo = Arena.Normalized;
+  if (Cmp >= Memo.size())
+    Memo.resize(Arena.numTerms());
+  if (!Memo[Cmp])
+    Memo[Cmp] = std::make_unique<const std::optional<LinearAtom>>(
+        normalizeComparison(Arena, Cmp));
+  return *Memo[Cmp];
+}

@@ -79,6 +79,13 @@ TermId linearExprToTerm(TermArena &Arena, const LinearExpr &Expr);
 std::optional<LinearAtom> normalizeComparison(const TermArena &Arena,
                                               TermId Cmp);
 
+/// normalizeComparison(\p Arena, \p Cmp), memoized in \p Arena. The result
+/// is a pure function of the hash-consed term, so the memo lasts as long
+/// as the arena: across every query and solver context of one search. The
+/// reference stays valid for the arena's lifetime.
+const std::optional<LinearAtom> &normalizedComparison(TermArena &Arena,
+                                                      TermId Cmp);
+
 } // namespace hotg::smt
 
 #endif // HOTG_SMT_LINEAR_H

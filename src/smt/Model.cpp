@@ -29,7 +29,7 @@ void Model::extendFunc(FuncId Func, std::vector<int64_t> Args,
 }
 
 std::optional<int64_t>
-Model::funcValue(FuncId Func, const std::vector<int64_t> &Args) const {
+Model::funcValue(FuncId Func, std::span<const int64_t> Args) const {
   if (auto V = Extensions.lookup(Func, Args))
     return V;
   if (Samples)
@@ -82,14 +82,25 @@ std::optional<int64_t> Model::evalIntImpl(const TermArena &Arena, TermId Term,
                                 static_cast<uint64_t>(*R));
   }
   case TermKind::UFApp: {
-    std::vector<int64_t> Args;
-    for (TermId Op : Arena.operands(Term)) {
-      auto V = evalIntImpl(Arena, Op, Checked);
+    // Arguments up to InlineArity are evaluated into a stack buffer: one
+    // evaluation per UF application must not cost a heap allocation.
+    constexpr size_t InlineArity = 8;
+    auto Ops = Arena.operands(Term);
+    int64_t Inline[InlineArity] = {};
+    std::vector<int64_t> Spill;
+    int64_t *Args = Inline;
+    if (Ops.size() > InlineArity) {
+      Spill.resize(Ops.size());
+      Args = Spill.data();
+    }
+    for (size_t I = 0; I != Ops.size(); ++I) {
+      auto V = evalIntImpl(Arena, Ops[I], Checked);
       if (!V)
         return std::nullopt;
-      Args.push_back(*V);
+      Args[I] = *V;
     }
-    auto Out = funcValue(static_cast<FuncId>(N.Payload), Args);
+    auto Out = funcValue(static_cast<FuncId>(N.Payload),
+                         std::span<const int64_t>(Args, Ops.size()));
     if (Out)
       return Out;
     return Checked ? std::nullopt : std::optional<int64_t>(0);

@@ -19,7 +19,9 @@
 #include "smt/SampleTable.h"
 #include "smt/Term.h"
 
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -46,7 +48,12 @@ public:
   /// Function value at \p Args: checks extensions first, then \p Samples
   /// when attached. Returns std::nullopt when uninterpreted at this point.
   std::optional<int64_t> funcValue(FuncId Func,
-                                   const std::vector<int64_t> &Args) const;
+                                   std::span<const int64_t> Args) const;
+  std::optional<int64_t> funcValue(FuncId Func,
+                                   std::initializer_list<int64_t> Args) const {
+    return funcValue(Func,
+                     std::span<const int64_t>(Args.begin(), Args.size()));
+  }
 
   /// Attaches a sample table consulted by funcValue and evaluation. The
   /// table must outlive the model.

@@ -6,14 +6,26 @@
 #include "support/Support.h"
 
 #include <cstdlib>
+#include <type_traits>
 
 using namespace hotg;
 using namespace hotg::smt;
 
+static_assert(std::is_nothrow_move_constructible_v<Sample>,
+              "growing a sample list must move the Args buffers that the "
+              "index keys view, not copy them");
+
+SampleTable &SampleTable::operator=(const SampleTable &Other) {
+  if (this != &Other) {
+    clear();
+    mergeFrom(Other);
+  }
+  return *this;
+}
+
 void SampleTable::record(FuncId Func, std::vector<int64_t> Args,
                          int64_t Output) {
-  auto Key = std::make_pair(Func, Args);
-  auto It = Index.find(Key);
+  auto It = Index.find(Key{Func, Args});
   if (It != Index.end()) {
     if (It->second != Output)
       reportFatalError("SampleTable: conflicting outputs recorded for the "
@@ -21,43 +33,44 @@ void SampleTable::record(FuncId Func, std::vector<int64_t> Args,
                        "deterministic (Theorem 3)");
     return;
   }
-  Index.emplace(std::move(Key), Output);
-  Samples.push_back({Func, std::move(Args), Output});
+  if (Func >= ByFunc.size())
+    ByFunc.resize(Func + 1);
+  std::vector<Sample> &List = ByFunc[Func];
+  Order.emplace_back(Func, List.size());
+  List.push_back({Func, std::move(Args), Output});
+  Index.emplace(Key{Func, List.back().Args}, Output);
 }
 
 std::optional<int64_t>
-SampleTable::lookup(FuncId Func, const std::vector<int64_t> &Args) const {
-  auto It = Index.find(std::make_pair(Func, Args));
+SampleTable::lookup(FuncId Func, std::span<const int64_t> Args) const {
+  auto It = Index.find(Key{Func, Args});
   if (It == Index.end())
     return std::nullopt;
   return It->second;
 }
 
-std::vector<Sample> SampleTable::samplesFor(FuncId Func) const {
-  std::vector<Sample> Result;
-  for (const Sample &S : Samples)
-    if (S.Func == Func)
-      Result.push_back(S);
-  return Result;
+const std::vector<Sample> &SampleTable::samplesFor(FuncId Func) const {
+  static const std::vector<Sample> None;
+  return Func < ByFunc.size() ? ByFunc[Func] : None;
 }
 
 std::vector<std::vector<int64_t>>
 SampleTable::preimagesOf(FuncId Func, int64_t Output) const {
   std::vector<std::vector<int64_t>> Result;
-  for (const Sample &S : Samples)
-    if (S.Func == Func && S.Output == Output)
+  for (const Sample &S : samplesFor(Func))
+    if (S.Output == Output)
       Result.push_back(S.Args);
   return Result;
 }
 
 void SampleTable::mergeFrom(const SampleTable &Other) {
-  for (const Sample &S : Other.Samples)
+  for (const Sample &S : Other.allSamples())
     record(S.Func, S.Args, S.Output);
 }
 
 std::string SampleTable::serialize(const TermArena &Arena) const {
   std::string Out;
-  for (const Sample &S : Samples) {
+  for (const Sample &S : allSamples()) {
     Out += Arena.func(S.Func).Name;
     Out += formatString(" %zu", S.Args.size());
     for (int64_t Arg : S.Args)
@@ -111,6 +124,7 @@ bool SampleTable::deserialize(std::string_view Text, TermArena &Arena,
 }
 
 void SampleTable::clear() {
-  Samples.clear();
   Index.clear();
+  ByFunc.clear();
+  Order.clear();
 }

@@ -18,7 +18,10 @@
 #include "smt/Term.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 namespace hotg::smt {
@@ -35,8 +38,19 @@ struct Sample {
 /// The paper suggests accumulating pairs "observed during all previous runs"
 /// (end of Section 4.3); a SampleTable is therefore shared across the whole
 /// directed search and only ever grows.
+///
+/// Samples are stored per function symbol, so samplesFor() and lookup() —
+/// the validity solver's per-node reads — neither scan nor allocate. The
+/// lookup index keys on views of the stored argument tuples; a copy
+/// re-records every sample so that its index points into its own storage.
 class SampleTable {
 public:
+  SampleTable() = default;
+  SampleTable(const SampleTable &Other) { mergeFrom(Other); }
+  SampleTable &operator=(const SampleTable &Other);
+  SampleTable(SampleTable &&) = default;
+  SampleTable &operator=(SampleTable &&) = default;
+
   /// Records output = f(args). Recording a conflicting output for the same
   /// argument tuple is a fatal error (unknown functions are assumed
   /// deterministic, Theorem 3's hypothesis).
@@ -44,13 +58,52 @@ public:
 
   /// Returns the recorded output of \p Func at \p Args, if sampled.
   std::optional<int64_t> lookup(FuncId Func,
-                                const std::vector<int64_t> &Args) const;
+                                std::span<const int64_t> Args) const;
+  std::optional<int64_t> lookup(FuncId Func,
+                                std::initializer_list<int64_t> Args) const {
+    return lookup(Func, std::span<const int64_t>(Args.begin(), Args.size()));
+  }
 
-  /// Returns every sample recorded for \p Func in insertion order.
-  std::vector<Sample> samplesFor(FuncId Func) const;
+  /// Returns every sample recorded for \p Func in insertion order. The
+  /// reference is valid until the table is next modified.
+  const std::vector<Sample> &samplesFor(FuncId Func) const;
+
+  /// Every sample in insertion order, as a range of `const Sample &`.
+  class OrderedSamples {
+  public:
+    class Iterator {
+    public:
+      Iterator(const SampleTable &Table,
+               const std::pair<FuncId, size_t> *Pos)
+          : Table(&Table), Pos(Pos) {}
+      const Sample &operator*() const {
+        return Table->ByFunc[Pos->first][Pos->second];
+      }
+      const Sample *operator->() const { return &**this; }
+      Iterator &operator++() {
+        ++Pos;
+        return *this;
+      }
+      bool operator==(const Iterator &Other) const = default;
+
+    private:
+      const SampleTable *Table;
+      const std::pair<FuncId, size_t> *Pos;
+    };
+
+    explicit OrderedSamples(const SampleTable &Table) : Table(Table) {}
+    Iterator begin() const { return {Table, Table.Order.data()}; }
+    Iterator end() const {
+      return {Table, Table.Order.data() + Table.Order.size()};
+    }
+    size_t size() const { return Table.Order.size(); }
+
+  private:
+    const SampleTable &Table;
+  };
 
   /// Returns all samples in insertion order.
-  const std::vector<Sample> &allSamples() const { return Samples; }
+  OrderedSamples allSamples() const { return OrderedSamples(*this); }
 
   /// Returns the sampled argument tuples of \p Func whose output is
   /// \p Output — the hash-inversion query of Section 7.
@@ -73,22 +126,38 @@ public:
   bool deserialize(std::string_view Text, TermArena &Arena,
                    std::string *Error = nullptr);
 
-  size_t size() const { return Samples.size(); }
-  bool empty() const { return Samples.empty(); }
+  size_t size() const { return Order.size(); }
+  bool empty() const { return Order.empty(); }
   void clear();
 
 private:
+  /// A sampled point; Args views the argument tuple stored in ByFunc
+  /// (or, for a probe, the caller's tuple).
+  struct Key {
+    FuncId Func;
+    std::span<const int64_t> Args;
+  };
   struct KeyHash {
-    size_t operator()(const std::pair<FuncId, std::vector<int64_t>> &K) const {
-      size_t Seed = std::hash<FuncId>{}(K.first);
-      hashCombine(Seed, VectorI64Hash{}(K.second));
+    size_t operator()(const Key &K) const {
+      size_t Seed = std::hash<FuncId>{}(K.Func);
+      hashCombine(Seed, hashRange(K.Args));
       return Seed;
     }
   };
+  struct KeyEq {
+    bool operator()(const Key &A, const Key &B) const {
+      return A.Func == B.Func && std::ranges::equal(A.Args, B.Args);
+    }
+  };
 
-  std::vector<Sample> Samples;
-  std::unordered_map<std::pair<FuncId, std::vector<int64_t>>, int64_t, KeyHash>
-      Index;
+  /// The samples of each function symbol in insertion order, indexed by
+  /// FuncId. Growing a list moves its samples, which keeps every Args
+  /// buffer (and so every Index key) in place.
+  std::vector<std::vector<Sample>> ByFunc;
+  /// (function, position in its ByFunc list) of every sample, in
+  /// insertion order.
+  std::vector<std::pair<FuncId, size_t>> Order;
+  std::unordered_map<Key, int64_t, KeyHash, KeyEq> Index;
 };
 
 } // namespace hotg::smt

@@ -42,15 +42,45 @@ constexpr size_t MaxBranchCandidates = 16;
 /// Deterministic seed for probe candidates.
 constexpr uint64_t CandidateSeed = 0x5eed;
 
+/// The row system Gauss–Jordan elimination works on: reads see the base
+/// rows until the first write, which copies them into the work buffer, so
+/// an elimination that rewrites nothing copies nothing.
+class EqSystem {
+public:
+  EqSystem(const std::vector<const LinearAtom *> &Rows,
+           std::vector<LinearAtom> &Work)
+      : Rows(Rows), Work(Work) {}
+
+  const LinearAtom &operator[](size_t I) const {
+    return Copied ? Work[I] : *Rows[I];
+  }
+  LinearExpr &mutableExpr(size_t I) {
+    if (!Copied) {
+      Work.resize(Rows.size());
+      for (size_t Row = 0; Row != Rows.size(); ++Row)
+        Work[Row] = *Rows[Row];
+      Copied = true;
+    }
+    return Work[I].Expr;
+  }
+  size_t size() const { return Rows.size(); }
+  /// True when some row was written (the work buffer holds the system).
+  bool copied() const { return Copied; }
+
+private:
+  const std::vector<const LinearAtom *> &Rows;
+  std::vector<LinearAtom> &Work;
+  bool Copied = false;
+};
+
 /// Reduces the Eq rows of \p Rows to integer echelon form (Gauss–Jordan with
 /// cross-multiplication and gcd normalization). Returns false when a row is
 /// integer-infeasible. Rows whose cross-multiplication would overflow 64
 /// bits are left untouched — elimination is an optimization, not required
 /// for soundness.
-bool normalizeEqRows(std::vector<LinearAtom> &Rows,
-                     const std::vector<size_t> &EqIdx) {
+bool normalizeEqRows(EqSystem &Rows, const std::vector<size_t> &EqIdx) {
   for (size_t Row : EqIdx) {
-    LinearExpr &Expr = Rows[Row].Expr;
+    const LinearExpr &Expr = Rows[Row].Expr;
     if (Expr.Monomials.empty()) {
       if (Expr.Constant != 0)
         return false; // 0 = k with k != 0.
@@ -62,25 +92,29 @@ bool normalizeEqRows(std::vector<LinearAtom> &Rows,
     if (G > 1) {
       if (Expr.Constant % G != 0)
         return false; // No integer solutions.
-      for (LinearMonomial &M : Expr.Monomials)
+      LinearExpr &Out = Rows.mutableExpr(Row);
+      for (LinearMonomial &M : Out.Monomials)
         M.Coeff /= G;
-      Expr.Constant /= G;
+      Out.Constant /= G;
     }
   }
   return true;
 }
 
-bool eliminateEqualities(std::vector<LinearAtom> &Rows) {
-  std::vector<size_t> EqIdx;
+bool eliminateEqualities(EqSystem &Rows, std::vector<size_t> &EqIdx,
+                         std::vector<TermId> &UsedPivots) {
+  EqIdx.clear();
   for (size_t I = 0; I != Rows.size(); ++I)
     if (Rows[I].Rel == LinearRelKind::Eq)
       EqIdx.push_back(I);
   if (EqIdx.size() < 2)
     return normalizeEqRows(Rows, EqIdx);
 
-  std::vector<TermId> UsedPivots;
+  UsedPivots.clear();
   for (size_t Row : EqIdx) {
-    LinearExpr &Pivot = Rows[Row].Expr;
+    // A pivot row is never written during its own pass, so the reference
+    // stays valid (and current) even when a write below makes the copy.
+    const LinearExpr &Pivot = Rows[Row].Expr;
     // Choose the pivot atom with the smallest |coeff| not yet used.
     TermId PivotAtom = InvalidTerm;
     int64_t PivotCoeff = 0;
@@ -102,7 +136,7 @@ bool eliminateEqualities(std::vector<LinearAtom> &Rows) {
     for (size_t Other : EqIdx) {
       if (Other == Row)
         continue;
-      LinearExpr &Target = Rows[Other].Expr;
+      const LinearExpr &Target = Rows[Other].Expr;
       int64_t C = Target.coeffOf(PivotAtom);
       if (C == 0)
         continue;
@@ -138,7 +172,7 @@ bool eliminateEqualities(std::vector<LinearAtom> &Rows) {
       if (Overflow)
         continue; // Keep the original row.
       Combined.Constant = NewConst;
-      Target = std::move(Combined);
+      Rows.mutableExpr(Other) = std::move(Combined);
     }
   }
   return normalizeEqRows(Rows, EqIdx);
@@ -146,17 +180,32 @@ bool eliminateEqualities(std::vector<LinearAtom> &Rows) {
 
 /// One-step Fourier–Motzkin check: two inequalities whose left-hand sides
 /// cancel refute each other when the combined constant is positive (catches
-/// x < y ∧ y < x, which bound propagation cannot).
-bool fourierMotzkinRefutes(const std::vector<LinearAtom> &Rows) {
+/// x < y ∧ y < x, which bound propagation cannot). Rows are canonical
+/// (sorted by atom, no zero coefficient), so the sum of two left-hand sides
+/// is empty exactly when they list the same atoms with coefficients that
+/// sum to zero in wrapping arithmetic.
+bool fourierMotzkinRefutes(const std::vector<const LinearAtom *> &Rows) {
+  auto Cancel = [](const LinearExpr &A, const LinearExpr &B) {
+    if (A.Monomials.size() != B.Monomials.size())
+      return false;
+    for (size_t K = 0; K != A.Monomials.size(); ++K)
+      if (A.Monomials[K].Atom != B.Monomials[K].Atom ||
+          static_cast<uint64_t>(A.Monomials[K].Coeff) +
+                  static_cast<uint64_t>(B.Monomials[K].Coeff) !=
+              0)
+        return false;
+    return true;
+  };
   for (size_t I = 0; I != Rows.size(); ++I) {
-    if (Rows[I].Rel != LinearRelKind::Le)
+    if (Rows[I]->Rel != LinearRelKind::Le)
       continue;
     for (size_t J = I + 1; J != Rows.size(); ++J) {
-      if (Rows[J].Rel != LinearRelKind::Le)
+      if (Rows[J]->Rel != LinearRelKind::Le)
         continue;
-      LinearExpr Sum = Rows[I].Expr;
-      Sum.addScaled(Rows[J].Expr, 1);
-      if (Sum.Monomials.empty() && Sum.Constant > 0)
+      const LinearExpr &A = Rows[I]->Expr, &B = Rows[J]->Expr;
+      if (Cancel(A, B) &&
+          static_cast<int64_t>(static_cast<uint64_t>(A.Constant) +
+                               static_cast<uint64_t>(B.Constant)) > 0)
         return true;
     }
   }
@@ -179,7 +228,7 @@ bool assertRowInCC(TermArena &Arena, CongruenceClosure &CC,
     }
   } else if (LA.Expr.Monomials.size() == 1) {
     const auto &M0 = LA.Expr.Monomials[0];
-    if (M0.Coeff == 1 || M0.Coeff == -1) {
+    if ((M0.Coeff == 1 || M0.Coeff == -1) && LA.Rel != LinearRelKind::Le) {
       int64_t K = M0.Coeff == 1 ? -LA.Expr.Constant : LA.Expr.Constant;
       TermId KTerm = Arena.mkIntConst(K);
       if (LA.Rel == LinearRelKind::Eq && !CC.assertEqual(M0.Atom, KTerm))
@@ -210,6 +259,10 @@ bool assertRowInCC(TermArena &Arena, CongruenceClosure &CC,
 /// application. Each step only narrows, monotonically, so draining the
 /// list reaches the same greatest fixpoint as sweeping every step until
 /// nothing changes (docs/solver.md, "The scope stack").
+///
+/// Worklists, argument tuples and per-depth search buffers live in the
+/// context's Scratch, so building an engine per assert and per check
+/// allocates nothing once they are warm.
 class SolverContext::Engine {
 public:
   enum class Outcome {
@@ -218,19 +271,40 @@ public:
     Exhausted ///< Budget or candidate exhaustion; no conclusion.
   };
 
-  Engine(SolverContext &Ctx, const std::vector<LinearAtom> &Rows,
+  Engine(SolverContext &Ctx, const std::vector<const LinearAtom *> &Rows,
          const WatchLists &RowWatches, SolverStats &Stats)
       : Ctx(Ctx), Arena(Ctx.Arena), Options(Ctx.Options), Rows(Rows),
         RowWatches(RowWatches), NumAtoms(Ctx.Atoms.size()), Stats(Stats),
-        RowQueued(Rows.size()), AppQueued(NumAtoms) {}
+        Buf(Ctx.Scratch) {
+    assert(Buf.RowQueue.empty() && Buf.AppQueue.empty() &&
+           "one engine per context at a time");
+    if (Buf.RowQueued.size() < Rows.size())
+      Buf.RowQueued.resize(Rows.size());
+    if (Buf.AppQueued.size() < NumAtoms)
+      Buf.AppQueued.resize(NumAtoms);
+  }
+
+  /// Clears what is still queued: assertLiteral's constant fold can refute
+  /// before propagate() drains the worklists.
+  ~Engine() {
+    for (size_t Row : Buf.RowQueue)
+      Buf.RowQueued[Row] = false;
+    for (size_t App : Buf.AppQueue)
+      Buf.AppQueued[App] = false;
+    Buf.RowQueue.clear();
+    Buf.AppQueue.clear();
+  }
+
+  Engine(const Engine &) = delete;
+  Engine &operator=(const Engine &) = delete;
 
   /// (index, previous value) log for every narrowing, or null.
   std::vector<std::pair<size_t, Interval>> *Trail = nullptr;
 
   void wakeRow(size_t Row) {
-    if (!RowQueued[Row]) {
-      RowQueued[Row] = true;
-      RowQueue.push_back(Row);
+    if (!Buf.RowQueued[Row]) {
+      Buf.RowQueued[Row] = true;
+      Buf.RowQueue.push_back(Row);
     }
   }
 
@@ -272,30 +346,38 @@ public:
     size_t RowHead = 0, AppHead = 0;
     bool Ok = true;
     while (Ok && Budget-- != 0) {
-      if (RowHead != RowQueue.size()) {
-        size_t Row = RowQueue[RowHead++];
-        RowQueued[Row] = false;
-        Ok = propagateRow(Rows[Row], Domains);
-      } else if (AppHead != AppQueue.size()) {
-        size_t App = AppQueue[AppHead++];
-        AppQueued[App] = false;
+      if (RowHead != Buf.RowQueue.size()) {
+        size_t Row = Buf.RowQueue[RowHead++];
+        Buf.RowQueued[Row] = false;
+        Ok = propagateRow(*Rows[Row], Domains);
+      } else if (AppHead != Buf.AppQueue.size()) {
+        size_t App = Buf.AppQueue[AppHead++];
+        Buf.AppQueued[App] = false;
         Ok = propagateApp(App, Domains);
       } else {
         break;
       }
     }
-    for (; RowHead != RowQueue.size(); ++RowHead)
-      RowQueued[RowQueue[RowHead]] = false;
-    for (; AppHead != AppQueue.size(); ++AppHead)
-      AppQueued[AppQueue[AppHead]] = false;
-    RowQueue.clear();
-    AppQueue.clear();
+    BudgetHit = Ok && (RowHead != Buf.RowQueue.size() ||
+                       AppHead != Buf.AppQueue.size());
+    for (; RowHead != Buf.RowQueue.size(); ++RowHead)
+      Buf.RowQueued[Buf.RowQueue[RowHead]] = false;
+    for (; AppHead != Buf.AppQueue.size(); ++AppHead)
+      Buf.AppQueued[Buf.AppQueue[AppHead]] = false;
+    Buf.RowQueue.clear();
+    Buf.AppQueue.clear();
     return Ok;
   }
 
+  /// True when the last propagate() stopped on its visit budget with steps
+  /// still scheduled, short of the fixpoint.
+  bool budgetBound() const { return BudgetHit; }
+
   /// Case-split search: branches on the undetermined atom with the
-  /// smallest domain, propagating after each candidate value.
-  Outcome search(std::vector<Interval> Domains, Model &ModelOut) {
+  /// smallest domain, propagating after each candidate value. \p Depth
+  /// selects the node's scratch level; \p Domains is never modified.
+  Outcome search(const std::vector<Interval> &Domains, Model &ModelOut,
+                 size_t Depth = 0) {
     if (Stats.Decisions >= Options.MaxDecisions)
       return Outcome::Exhausted;
     // Wall-clock stop controls: polled once per search node, but only when
@@ -327,7 +409,11 @@ public:
     if (BestIdx == NumAtoms)
       return finalize(Domains, ModelOut) ? Outcome::Sat : Outcome::Exhausted;
 
-    std::vector<int64_t> Candidates = candidatesFor(BestIdx, Domains[BestIdx]);
+    if (Buf.Levels.size() <= Depth)
+      Buf.Levels.resize(Depth + 1);
+    ScratchBuffers::Level &Level = Buf.Levels[Depth];
+    const std::vector<int64_t> &Candidates = Level.Candidates;
+    candidatesFor(BestIdx, Domains[BestIdx], Level.Candidates);
     bool Exhaustive =
         !Domains[BestIdx].isEmpty() && Domains[BestIdx].isFinite() &&
         Domains[BestIdx].width() <= static_cast<int64_t>(Candidates.size());
@@ -335,12 +421,13 @@ public:
     bool AllRefuted = true;
     for (int64_t Value : Candidates) {
       ++Stats.Decisions;
-      std::vector<Interval> Next = Domains;
+      std::vector<Interval> &Next = Level.Domains;
+      Next = Domains;
       Next[BestIdx] = Interval::point(Value);
       wake(BestIdx);
       if (!propagate(Next))
         continue;
-      Outcome Sub = search(std::move(Next), ModelOut);
+      Outcome Sub = search(Next, ModelOut, Depth + 1);
       if (Sub == Outcome::Sat)
         return Outcome::Sat;
       if (Sub != Outcome::Refuted)
@@ -434,6 +521,7 @@ private:
   /// output, and congruence with another application of the same symbol
   /// at the same (determined) arguments joins the two outputs.
   bool propagateApp(size_t App, std::vector<Interval> &Domains) {
+    std::vector<int64_t> &ArgBuf = Buf.ArgBuf, &OtherArgBuf = Buf.OtherArgBuf;
     if (!determinedArgs(App, Domains, ArgBuf))
       return true;
     FuncId Func = Arena.funcIdOf(Ctx.Atoms[App]);
@@ -474,8 +562,10 @@ private:
     return true;
   }
 
-  std::vector<int64_t> candidatesFor(size_t Idx, const Interval &Dom) {
-    std::vector<int64_t> Out;
+  /// Fills \p Out with the branch values for atom \p Idx, in trial order.
+  void candidatesFor(size_t Idx, const Interval &Dom,
+                     std::vector<int64_t> &Out) {
+    Out.clear();
     auto Push = [&](int64_t V) {
       if (!Dom.contains(V))
         return;
@@ -486,7 +576,7 @@ private:
     if (Dom.isFinite() && Dom.width() <= SmallDomainWidth) {
       for (int64_t V = Dom.Lo; V <= Dom.Hi; ++V)
         Push(V);
-      return Out;
+      return;
     }
 
     TermId Atom = Ctx.Atoms[Idx];
@@ -498,11 +588,15 @@ private:
           Push(S.Output);
       } else {
         // If this atom feeds a UF application argument, try the sampled
-        // argument values at the corresponding position.
-        for (size_t AppIdx = 0; AppIdx != NumAtoms; ++AppIdx) {
+        // argument values at the corresponding position. The applications
+        // whose arguments mention the atom are its ArgUsers; they are
+        // visited in index order, as a scan of every atom would, although
+        // registration can list them out of order (f(x, g(x)) files g
+        // before f).
+        Buf.Users = Ctx.ArgUsers[Idx];
+        std::sort(Buf.Users.begin(), Buf.Users.end());
+        for (uint32_t AppIdx : Buf.Users) {
           TermId App = Ctx.Atoms[AppIdx];
-          if (Arena.kind(App) != TermKind::UFApp)
-            continue;
           auto Args = Arena.operands(App);
           for (size_t Pos = 0; Pos != Args.size(); ++Pos) {
             if (Args[Pos] != Atom)
@@ -534,7 +628,6 @@ private:
     }
     if (Out.size() > MaxBranchCandidates)
       Out.resize(MaxBranchCandidates);
-    return Out;
   }
 
   /// Builds and verifies a model from fully determined domains.
@@ -551,18 +644,19 @@ private:
       TermId App = Ctx.Atoms[I];
       if (Arena.kind(App) != TermKind::UFApp)
         continue;
-      std::vector<int64_t> Args;
+      std::vector<int64_t> &Args = Buf.ArgBuf;
       [[maybe_unused]] bool Determined = determinedArgs(I, Domains, Args);
       assert(Determined && "finalize with undetermined UF argument");
       if (auto Existing = M.funcValue(Arena.funcIdOf(App), Args)) {
         if (*Existing != Domains[I].Lo)
           return false;
       } else {
-        M.extendFunc(Arena.funcIdOf(App), std::move(Args), Domains[I].Lo);
+        M.extendFunc(Arena.funcIdOf(App), Args, Domains[I].Lo);
       }
     }
     // Verify every row under wrapped program semantics.
-    for (const LinearAtom &LA : Rows) {
+    for (const LinearAtom *Row : Rows) {
+      const LinearAtom &LA = *Row;
       int64_t Value = LA.Expr.Constant;
       for (const LinearMonomial &Mono : LA.Expr.Monomials) {
         int64_t AtomValue = Domains[Ctx.AtomIndex.at(Mono.Atom)].Lo;
@@ -589,25 +683,21 @@ private:
   }
 
   void wakeApp(size_t App) {
-    if (!AppQueued[App]) {
-      AppQueued[App] = true;
-      AppQueue.push_back(App);
+    if (!Buf.AppQueued[App]) {
+      Buf.AppQueued[App] = true;
+      Buf.AppQueue.push_back(App);
     }
   }
 
   SolverContext &Ctx;
   TermArena &Arena;
   const SolverOptions &Options;
-  const std::vector<LinearAtom> &Rows;
+  const std::vector<const LinearAtom *> &Rows;
   const WatchLists &RowWatches;
   size_t NumAtoms;
   SolverStats &Stats;
-  /// Scheduled steps: rows and application congruence checks, each queued
-  /// at most once.
-  std::vector<size_t> RowQueue, AppQueue;
-  std::vector<bool> RowQueued, AppQueued;
-  /// Argument buffers of propagateApp.
-  std::vector<int64_t> ArgBuf, OtherArgBuf;
+  ScratchBuffers &Buf;
+  bool BudgetHit = false;
 };
 
 //===----------------------------------------------------------------------===//
@@ -624,6 +714,8 @@ void SolverContext::push() {
   F.LitSize = Lits.size();
   F.AtomSize = Atoms.size();
   F.RowSize = Rows.size();
+  F.TrailSize = DomainTrail.size();
+  F.BudgetBound = BudgetBound;
   F.CCMark = CC.mark();
   Frames.push_back(std::move(F));
   static telemetry::Counter &Pushes =
@@ -637,14 +729,15 @@ void SolverContext::pop() {
   // Undo in-place domain narrowing first (while indices are still valid),
   // then drop atoms registered inside the scope. Watch-list entries made
   // in the scope sit at the tails of the surviving lists.
-  for (auto It = F.DomainTrail.rbegin(); It != F.DomainTrail.rend(); ++It)
-    Domains[It->first] = It->second;
+  for (size_t I = DomainTrail.size(); I != F.TrailSize; --I)
+    Domains[DomainTrail[I - 1].first] = DomainTrail[I - 1].second;
+  DomainTrail.resize(F.TrailSize);
   auto DropTail = [](std::vector<uint32_t> &List, size_t Limit) {
     while (!List.empty() && List.back() >= Limit)
       List.pop_back();
   };
   for (size_t Row = F.RowSize; Row != Rows.size(); ++Row)
-    for (const LinearMonomial &M : Rows[Row].Expr.Monomials)
+    for (const LinearMonomial &M : Rows[Row]->Expr.Monomials)
       if (size_t Idx = AtomIndex.at(M.Atom); Idx < F.AtomSize)
         DropTail(RowWatches[Idx], F.RowSize);
   for (size_t I = F.AtomSize; I != Atoms.size(); ++I) {
@@ -658,10 +751,14 @@ void SolverContext::pop() {
   }
   for (size_t I = F.AtomSize; I != Atoms.size(); ++I)
     AtomIndex.erase(Atoms[I]);
+  // The per-atom lists of dropped atoms are emptied in place, keeping
+  // their capacity for the atoms the next scope registers.
+  for (size_t I = F.AtomSize; I != Atoms.size(); ++I) {
+    RowWatches[I].clear();
+    ArgUsers[I].clear();
+    AppArgs[I].clear();
+  }
   Domains.resize(F.AtomSize);
-  RowWatches.resize(F.AtomSize);
-  ArgUsers.resize(F.AtomSize);
-  AppArgs.resize(F.AtomSize);
   Atoms.resize(F.AtomSize);
   Rows.resize(F.RowSize);
   Lits.resize(F.LitSize);
@@ -671,6 +768,7 @@ void SolverContext::pop() {
     PoisonedAt.reset();
   if (RefutedAt && *RefutedAt >= Depth)
     RefutedAt.reset();
+  BudgetBound = F.BudgetBound;
   Frames.pop_back();
   static telemetry::Counter &Pops =
       telemetry::Registry::global().counter("solver.scope_pops");
@@ -688,9 +786,11 @@ void SolverContext::registerAtom(TermId Atom) {
     return;
   Atoms.push_back(Atom);
   Domains.push_back(Interval::full());
-  RowWatches.emplace_back();
-  ArgUsers.emplace_back();
-  AppArgs.emplace_back();
+  if (RowWatches.size() == Idx) {
+    RowWatches.emplace_back();
+    ArgUsers.emplace_back();
+    AppArgs.emplace_back();
+  }
   if (Arena.kind(Atom) != TermKind::UFApp)
     return;
   // UF arguments are themselves solver atoms when they are vars/apps.
@@ -723,20 +823,21 @@ bool SolverContext::assertLiteral(TermId Lit) {
   if (PoisonedAt || RefutedAt)
     return true;
 
-  auto CacheIt = NormCache.find(Lit);
-  if (CacheIt == NormCache.end())
-    CacheIt = NormCache.emplace(Lit, normalizeComparison(Arena, Lit)).first;
-  if (!CacheIt->second) {
+  const std::optional<LinearAtom> &Normalized =
+      normalizedComparison(Arena, Lit);
+  if (!Normalized) {
     PoisonedAt = Frames.size();
     return false; // Outside fragment; check() answers Unknown.
   }
 
   size_t OldAtoms = Atoms.size();
-  for (const LinearMonomial &M : CacheIt->second->Expr.Monomials)
+  for (const LinearMonomial &M : Normalized->Expr.Monomials)
     registerAtom(M.Atom);
   size_t Row = Rows.size();
-  Rows.push_back(*CacheIt->second);
-  for (const LinearMonomial &M : Rows.back().Expr.Monomials)
+  if (Row == 0)
+    RowSamples = Options.Samples ? Options.Samples->size() : 0;
+  Rows.push_back(&*Normalized);
+  for (const LinearMonomial &M : Normalized->Expr.Monomials)
     RowWatches[AtomIndex.at(M.Atom)].push_back(Row);
 
   auto Refute = [&] {
@@ -746,13 +847,13 @@ bool SolverContext::assertLiteral(TermId Lit) {
 
   // Structural EUF content feeds congruence closure immediately.
   size_t MergesBefore = CC.numMerges();
-  if (!assertRowInCC(Arena, CC, Rows.back()))
+  if (!assertRowInCC(Arena, CC, *Normalized))
     return Refute();
 
-  SolverStats Scratch; // Assert-time work never lands in per-query stats.
-  Engine E(*this, Rows, RowWatches, Scratch);
+  SolverStats AssertStats; // Never lands in per-query stats.
+  Engine E(*this, Rows, RowWatches, AssertStats);
   if (!Frames.empty())
-    E.Trail = &Frames.back().DomainTrail;
+    E.Trail = &DomainTrail;
 
   // Fold congruence-derived constants into the base domains. Earlier atoms
   // are registered in CC with their constants folded already, and only a
@@ -775,6 +876,7 @@ bool SolverContext::assertLiteral(TermId Lit) {
   E.wakeRow(Row);
   if (!E.propagate(Domains))
     return Refute();
+  BudgetBound |= E.budgetBound();
   return true;
 }
 
@@ -827,38 +929,51 @@ SatAnswer SolverContext::solve(SolverStats &QueryStats) {
     return Answer;
   }
 
-  // Gauss–Jordan elimination over the equality subsystem runs on a copy at
-  // check time: interval propagation alone cannot combine equations, but
-  // keeping the elimination incremental would mean re-running it on every
-  // assert. The copies are cheap (rows are small) and the base rows stay
-  // untouched for pop().
-  std::vector<LinearAtom> Work = Rows;
-  if (!eliminateEqualities(Work)) {
+  // Gauss–Jordan elimination over the equality subsystem runs at check
+  // time: interval propagation alone cannot combine equations, but keeping
+  // the elimination incremental would mean re-running it on every assert.
+  // It copies the rows into Scratch.Work only when it rewrites one; the
+  // base rows stay untouched for pop().
+  EqSystem Elim(Rows, Scratch.Work);
+  if (!eliminateEqualities(Elim, Scratch.EqIdx, Scratch.UsedPivots)) {
     Answer.Result = SatResult::Unsat;
     return Answer;
   }
-  if (fourierMotzkinRefutes(Work)) {
-    Answer.Result = SatResult::Unsat;
-    return Answer;
-  }
-
   // Fast path: elimination was the identity, so the base domains (the
   // assert-time fixpoint over exactly these rows, with congruence constants
   // folded in) are the search's starting point. Slow path: elimination
   // rewrote rows, so congruence constants, watch lists and domains are
   // rebuilt against the echelon system, exactly like a fresh context would.
-  bool Rewritten = !(Work == Rows);
-  std::vector<Interval> Doms = Domains;
+  bool Rewritten =
+      Elim.copied() &&
+      !std::equal(Rows.begin(), Rows.end(), Scratch.Work.begin(),
+                  [](const LinearAtom *A, const LinearAtom &B) {
+                    return *A == B;
+                  });
+  if (Rewritten) {
+    Scratch.WorkRows.clear();
+    for (const LinearAtom &Row : Scratch.Work)
+      Scratch.WorkRows.push_back(&Row);
+  }
+  const std::vector<const LinearAtom *> &Work =
+      Rewritten ? Scratch.WorkRows : Rows;
+  if (fourierMotzkinRefutes(Work)) {
+    Answer.Result = SatResult::Unsat;
+    return Answer;
+  }
+
+  std::vector<Interval> &Doms = Scratch.Doms;
+  Doms = Domains;
   WatchLists WorkWatches;
   if (Rewritten) {
     CongruenceClosure ScratchCC(Arena);
     WorkWatches.resize(Atoms.size());
     for (size_t Row = 0; Row != Work.size(); ++Row) {
-      if (!assertRowInCC(Arena, ScratchCC, Work[Row])) {
+      if (!assertRowInCC(Arena, ScratchCC, *Work[Row])) {
         Answer.Result = SatResult::Unsat;
         return Answer;
       }
-      for (const LinearMonomial &Mono : Work[Row].Expr.Monomials)
+      for (const LinearMonomial &Mono : Work[Row]->Expr.Monomials)
         WorkWatches[AtomIndex.at(Mono.Atom)].push_back(Row);
     }
     Doms.assign(Atoms.size(), Interval::full());
@@ -866,18 +981,22 @@ SatAnswer SolverContext::solve(SolverStats &QueryStats) {
       if (auto C = ScratchCC.constantOf(Atoms[I]))
         Doms[I] = Doms[I].intersect(Interval::point(*C));
   }
-  // Every step starts scheduled: the base domains are the assert-time
-  // fixpoint only when no visit budget bound and the sample table has not
-  // grown since the asserts.
-  Engine E(*this, Rewritten ? Work : Rows,
-           Rewritten ? WorkWatches : RowWatches, QueryStats);
-  E.wakeAll();
+  // The base domains are the assert-time fixpoint of every step when no
+  // visit budget bound and the sample table has not grown since the oldest
+  // row was asserted: propagation would narrow nothing, so nothing is
+  // scheduled, and the pass still runs and counts in solver.propagations.
+  // Otherwise, and for a rewritten system, every step starts scheduled.
+  Engine E(*this, Work, Rewritten ? WorkWatches : RowWatches, QueryStats);
+  bool AtFixpoint = !Rewritten && !BudgetBound &&
+                    (!Options.Samples || Options.Samples->size() == RowSamples);
+  if (!AtFixpoint)
+    E.wakeAll();
   if (!E.propagate(Doms)) {
     Answer.Result = SatResult::Unsat;
     return Answer;
   }
   Model M;
-  Engine::Outcome Out = E.search(std::move(Doms), M);
+  Engine::Outcome Out = E.search(Doms, M);
 
   switch (Out) {
   case Engine::Outcome::Sat: {
@@ -990,10 +1109,10 @@ SatAnswer SolverContext::solveFormula(TermId Formula,
           SawExhausted = true;
           return true;
         }
-        SolverContext Scratch(Arena, Options);
+        SolverContext SupportCtx(Arena, Options);
         for (TermId Lit : Literals)
-          Scratch.assertLiteral(Lit);
-        SatAnswer Sub = Scratch.solve(QueryStats);
+          SupportCtx.assertLiteral(Lit);
+        SatAnswer Sub = SupportCtx.solve(QueryStats);
         if (Sub.isSat()) {
           // Verify against the full original formula under the model.
           if (Sub.ModelValue.evalBool(Arena, Formula)) {
@@ -1039,16 +1158,27 @@ static void foldQueryTelemetry(const SatAnswer &Answer,
   CumStats.SupportsExplored += QueryStats.SupportsExplored;
   CumStats.Decisions += QueryStats.Decisions;
   CumStats.Propagations += QueryStats.Propagations;
-  Reg.counter("solver.decisions").add(QueryStats.Decisions);
-  Reg.counter("solver.propagations").add(QueryStats.Propagations);
-  Reg.counter("solver.supports_explored").add(QueryStats.SupportsExplored);
+  // Each counter is looked up once, where it is first bumped, so the
+  // registry lists only counters a run has touched.
+  static telemetry::Counter &Decisions = Reg.counter("solver.decisions");
+  static telemetry::Counter &Propagations =
+      Reg.counter("solver.propagations");
+  static telemetry::Counter &Supports =
+      Reg.counter("solver.supports_explored");
+  Decisions.add(QueryStats.Decisions);
+  Propagations.add(QueryStats.Propagations);
+  Supports.add(QueryStats.SupportsExplored);
   switch (Answer.Result) {
-  case SatResult::Sat:
-    Reg.counter("solver.sat").add();
+  case SatResult::Sat: {
+    static telemetry::Counter &Sat = Reg.counter("solver.sat");
+    Sat.add();
     break;
-  case SatResult::Unsat:
-    Reg.counter("solver.unsat").add();
+  }
+  case SatResult::Unsat: {
+    static telemetry::Counter &Unsat = Reg.counter("solver.unsat");
+    Unsat.add();
     break;
+  }
   case SatResult::Unknown:
     Reg.counter("solver.unknown").add();
     // Structured sub-counter so residual unknowns are attributable in

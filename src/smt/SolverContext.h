@@ -23,7 +23,7 @@
 /// the determinism argument). It is the one solver object: every query
 /// is a check() of an asserted stack or a checkFormula() of a formula.
 /// core::DirectedSearch keeps one context for its satisfiability queries;
-/// core::ValiditySolver keeps one per query, asserts
+/// core::ValiditySolver keeps one across its queries, asserts
 /// each grounding choice in its own scopes, and cuts every grounding under
 /// a refuted stack; the §7 ad-hoc baseline checks its rewritten formula in
 /// a fresh one.
@@ -38,6 +38,7 @@
 #include "smt/Linear.h"
 #include "smt/Solver.h"
 
+#include <deque>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -122,10 +123,12 @@ private:
     size_t LitSize = 0;
     size_t AtomSize = 0;
     size_t RowSize = 0;
+    /// DomainTrail size at push: the entries above it were made in this
+    /// scope.
+    size_t TrailSize = 0;
+    /// BudgetBound at push.
+    bool BudgetBound = false;
     CongruenceClosure::Mark CCMark;
-    /// (index, previous value) for base-domain cells overwritten in this
-    /// scope; replayed in reverse on pop.
-    std::vector<std::pair<size_t, Interval>> DomainTrail;
   };
 
   /// Row or atom indices, one list per atom (or per function symbol): what
@@ -152,9 +155,10 @@ private:
 
   /// Asserted literals, in assertion order (the canonical query).
   std::vector<TermId> Lits;
-  /// Original normalized row per processed literal (GJ runs on copies at
-  /// check time; these are never mutated, only truncated on pop).
-  std::vector<LinearAtom> Rows;
+  /// Normalized row per processed literal: the arena's memoized
+  /// normalizedComparison entry, so asserting copies nothing. Never
+  /// mutated (GJ copies the rows it rewrites), only truncated on pop.
+  std::vector<const LinearAtom *> Rows;
   std::vector<TermId> Atoms;
   std::unordered_map<TermId, size_t> AtomIndex;
   /// Base domains: the interval fixpoint of all asserted rows.
@@ -164,7 +168,9 @@ private:
   /// with the atom and row vectors and truncated LIFO by pop(). RowWatches
   /// and ArgUsers are indexed by atom; AppArgs holds each application's
   /// argument forms (empty for variables), extracted once at registration;
-  /// FuncApps lists the application atoms of each function symbol.
+  /// FuncApps lists the application atoms of each function symbol. The
+  /// per-atom lists outlive popped atoms, empty, so their buffers are
+  /// reused: entries at Atoms.size() and above are always empty.
   WatchLists RowWatches;
   WatchLists ArgUsers;
   std::vector<std::vector<LinearExpr>> AppArgs;
@@ -172,16 +178,52 @@ private:
 
   CongruenceClosure CC;
 
-  /// Pure memo of normalizeComparison results (never rolled back).
-  std::unordered_map<TermId, std::optional<LinearAtom>> NormCache;
-
   std::vector<Frame> Frames;
+  /// (index, previous value) for every base-domain cell overwritten inside
+  /// a scope; pop() replays the newest scope's entries in reverse.
+  std::vector<std::pair<size_t, Interval>> DomainTrail;
+
+  /// Buffers reused by every assert and check of this context, so the hot
+  /// path allocates only while they grow. Between two engines every queue
+  /// is empty and every queued flag false.
+  struct ScratchBuffers {
+    /// Engine propagation worklists, each entry queued at most once.
+    std::vector<size_t> RowQueue, AppQueue;
+    std::vector<bool> RowQueued, AppQueued;
+    /// Argument tuples of Engine::propagateApp and finalize.
+    std::vector<int64_t> ArgBuf, OtherArgBuf;
+    /// Sorted ArgUsers copy of Engine::candidatesFor.
+    std::vector<uint32_t> Users;
+    /// One entry per depth of Engine::search: the candidate values of the
+    /// node and the domains of the branch under trial. A deque, so adding
+    /// a depth leaves the shallower levels' references valid.
+    struct Level {
+      std::vector<Interval> Domains;
+      std::vector<int64_t> Candidates;
+    };
+    std::deque<Level> Levels;
+    /// check()'s starting domains, the Gauss–Jordan copy of the rows and
+    /// a row list over that copy.
+    std::vector<Interval> Doms;
+    std::vector<LinearAtom> Work;
+    std::vector<const LinearAtom *> WorkRows;
+    std::vector<size_t> EqIdx;
+    std::vector<TermId> UsedPivots;
+  } Scratch;
   /// Scope depth (Frames.size() at the time; 0 = base level) that poisoned /
   /// refuted the context; sticky until the owning scope pops. Asserts after
   /// either flag are recorded but not processed (matching the from-scratch
   /// fold).
   std::optional<size_t> PoisonedAt;
   std::optional<size_t> RefutedAt;
+  /// Whether the base domains may fall short of the propagation fixpoint
+  /// of the live rows: some assert-time propagation stopped on its visit
+  /// budget (restored by pop). Together with RowSamples, the sample-table
+  /// size when the oldest live row was asserted (the table only grows
+  /// while a context reads it), this tells check() whether the base
+  /// domains are already the fixpoint it starts from.
+  bool BudgetBound = false;
+  size_t RowSamples = 0;
 };
 
 } // namespace hotg::smt

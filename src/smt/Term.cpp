@@ -2,6 +2,8 @@
 
 #include "smt/Term.h"
 
+#include "smt/Linear.h"
+
 #include "support/Hashing.h"
 #include "support/StringUtils.h"
 #include "support/Support.h"
@@ -59,6 +61,8 @@ TermArena::TermArena() {
   OperandPool.reserve(4096);
 }
 
+TermArena::~TermArena() = default;
+
 VarId TermArena::getOrCreateVar(std::string_view Name) {
   auto It = VarByName.find(std::string(Name));
   if (It != VarByName.end())
@@ -93,6 +97,15 @@ const FuncSymbol &TermArena::func(FuncId Func) const {
 }
 
 namespace {
+/// splitmix64 finalizer — the avalanche step behind the fingerprint mixes
+/// and the dedup slot of a node.
+uint64_t mix64(uint64_t X) {
+  X += 0x9e3779b97f4a7c15ull;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
+  return X ^ (X >> 31);
+}
+
 size_t nodeHash(TermKind Kind, int64_t Payload,
                 std::span<const TermId> Operands) {
   size_t Hash = 0x811c9dc5u;
@@ -100,16 +113,34 @@ size_t nodeHash(TermKind Kind, int64_t Payload,
   hashCombine(Hash, static_cast<size_t>(Payload));
   for (TermId Op : Operands)
     hashCombine(Hash, Op);
-  return Hash;
+  return mix64(Hash);
 }
 } // namespace
 
+void TermArena::growDedup() {
+  std::vector<TermId> Slots(std::max<size_t>(2048, 2 * DedupSlots.size()),
+                            InvalidTerm);
+  size_t Mask = Slots.size() - 1;
+  for (TermId T = 0; T != Nodes.size(); ++T) {
+    const TermNode &N = Nodes[T];
+    size_t Slot = nodeHash(N.Kind, N.Payload, operands(T)) & Mask;
+    while (Slots[Slot] != InvalidTerm)
+      Slot = (Slot + 1) & Mask;
+    Slots[Slot] = T;
+  }
+  DedupSlots = std::move(Slots);
+}
+
 TermId TermArena::intern(TermKind Kind, TermType Type, int64_t Payload,
                          std::span<const TermId> Operands) {
-  size_t Hash = nodeHash(Kind, Payload, Operands);
-
-  auto &Bucket = DedupBuckets[Hash];
-  for (TermId Candidate : Bucket) {
+  if (2 * (Nodes.size() + 1) > DedupSlots.size())
+    growDedup();
+  size_t Mask = DedupSlots.size() - 1;
+  size_t Slot = nodeHash(Kind, Payload, Operands) & Mask;
+  for (;; Slot = (Slot + 1) & Mask) {
+    TermId Candidate = DedupSlots[Slot];
+    if (Candidate == InvalidTerm)
+      break;
     const TermNode &N = Nodes[Candidate];
     if (N.Kind != Kind || N.Payload != Payload ||
         N.NumOperands != Operands.size())
@@ -133,7 +164,7 @@ TermId TermArena::intern(TermKind Kind, TermType Type, int64_t Payload,
   OperandPool.insert(OperandPool.end(), Operands.begin(), Operands.end());
   TermId Id = static_cast<TermId>(Nodes.size());
   Nodes.push_back(Node);
-  Bucket.push_back(Id);
+  DedupSlots[Slot] = Id;
   return Id;
 }
 
@@ -284,14 +315,6 @@ FuncId TermArena::funcIdOf(TermId Term) const {
 }
 
 namespace {
-/// splitmix64 finalizer — the avalanche step behind the fingerprint mixes.
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
 uint64_t hashBytes(std::string_view Bytes, uint64_t Seed) {
   uint64_t H = Seed;
   for (unsigned char C : Bytes)
@@ -356,22 +379,42 @@ TermFingerprint TermArena::fingerprint(TermId Term) {
 }
 
 namespace {
-/// Shared DFS used by collectVars/collectApps/containsApp.
+/// Scratch of postorder, one per thread (hotg-serve runs one search per
+/// worker thread): the DFS stack and visit marks stamped with the epoch of
+/// the traversal that set them, so a traversal neither allocates nor
+/// clears marks over the whole arena once the buffers are warm. Indexed by
+/// TermId of whichever arena is being walked; a new epoch invalidates
+/// every mark at once.
+struct VisitScratch {
+  std::vector<TermId> Stack;
+  std::vector<uint32_t> Marks;
+  uint32_t Epoch = 0;
+};
+thread_local VisitScratch Visits;
+
+/// Shared DFS used by collectVars/collectApps/containsApp. \p Visit must
+/// not start another traversal on the same thread.
 template <typename Visitor>
 void postorder(const TermArena &Arena, TermId Root, Visitor &&Visit) {
-  std::vector<TermId> Stack = {Root};
-  std::vector<bool> Seen(Arena.numTerms(), false);
-  while (!Stack.empty()) {
-    TermId Term = Stack.back();
-    Stack.pop_back();
-    if (Seen[Term])
+  VisitScratch &S = Visits;
+  if (S.Marks.size() < Arena.numTerms())
+    S.Marks.resize(Arena.numTerms(), 0);
+  if (++S.Epoch == 0) { // Wrapped: no mark may look current.
+    std::fill(S.Marks.begin(), S.Marks.end(), 0);
+    S.Epoch = 1;
+  }
+  S.Stack.assign(1, Root);
+  while (!S.Stack.empty()) {
+    TermId Term = S.Stack.back();
+    S.Stack.pop_back();
+    if (S.Marks[Term] == S.Epoch)
       continue;
-    Seen[Term] = true;
+    S.Marks[Term] = S.Epoch;
     Visit(Term);
     auto Ops = Arena.operands(Term);
     // Push in reverse so the first operand is visited first.
     for (size_t I = Ops.size(); I != 0; --I)
-      Stack.push_back(Ops[I - 1]);
+      S.Stack.push_back(Ops[I - 1]);
   }
 }
 } // namespace

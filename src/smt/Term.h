@@ -17,6 +17,8 @@
 #define HOTG_SMT_TERM_H
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,6 +26,8 @@
 #include <vector>
 
 namespace hotg::smt {
+
+struct LinearAtom; // smt/Linear.h
 
 /// Index of a term inside its owning TermArena.
 using TermId = uint32_t;
@@ -100,6 +104,7 @@ struct TermFingerprint {
 class TermArena {
 public:
   TermArena();
+  ~TermArena();
 
   //===------------------------------------------------------------------===//
   // Variables and function symbols
@@ -228,10 +233,15 @@ public:
 private:
   TermId intern(TermKind Kind, TermType Type, int64_t Payload,
                 std::span<const TermId> Operands);
+  /// Doubles DedupSlots and re-files every node.
+  void growDedup();
 
   std::vector<TermNode> Nodes;
   std::vector<TermId> OperandPool;
-  std::unordered_map<size_t, std::vector<TermId>> DedupBuckets;
+  /// Hash-consing index: open addressing over TermIds with linear
+  /// probing, InvalidTerm marking an empty slot; a power of two in size,
+  /// kept at most half full.
+  std::vector<TermId> DedupSlots;
 
   std::vector<std::string> VarNames;
   std::unordered_map<std::string, VarId> VarByName;
@@ -245,6 +255,13 @@ private:
   /// Fingerprint memo, indexed by TermId; {0,0} marks "not yet computed"
   /// (the mixer never produces the all-zero digest for a real node).
   std::vector<TermFingerprint> Fingerprints;
+
+  /// Memo of normalizedComparison (smt/Linear.h), indexed by TermId; null
+  /// marks "not yet computed". Each entry is allocated once, so the
+  /// references normalizedComparison hands out stay valid as it grows.
+  std::vector<std::unique_ptr<const std::optional<LinearAtom>>> Normalized;
+  friend const std::optional<LinearAtom> &
+  normalizedComparison(TermArena &Arena, TermId Cmp);
 };
 
 } // namespace hotg::smt

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace hotg {
 
@@ -32,13 +31,6 @@ template <typename Range> size_t hashRange(const Range &Values) {
     hashCombine(Seed, std::hash<std::decay_t<decltype(V)>>{}(V));
   return Seed;
 }
-
-/// Hash functor for std::vector<int64_t> keys (UF sample argument tuples).
-struct VectorI64Hash {
-  size_t operator()(const std::vector<int64_t> &Key) const {
-    return hashRange(Key);
-  }
-};
 
 } // namespace hotg
 

@@ -235,8 +235,9 @@ TEST_F(ValidityTest, SupportBudgetExhaustionIsReported) {
   Options.MaxSupports = 1;
   ValiditySolver Solver(Arena, Samples, Options);
   ValidityAnswer A = Solver.checkPost(F);
-  if (A.Status == ValidityStatus::Unknown)
+  if (A.Status == ValidityStatus::Unknown) {
     EXPECT_EQ(A.Reason, "support budget exhausted");
+  }
 }
 
 TEST_F(ValidityTest, ExpiredDeadlineIsReported) {

@@ -22,8 +22,9 @@ void pipelineDoesNotCrash(const std::string &Source) {
   auto Prog = lang::parseAndCheck(Source, Diags);
   // Either outcome is fine; the invariant is "no crash" plus the contract
   // that failure implies diagnostics.
-  if (!Prog)
+  if (!Prog) {
     EXPECT_TRUE(Diags.hasErrors());
+  }
 }
 
 class FrontendFuzzTest : public ::testing::TestWithParam<uint64_t> {};

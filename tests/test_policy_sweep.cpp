@@ -66,8 +66,9 @@ TEST_P(PolicySweepTest, SearchInvariants) {
   EXPECT_LE(R.Cov.coveredDirections(), R.Cov.totalDirections());
 
   // Sound policies never diverge (Theorems 2/3); unsound may.
-  if (GetParam().Policy != ConcretizationPolicy::Unsound)
+  if (GetParam().Policy != ConcretizationPolicy::Unsound) {
     EXPECT_EQ(R.Divergences, 0u);
+  }
 
   // Every reported bug is reproducible with the concrete interpreter.
   Interpreter Interp(Prog, Natives);
@@ -83,11 +84,14 @@ TEST_P(PolicySweepTest, SearchInvariants) {
 
   // Test records are consistent: every diverged record comes from a
   // derived (non-initial) test; intermediate runs only under HigherOrder.
-  if (!R.Tests.empty())
+  if (!R.Tests.empty()) {
     EXPECT_FALSE(R.Tests.front().Diverged) << "the seed test cannot diverge";
-  for (const TestRecord &T : R.Tests)
-    if (T.Intermediate)
+  }
+  for (const TestRecord &T : R.Tests) {
+    if (T.Intermediate) {
       EXPECT_EQ(GetParam().Policy, ConcretizationPolicy::HigherOrder);
+    }
+  }
 }
 
 std::vector<SweepParam> allParams() {

@@ -302,7 +302,9 @@ TEST_F(IncrementalContextTest, SamplePinArrivesThroughArgumentAndMerge) {
   TermId FX1 = Arena.mkUFApp(
       F, std::vector<TermId>{Arena.mkAdd(X, Arena.mkIntConst(1))});
   TermId Lits[] = {gec(FX1, 8), Arena.mkEq(X, Y), eqc(Y, 2)};
-  expectRefutedAtAssert(Lits, {.Samples = &Samples});
+  SolverOptions Options;
+  Options.Samples = &Samples;
+  expectRefutedAtAssert(Lits, Options);
 }
 
 TEST_F(IncrementalContextTest, CongruenceJoinAcrossScopes) {

@@ -72,6 +72,96 @@ TEST(SampleTable, ClearEmpties) {
   EXPECT_FALSE(T.lookup(0, {1}).has_value());
 }
 
+/// Checks that \p T's per-function lists, lookup index and preimages agree
+/// with \p Expected, the samples in insertion order.
+void expectIndexMatches(const SampleTable &T,
+                        const std::vector<Sample> &Expected) {
+  ASSERT_EQ(T.size(), Expected.size());
+  size_t I = 0;
+  for (const Sample &S : T.allSamples()) {
+    EXPECT_EQ(S.Func, Expected[I].Func) << "sample " << I;
+    EXPECT_EQ(S.Args, Expected[I].Args) << "sample " << I;
+    EXPECT_EQ(S.Output, Expected[I].Output) << "sample " << I;
+    ++I;
+  }
+  for (FuncId F = 0; F != 3; ++F) {
+    std::vector<Sample> Of;
+    for (const Sample &S : Expected)
+      if (S.Func == F)
+        Of.push_back(S);
+    const std::vector<Sample> &Listed = T.samplesFor(F);
+    ASSERT_EQ(Listed.size(), Of.size()) << "function " << F;
+    for (size_t K = 0; K != Of.size(); ++K) {
+      EXPECT_EQ(Listed[K].Args, Of[K].Args) << "function " << F;
+      EXPECT_EQ(Listed[K].Output, Of[K].Output) << "function " << F;
+      EXPECT_EQ(T.lookup(F, Of[K].Args).value_or(-1), Of[K].Output);
+      std::vector<std::vector<int64_t>> Pre;
+      for (const Sample &S : Of)
+        if (S.Output == Of[K].Output)
+          Pre.push_back(S.Args);
+      EXPECT_EQ(T.preimagesOf(F, Of[K].Output), Pre) << "function " << F;
+    }
+  }
+}
+
+TEST(SampleTable, IndexFollowsInsertionOrderThroughEveryUpdate) {
+  TermArena Arena;
+  FuncId F = Arena.getOrCreateFunc("f", 1);
+  FuncId G = Arena.getOrCreateFunc("g", 2);
+  ASSERT_EQ(F, 0u);
+  ASSERT_EQ(G, 1u);
+  // Enough samples of one function that its list reallocates.
+  std::vector<Sample> Expected;
+  SampleTable T;
+  for (int64_t I = 0; I != 40; ++I) {
+    Sample S = I % 3 == 0 ? Sample{G, {I, -I}, I % 4} : Sample{F, {I}, I % 5};
+    T.record(S.Func, S.Args, S.Output);
+    Expected.push_back(S);
+  }
+  T.record(F, {1}, 1); // A repeat changes nothing.
+  expectIndexMatches(T, Expected);
+
+  // mergeFrom appends the other table's new samples in its order.
+  SampleTable Other;
+  Other.record(G, {100, 1}, 7);
+  Other.record(F, {1}, 1);
+  Other.record(F, {100}, 7);
+  T.mergeFrom(Other);
+  Expected.push_back({G, {100, 1}, 7});
+  Expected.push_back({F, {100}, 7});
+  expectIndexMatches(T, Expected);
+
+  // A copy indexes its own storage: it survives the original's reuse.
+  SampleTable Copy = T;
+  SampleTable Assigned;
+  Assigned.record(F, {-1}, -1);
+  Assigned = T;
+
+  // deserialize(serialize()) reproduces the table.
+  SampleTable Loaded;
+  std::string Error;
+  ASSERT_TRUE(Loaded.deserialize(T.serialize(Arena), Arena, &Error)) << Error;
+  expectIndexMatches(Loaded, Expected);
+
+  // clear, then record again in a different order.
+  T.clear();
+  EXPECT_FALSE(T.lookup(F, {1}).has_value());
+  EXPECT_TRUE(T.samplesFor(F).empty());
+  std::vector<Sample> Again = {{F, {3}, 30}, {G, {1, 2}, 3}, {F, {1}, 10}};
+  for (const Sample &S : Again)
+    T.record(S.Func, S.Args, S.Output);
+  expectIndexMatches(T, Again);
+  expectIndexMatches(Copy, Expected);
+  expectIndexMatches(Assigned, Expected);
+}
+
+TEST(SampleTableDeathTest, ConflictingOutputIsFatal) {
+  SampleTable T;
+  T.record(0, {1, 2}, 3);
+  T.record(0, {2, 1}, 4);
+  EXPECT_DEATH(T.record(0, {1, 2}, 5), "conflicting outputs");
+}
+
 TEST(Model, VariableAssignments) {
   Model M;
   EXPECT_FALSE(M.varValue(0).has_value());

@@ -31,6 +31,13 @@ protected:
     }
     return Answer;
   }
+
+  /// Default options with \p Samples attached.
+  static SolverOptions withSamples(const SampleTable &Samples) {
+    SolverOptions Options;
+    Options.Samples = &Samples;
+    return Options;
+  }
 };
 
 TEST_F(SolverTest, TrivialConstants) {
@@ -171,11 +178,11 @@ TEST_F(SolverTest, SamplesConstrainFunctions) {
   TermId HY = Arena.mkUFApp(H, {{Y}});
   TermId Sat = Arena.mkAnd(Arena.mkEq(HY, Arena.mkIntConst(567)),
                            Arena.mkEq(Y, Arena.mkIntConst(42)));
-  EXPECT_TRUE(check(Sat, {.Samples = &Samples}).isSat());
+  EXPECT_TRUE(check(Sat, withSamples(Samples)).isSat());
 
   TermId Unsat = Arena.mkAnd(Arena.mkEq(HY, Arena.mkIntConst(111)),
                              Arena.mkEq(Y, Arena.mkIntConst(42)));
-  EXPECT_NE(check(Unsat, {.Samples = &Samples}).Result, SatResult::Sat);
+  EXPECT_NE(check(Unsat, withSamples(Samples)).Result, SatResult::Sat);
 }
 
 TEST_F(SolverTest, SampleGuidedInversion) {
@@ -187,8 +194,34 @@ TEST_F(SolverTest, SampleGuidedInversion) {
   Samples.record(H, {7}, 99);
 
   TermId F = Arena.mkEq(Arena.mkUFApp(H, {{X}}), Arena.mkIntConst(567));
-  SatAnswer A = check(F, {.Samples = &Samples});
+  SatAnswer A = check(F, withSamples(Samples));
   ASSERT_TRUE(A.isSat());
+}
+
+TEST_F(SolverTest, ArgumentSampleCandidatesFollowAtomOrder) {
+  // x feeds f(x, g(x)) and g(x). Registering f(x, g(x)) registers g(x)
+  // inside it, so the applications reading x are listed g before f,
+  // against their atom order. Branching on x must still try the sampled
+  // argument values in atom order — f's 7 before g's 5 — so the model
+  // picks x = 7, as a scan of every atom does.
+  SampleTable Samples;
+  FuncId F = Arena.getOrCreateFunc("f", 2);
+  FuncId G = Arena.getOrCreateFunc("g", 1);
+  Samples.record(F, {7, 1}, 3);
+  Samples.record(G, {5}, 9);
+  TermId GX = Arena.mkUFApp(G, {{X}});
+  TermId FX = Arena.mkUFApp(F, {{X, GX}});
+
+  SolverContext Ctx(Arena, withSamples(Samples));
+  Ctx.assertLiteral(Arena.mkGe(X, Arena.mkIntConst(0)));
+  Ctx.assertLiteral(Arena.mkGt(FX, Arena.mkIntConst(-100)));
+  SolverStats Stats;
+  SatAnswer A = Ctx.check(Stats);
+  ASSERT_TRUE(A.isSat());
+  EXPECT_EQ(A.ModelValue.varValueOr(Arena.varIdOf(X), -1), 7);
+  EXPECT_EQ(A.ModelValue.evalInt(Arena, GX), 9);
+  EXPECT_EQ(A.ModelValue.evalInt(Arena, FX), 3);
+  EXPECT_EQ(Stats.Decisions, 3u);
 }
 
 TEST_F(SolverTest, ThreeVariableSystem) {
@@ -277,9 +310,10 @@ TEST_P(SolverPropertyTest, PlantedWitnessAlwaysFound) {
     // exercised below.)
     ASSERT_NE(A.Result, SatResult::Unsat)
         << "refuted a satisfiable formula: " << Arena.toString(F);
-    if (A.isSat())
+    if (A.isSat()) {
       ASSERT_TRUE(A.ModelValue.evalBool(Arena, F))
           << "unverified model for " << Arena.toString(F);
+    }
   }
 }
 

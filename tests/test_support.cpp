@@ -56,7 +56,8 @@ TEST(Hashing, CombineIsOrderSensitive) {
 }
 
 TEST(Hashing, VectorHashDistinguishesContents) {
-  VectorI64Hash H;
+  // hashRange over an argument tuple keys the UF sample index.
+  auto H = [](std::vector<int64_t> V) { return hashRange(V); };
   EXPECT_EQ(H({1, 2, 3}), H({1, 2, 3}));
   EXPECT_NE(H({1, 2, 3}), H({3, 2, 1}));
   EXPECT_NE(H({}), H({0}));

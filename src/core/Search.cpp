@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 using namespace hotg;
 using namespace hotg::core;
@@ -142,6 +143,47 @@ TestInput DirectedSearch::completeInput(const smt::Model &M,
   return Input;
 }
 
+/// True when the stop control cut some test run mid-flight.
+static bool runCut(const SearchResult &Result) {
+  return std::any_of(
+      Result.Tests.begin(), Result.Tests.end(),
+      [](const TestRecord &T) { return T.Status == RunStatus::Deadline; });
+}
+
+/// A run cut by the stop control also trips a search loop's next stop
+/// poll — unless it was the last run and left nothing to do (e.g. the seed
+/// run under an already-expired deadline), so the loop exits without
+/// polling. Classifies \p Result from that evidence.
+static void noteLateStop(SearchResult &Result, const support::Deadline &D,
+                         const support::CancelToken &Cancel) {
+  if (Result.Stopped == support::StopReason::None && runCut(Result))
+    Result.Stopped = support::stopRequested(D, Cancel);
+}
+
+/// Notes \p Run, test number \p TestNo of \p Result, when it reveals a
+/// bug: marks its error site covered and records the bug unless one with
+/// the same status and site is known. Returns the new record, else null.
+static const BugRecord *noteBug(SearchResult &Result, const TestInput &Input,
+                                const RunResult &Run, unsigned TestNo) {
+  if (!Run.isBug())
+    return nullptr;
+  lang::ErrorSiteId Site =
+      Run.Error && Run.Status == RunStatus::ErrorHit ? Run.Error->Site : ~0u;
+  if (Run.Status == RunStatus::ErrorHit)
+    Result.Cov.noteErrorSite(Site);
+  for (const BugRecord &Bug : Result.Bugs)
+    if (Bug.Status == Run.Status && Bug.Site == Site)
+      return nullptr;
+  BugRecord &Bug = Result.Bugs.emplace_back();
+  Bug.Input = Input;
+  Bug.Status = Run.Status;
+  Bug.Site = Site;
+  if (Run.Error)
+    Bug.Message = Run.Error->Message;
+  Bug.FoundAtTest = TestNo;
+  return &Bug;
+}
+
 std::optional<PathResult>
 DirectedSearch::runTest(const TestInput &Input, bool Intermediate,
                         const Candidate *From) {
@@ -228,38 +270,20 @@ DirectedSearch::runTest(const TestInput &Input, bool Intermediate,
     S->handle(E);
   }
 
-  if (PR.Run.isBug()) {
-    lang::ErrorSiteId Site =
-        PR.Run.Error && PR.Run.Status == RunStatus::ErrorHit
-            ? PR.Run.Error->Site
-            : ~0u;
-    if (PR.Run.Status == RunStatus::ErrorHit)
-      Result.Cov.noteErrorSite(Site);
-    bool Known = false;
-    for (const BugRecord &Bug : Result.Bugs)
-      if (Bug.Status == PR.Run.Status && Bug.Site == Site)
-        Known = true;
-    if (!Known) {
-      BugRecord Bug;
-      Bug.Input = Input;
-      Bug.Status = PR.Run.Status;
-      Bug.Site = Site;
-      if (PR.Run.Error)
-        Bug.Message = PR.Run.Error->Message;
-      Bug.FoundAtTest = static_cast<unsigned>(Result.Tests.size());
-      Reg.counter("search.bugs").add();
-      if (telemetry::TraceSink *S = telemetry::sink()) {
-        telemetry::Event E(telemetry::EventKind::BugFound);
-        E.set("test", int64_t(Bug.FoundAtTest));
-        E.set("status", runStatusName(Bug.Status));
-        if (Bug.Status == RunStatus::ErrorHit)
-          E.set("site", int64_t(Site));
-        if (!Bug.Message.empty())
-          E.set("message", Bug.Message);
-        E.setArray("cells", Input.Cells);
-        S->handle(E);
-      }
-      Result.Bugs.push_back(std::move(Bug));
+  if (const BugRecord *Bug = noteBug(Result, Input, PR.Run,
+                                     static_cast<unsigned>(
+                                         Result.Tests.size()))) {
+    Reg.counter("search.bugs").add();
+    if (telemetry::TraceSink *S = telemetry::sink()) {
+      telemetry::Event E(telemetry::EventKind::BugFound);
+      E.set("test", int64_t(Bug->FoundAtTest));
+      E.set("status", runStatusName(Bug->Status));
+      if (Bug->Status == RunStatus::ErrorHit)
+        E.set("site", int64_t(Bug->Site));
+      if (!Bug->Message.empty())
+        E.set("message", Bug->Message);
+      E.setArray("cells", Input.Cells);
+      S->handle(E);
     }
   }
   TestHist.note(Timer.elapsedNs());
@@ -441,55 +465,39 @@ ValidityAnswer DirectedSearch::solveValidity(smt::TermId Alt) {
   return Answer;
 }
 
-smt::SatAnswer DirectedSearch::solveSatGuarded(smt::TermId Alt) {
+template <typename AnswerT>
+AnswerT DirectedSearch::solveGuarded(smt::TermId Alt,
+                                     AnswerT (DirectedSearch::*Solve)(
+                                         smt::TermId)) {
+  constexpr bool Sat = std::is_same_v<AnswerT, smt::SatAnswer>;
   constexpr unsigned MaxInlineRetries = 3;
   const uint64_t FaultKey =
       support::faultInjector()
-          ? queryFaultKey(Arena.fingerprint(Alt), 0,
-                          smt::QueryKind::Satisfiability)
+          ? queryFaultKey(Arena.fingerprint(Alt), Sat ? 0 : sampleGeneration(),
+                          Sat ? smt::QueryKind::Satisfiability
+                              : smt::QueryKind::Validity)
           : 0;
   for (unsigned Attempt = 0;; ++Attempt) {
     try {
       support::FaultScope Scope(FaultKey, Attempt);
-      return solveSat(Alt);
+      return (this->*Solve)(Alt);
     } catch (const std::exception &E) {
-      // The throw may have unwound mid-retarget; drop the incremental
-      // context so the retry starts from a clean assertion stack (the
-      // context is rebuilt lazily, answers are identical either way).
-      SatCtx.reset();
+      // A satisfiability throw may have unwound mid-retarget; drop the
+      // incremental context so the retry starts from a clean assertion
+      // stack (the context is rebuilt lazily, answers are identical
+      // either way).
+      if constexpr (Sat)
+        SatCtx.reset();
       telemetry::Registry &Reg = telemetry::Registry::global();
       Reg.counter("search.query_failures").add();
       if (Attempt >= MaxInlineRetries) {
-        smt::SatAnswer Answer;
-        Answer.Result = smt::SatResult::Unknown;
+        AnswerT Answer;
+        if constexpr (Sat)
+          Answer.Result = smt::SatResult::Unknown;
+        else
+          Answer.Status = ValidityStatus::Unknown;
         Answer.Reason = std::string("query failed: ") + E.what();
         return Answer; // Candidate abandoned; the search continues.
-      }
-      ++Result.InlineRetries;
-      Reg.counter("search.inline_retries").add();
-    }
-  }
-}
-
-ValidityAnswer DirectedSearch::solveValidityGuarded(smt::TermId Alt) {
-  constexpr unsigned MaxInlineRetries = 3;
-  const uint64_t FaultKey =
-      support::faultInjector()
-          ? queryFaultKey(Arena.fingerprint(Alt), sampleGeneration(),
-                          smt::QueryKind::Validity)
-          : 0;
-  for (unsigned Attempt = 0;; ++Attempt) {
-    try {
-      support::FaultScope Scope(FaultKey, Attempt);
-      return solveValidity(Alt);
-    } catch (const std::exception &E) {
-      telemetry::Registry &Reg = telemetry::Registry::global();
-      Reg.counter("search.query_failures").add();
-      if (Attempt >= MaxInlineRetries) {
-        ValidityAnswer Answer;
-        Answer.Status = ValidityStatus::Unknown;
-        Answer.Reason = std::string("query failed: ") + E.what();
-        return Answer;
       }
       ++Result.InlineRetries;
       Reg.counter("search.inline_retries").add();
@@ -579,7 +587,7 @@ bool DirectedSearch::processCandidate(const Candidate &Cand) {
 
   if (Options.Policy != ConcretizationPolicy::HigherOrder) {
     ++Result.SolverCalls;
-    smt::SatAnswer Answer = solveSatGuarded(Alt);
+    smt::SatAnswer Answer = solveGuarded(Alt, &DirectedSearch::solveSat);
     EmitCandidate(smt::satResultName(Answer.Result));
     if (Answer.isSat())
       NewInput = completeInput(Answer.ModelValue, Cand.ParentInput);
@@ -590,7 +598,8 @@ bool DirectedSearch::processCandidate(const Candidate &Cand) {
     TestInput Parent = Cand.ParentInput;
     for (unsigned Step = 0; Step <= Options.MultiStepBound; ++Step) {
       ++Result.ValidityCalls;
-      ValidityAnswer Answer = solveValidityGuarded(Alt);
+      ValidityAnswer Answer =
+          solveGuarded(Alt, &DirectedSearch::solveValidity);
       if (Answer.Status == ValidityStatus::Valid) {
         EmitCandidate(validityStatusName(Answer.Status));
         NewInput = completeInput(Answer.ModelValue, Parent);
@@ -660,17 +669,7 @@ SearchResult DirectedSearch::run() {
     if (!processCandidate(Cand))
       break;
   }
-  // A run that halted with RunStatus::Deadline also trips the poll above
-  // on the next iteration — unless the truncated run was the last one and
-  // left the frontier empty (e.g. the seed run under an already-expired
-  // deadline), in which case the loop exits without polling. Classify
-  // from the evidence: a cut test means the stop control truncated work.
-  if (Result.Stopped == support::StopReason::None &&
-      std::any_of(Result.Tests.begin(), Result.Tests.end(),
-                  [](const TestRecord &T) {
-                    return T.Status == RunStatus::Deadline;
-                  }))
-    Result.Stopped = support::stopRequested(Options.Deadline, Options.Cancel);
+  noteLateStop(Result, Options.Deadline, Options.Cancel);
   // The test budget is only a stop *reason* when work remained.
   if (Result.Stopped == support::StopReason::None &&
       Result.Tests.size() >= Options.MaxTests && !Frontier.empty())
@@ -742,36 +741,9 @@ SearchResult hotg::core::runRandomSearch(const lang::Program &Prog,
     Result.Tests.push_back(Record);
     Result.Cov.noteTrace(Run.Trace);
 
-    if (Run.isBug()) {
-      lang::ErrorSiteId Site =
-          Run.Error && Run.Status == RunStatus::ErrorHit ? Run.Error->Site
-                                                         : ~0u;
-      if (Run.Status == RunStatus::ErrorHit)
-        Result.Cov.noteErrorSite(Site);
-      bool Known = false;
-      for (const BugRecord &Bug : Result.Bugs)
-        if (Bug.Status == Run.Status && Bug.Site == Site)
-          Known = true;
-      if (!Known) {
-        BugRecord Bug;
-        Bug.Input = Input;
-        Bug.Status = Run.Status;
-        Bug.Site = Site;
-        if (Run.Error)
-          Bug.Message = Run.Error->Message;
-        Bug.FoundAtTest = T + 1;
-        Result.Bugs.push_back(std::move(Bug));
-      }
-    }
+    noteBug(Result, Input, Run, T + 1);
   }
-  // Same late-classification as DirectedSearch::run(): a final test cut
-  // mid-run never reaches the loop-top poll.
-  if (Result.Stopped == support::StopReason::None &&
-      std::any_of(Result.Tests.begin(), Result.Tests.end(),
-                  [](const TestRecord &T) {
-                    return T.Status == RunStatus::Deadline;
-                  }))
-    Result.Stopped = support::stopRequested(Limits.Deadline, Limits.Cancel);
+  noteLateStop(Result, Limits.Deadline, Limits.Cancel);
   return Result;
 }
 
@@ -800,9 +772,5 @@ bool hotg::core::searchDegraded(const SearchResult &Result) {
   // means the results are real but possibly incomplete. Hitting the test
   // budget is the normal operating mode, not degradation.
   return Result.Stopped == support::StopReason::DeadlineExpired ||
-         Result.Stopped == support::StopReason::Cancelled ||
-         std::any_of(Result.Tests.begin(), Result.Tests.end(),
-                     [](const TestRecord &T) {
-                       return T.Status == RunStatus::Deadline;
-                     });
+         Result.Stopped == support::StopReason::Cancelled || runCut(Result);
 }

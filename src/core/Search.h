@@ -240,12 +240,14 @@ private:
   /// One POST(Alt) validity query (HigherOrder), via Options.SharedCache
   /// when installed; folds work stats into ValidityQueryStats.
   ValidityAnswer solveValidity(smt::TermId Alt);
-  /// solveSat/solveValidity wrapped in the bounded inline-retry loop of
-  /// docs/robustness.md: a thrown fault drops the incremental context and
-  /// retries; after MaxInlineRetries the answer degrades to Unknown (the
-  /// candidate is abandoned, the search continues).
-  smt::SatAnswer solveSatGuarded(smt::TermId Alt);
-  ValidityAnswer solveValidityGuarded(smt::TermId Alt);
+  /// solveSat or solveValidity (\p Solve) wrapped in the bounded
+  /// inline-retry loop of docs/robustness.md: a thrown fault (a
+  /// satisfiability one also drops the incremental context) is retried;
+  /// after MaxInlineRetries the answer degrades to Unknown (the candidate
+  /// is abandoned, the search continues).
+  template <typename AnswerT>
+  AnswerT solveGuarded(smt::TermId Alt,
+                       AnswerT (DirectedSearch::*Solve)(smt::TermId));
   /// Emits a `heartbeat` trace event when Options.ProgressEveryMs elapsed
   /// since the last one (no-op without a sink or with ProgressEveryMs 0).
   /// Called at search loop boundaries.

@@ -247,7 +247,7 @@ private:
         ArgTerms.push_back(termOf(Op));
         ArgValues.push_back(Op.Concrete.Scalar);
       }
-      recordSample(Func, std::move(ArgValues), ConcreteResult);
+      recordSample(Func, ArgValues, ConcreteResult);
       SVal Out = SVal::concrete(Value::intValue(ConcreteResult));
       Out.Sym = Arena.mkUFApp(Func, ArgTerms);
       return Out;
@@ -278,7 +278,7 @@ private:
     return Out;
   }
 
-  void recordSample(smt::FuncId Func, std::vector<int64_t> Args,
+  void recordSample(smt::FuncId Func, std::span<const int64_t> Args,
                     int64_t Output) {
     if (!Options.RecordSamples || !Samples)
       return;
@@ -289,7 +289,7 @@ private:
       E.set("output", Output);
       S->handle(E);
     }
-    Samples->record(Func, std::move(Args), Output);
+    Samples->record(Func, Args, Output);
     ++Result.NumSamplesRecorded;
   }
 
@@ -887,7 +887,7 @@ private:
       ArgValues.push_back(A.Concrete.Scalar);
     }
     assert(!Ret.Concrete.isArray() && "summarizable returns are scalar");
-    recordSample(SymId, std::move(ArgValues), Ret.Concrete.Scalar);
+    recordSample(SymId, ArgValues, Ret.Concrete.Scalar);
 
     // The instantiated precondition becomes a negatable caller entry, so
     // the directed search can steer the callee down its other paths (and

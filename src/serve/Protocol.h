@@ -30,14 +30,13 @@
 #ifndef HOTG_SERVE_PROTOCOL_H
 #define HOTG_SERVE_PROTOCOL_H
 
+#include "app/Job.h"
 #include "support/JsonReader.h"
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace hotg::serve {
 
@@ -53,30 +52,21 @@ enum class JobStatus : uint8_t {
 /// "ok", "bugs", "degraded", "rejected", "error".
 const char *jobStatusName(JobStatus Status);
 
-/// One decoded job request. Field defaults mirror hotg-run's flag
-/// defaults so a minimal request behaves like a bare CLI invocation.
-struct JobRequest {
+/// One decoded job request: the job itself (app::JobSpec, whose defaults
+/// are hotg-run's flag defaults) plus what only a daemon request carries.
+struct JobRequest : app::JobSpec {
   std::string Id;     ///< Caller-chosen correlation id (required).
   std::string Tenant; ///< Optional tenant label (audit log only).
   /// Exactly one of Program (inline MiniLang source) or ProgramPath (a
   /// file under the server's --program-root) must be set.
   std::string Program;
   std::string ProgramPath;
-  std::string Entry; ///< Empty: "main" when present, else first function.
-  std::string Policy = "higher-order";
-  std::string Order = "bfs";
-  unsigned MaxTests = 64;
-  unsigned MultiStep = 2;
-  uint64_t Seed = 42;
   uint64_t DeadlineMs = 0; ///< 0: the server's default job deadline.
-  bool ExplorePaths = false;
   /// Opt into the cross-session sample fabric: import the fabric's IOF
   /// samples for this job's epoch before the run, publish the grown table
   /// after. Off by default — an import changes the (deterministic) search
   /// trajectory, so only jobs that ask for warm-start learning get it.
   bool ShareSamples = false;
-  std::optional<std::vector<int64_t>> Input;
-  std::vector<std::vector<int64_t>> SeedInputs;
 };
 
 /// One encoded job response.

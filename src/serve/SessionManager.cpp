@@ -2,12 +2,8 @@
 
 #include "serve/SessionManager.h"
 
-#include "app/Examples.h"
-#include "core/Search.h"
-#include "lang/Parser.h"
-#include "support/Diagnostics.h"
+#include "app/Job.h"
 #include "support/FaultInjector.h"
-#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
 #include <chrono>
@@ -113,34 +109,6 @@ uint64_t SessionManager::epochFor(const JobRequest &Request,
 // Job execution
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct PolicySpec {
-  bool Random = false;
-  dse::ConcretizationPolicy Policy = dse::ConcretizationPolicy::HigherOrder;
-};
-
-std::optional<PolicySpec> parsePolicy(std::string_view Name) {
-  PolicySpec S;
-  if (Name == "random") {
-    S.Random = true;
-    return S;
-  }
-  if (Name == "unsound")
-    S.Policy = dse::ConcretizationPolicy::Unsound;
-  else if (Name == "sound")
-    S.Policy = dse::ConcretizationPolicy::Sound;
-  else if (Name == "sound-delayed")
-    S.Policy = dse::ConcretizationPolicy::SoundDelayed;
-  else if (Name == "higher-order")
-    S.Policy = dse::ConcretizationPolicy::HigherOrder;
-  else
-    return std::nullopt;
-  return S;
-}
-
-} // namespace
-
 JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
                                    support::CancelToken Cancel) {
   telemetry::Registry &Reg = telemetry::Registry::global();
@@ -164,7 +132,7 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
 
   // ---- Pre-admission validation: nothing below may reach the engine
   // layers malformed (core::DirectedSearch treats bad entries/inputs as
-  // fatal process errors — acceptable for a CLI, never for a daemon).
+  // fatal process errors). app::Job checks the job as hotg-run does.
 
   std::string Source = Request.Program;
   if (!Request.ProgramPath.empty()) {
@@ -181,56 +149,40 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
     Source = Buffer.str();
   }
 
-  std::optional<PolicySpec> Policy = parsePolicy(Request.Policy);
-  if (!Policy)
-    return Reject("unknown policy '" + Request.Policy +
-                  "' (want unsound|sound|sound-delayed|higher-order|random)");
-  if (Request.Order != "bfs" && Request.Order != "dfs")
-    return Reject("unknown order '" + Request.Order + "' (want bfs|dfs)");
-
-  DiagnosticEngine Diags;
-  std::optional<lang::Program> Prog = lang::parseAndCheck(Source, Diags);
-  if (!Prog)
-    return Reject("parse error: " + Diags.render(Request.Id.c_str()));
-  if (Prog->Functions.empty())
-    return Reject("program has no functions");
-
-  std::string Entry = Request.Entry;
-  if (Entry.empty())
-    Entry = Prog->findFunction("main") ? "main" : Prog->Functions.front()->Name;
-  const lang::FunctionDecl *EntryFn = Prog->findFunction(Entry);
-  if (!EntryFn)
-    return Reject("no function named '" + Entry + "'");
-
-  interp::NativeRegistry Natives;
-  app::registerExampleNatives(Natives);
-  for (const lang::ExternDecl &Ext : Prog->Externs)
-    if (!Natives.find(Ext.Name))
-      return Reject("extern '" + Ext.Name + "' has no native binding");
-
-  interp::InputLayout Layout(*EntryFn);
-  if (Request.Input && Request.Input->size() != Layout.size())
-    return Reject(formatString("input has %zu cells, entry '%s' takes %u",
-                               Request.Input->size(), Entry.c_str(),
-                               Layout.size()));
-  for (const auto &Row : Request.SeedInputs)
-    if (Row.size() != Layout.size())
-      return Reject(formatString(
-          "seed input has %zu cells, entry '%s' takes %u", Row.size(),
-          Entry.c_str(), Layout.size()));
+  std::string Error;
+  std::optional<app::Job> Job =
+      app::Job::check(Request, Source, Request.Id, Error);
+  if (!Job)
+    return Reject(std::move(Error));
 
   const uint64_t DeadlineMs =
       Request.DeadlineMs ? Request.DeadlineMs : Config.DefaultDeadlineMs;
 
   // ShareSamples jobs warm-start from the fabric's table for this job
   // family (the epoch digest *without* imports — the family key stays
-  // stable as the table itself grows).
+  // stable as the table itself grows). Only higher-order searches learn
+  // samples, so only they publish, and only their family has a table.
   std::string ImportedSamples;
   uint64_t SampleKey = 0;
-  if (Request.ShareSamples && !Policy->Random) {
+  app::JobHooks Hooks;
+  if (Request.ShareSamples &&
+      Job->options().Policy == dse::ConcretizationPolicy::HigherOrder) {
     SampleKey = epochFor(Request, Source, "");
-    if (auto Entry = Fabric.lookupSamples(SampleKey))
+    if (auto Entry = Fabric.lookupSamples(SampleKey)) {
       ImportedSamples = std::move(Entry->Text);
+      Hooks.BeforeRun = [&](core::DirectedSearch &Search) {
+        std::string Error;
+        if (!Search.importSamples(ImportedSamples, &Error))
+          // The fabric only stores what exportSamples produced, so this
+          // is an internal inconsistency, not tenant input.
+          throw std::runtime_error("sample import failed: " + Error);
+        return true;
+      };
+    }
+    Hooks.AfterRun = [&](core::DirectedSearch &Search) {
+      Fabric.publishSamples(SampleKey, Search.exportSamples(),
+                            Search.samples().size());
+    };
   }
   const uint64_t Epoch = epochFor(Request, Source, ImportedSamples);
 
@@ -252,63 +204,18 @@ JobResponse SessionManager::runJob(const JobRequest &Request, uint64_t Frame,
         support::maybeInjectFault(support::FaultSite::SessionSpawn);
       }
 
-      support::Deadline Deadline;
+      core::SearchOptions Options = Job->options();
       if (DeadlineMs != 0)
-        Deadline = support::Deadline::afterMillis(DeadlineMs);
-
-      core::SearchResult Result;
-      if (Policy->Random) {
-        interp::RunLimits Limits;
-        Limits.Deadline = Deadline;
-        Limits.Cancel = Cancel;
-        Result = core::runRandomSearch(*Prog, Natives, Entry,
-                                       Request.MaxTests, 0, 99, Request.Seed,
-                                       Limits);
-      } else {
-        core::SearchOptions Options;
-        Options.Policy = Policy->Policy;
-        Options.MaxTests = Request.MaxTests;
-        Options.MultiStepBound = Request.MultiStep;
-        Options.Seed = Request.Seed;
-        if (Request.Input) {
-          interp::TestInput Initial;
-          Initial.Cells = *Request.Input;
-          Options.InitialInput = std::move(Initial);
-        }
-        for (const auto &Row : Request.SeedInputs) {
-          interp::TestInput Seed;
-          Seed.Cells = Row;
-          Options.SeedInputs.push_back(std::move(Seed));
-        }
-        Options.SkipCoveredTargets = !Request.ExplorePaths;
-        Options.Order = Request.Order == "dfs"
-                            ? core::SearchOptions::OrderKind::DepthFirst
-                            : core::SearchOptions::OrderKind::BreadthFirst;
-        Options.Deadline = Deadline;
-        Options.Cancel = Cancel;
-        // A deadline-armed session races the wall clock, so its query
-        // stream is not a pure function of the epoch: it keeps its reuse
-        // within the session in a cache that dies with this attempt, and
-        // no other session, nor a retry of this one, reads its answers.
-        smt::QueryCache AttemptCache;
-        Options.SharedCache =
-            DeadlineMs != 0 ? &AttemptCache : &Fabric.cache();
-        Options.CacheEpoch = Epoch;
-
-        core::DirectedSearch Search(*Prog, Natives, Entry, Options);
-        if (!ImportedSamples.empty()) {
-          std::string Error;
-          if (!Search.importSamples(ImportedSamples, &Error))
-            // The fabric only stores what exportSamples produced, so this
-            // is an internal inconsistency, not tenant input.
-            throw std::runtime_error("sample import failed: " + Error);
-        }
-        Result = Search.run();
-        if (Request.ShareSamples &&
-            Policy->Policy == dse::ConcretizationPolicy::HigherOrder)
-          Fabric.publishSamples(SampleKey, Search.exportSamples(),
-                                Search.samples().size());
-      }
+        Options.Deadline = support::Deadline::afterMillis(DeadlineMs);
+      Options.Cancel = Cancel;
+      // A deadline-armed session races the wall clock, so its query
+      // stream is not a pure function of the epoch: it keeps its reuse
+      // within the session in a cache that dies with this attempt, and
+      // no other session, nor a retry of this one, reads its answers.
+      smt::QueryCache AttemptCache;
+      Options.SharedCache = DeadlineMs != 0 ? &AttemptCache : &Fabric.cache();
+      Options.CacheEpoch = Epoch;
+      core::SearchResult Result = *Job->run(std::move(Options), Hooks);
 
       Resp.Retries = Retries;
       Resp.Tests = Result.testsRun();

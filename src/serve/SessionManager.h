@@ -11,7 +11,9 @@
 ///  * every request is fully validated *before* a search is constructed —
 ///    the engine layers treat malformed programs/entries/inputs as fatal
 ///    (core calls reportFatalError), so tenant input must never reach them
-///    unchecked; validation failures become structured `rejected` responses;
+///    unchecked. app::Job checks the job as hotg-run does; the session
+///    adds program_path resolution. Validation failures become structured
+///    `rejected` responses;
 ///  * the session's arena, engine and solver contexts live in a
 ///    per-attempt DirectedSearch scope, so a throwing session tears its
 ///    state down completely (quarantine) without touching any other

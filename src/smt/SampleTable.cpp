@@ -23,7 +23,7 @@ SampleTable &SampleTable::operator=(const SampleTable &Other) {
   return *this;
 }
 
-void SampleTable::record(FuncId Func, std::vector<int64_t> Args,
+void SampleTable::record(FuncId Func, std::span<const int64_t> Args,
                          int64_t Output) {
   auto It = Index.find(Key{Func, Args});
   if (It != Index.end()) {
@@ -37,7 +37,8 @@ void SampleTable::record(FuncId Func, std::vector<int64_t> Args,
     ByFunc.resize(Func + 1);
   std::vector<Sample> &List = ByFunc[Func];
   Order.emplace_back(Func, List.size());
-  List.push_back({Func, std::move(Args), Output});
+  List.push_back(
+      {Func, std::vector<int64_t>(Args.begin(), Args.end()), Output});
   Index.emplace(Key{Func, List.back().Args}, Output);
 }
 
@@ -118,7 +119,7 @@ bool SampleTable::deserialize(std::string_view Text, TermArena &Arena,
       return Fail("malformed output");
     FuncId Func = Arena.getOrCreateFunc(Fields[0],
                                         static_cast<unsigned>(Arity));
-    record(Func, std::move(Args), Output);
+    record(Func, Args, Output);
   }
   return true;
 }

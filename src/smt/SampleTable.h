@@ -51,10 +51,15 @@ public:
   SampleTable(SampleTable &&) = default;
   SampleTable &operator=(SampleTable &&) = default;
 
-  /// Records output = f(args). Recording a conflicting output for the same
-  /// argument tuple is a fatal error (unknown functions are assumed
-  /// deterministic, Theorem 3's hypothesis).
-  void record(FuncId Func, std::vector<int64_t> Args, int64_t Output);
+  /// Records output = f(args); the tuple is copied only when it is new.
+  /// Recording a conflicting output for the same argument tuple is a fatal
+  /// error (unknown functions are assumed deterministic, Theorem 3's
+  /// hypothesis).
+  void record(FuncId Func, std::span<const int64_t> Args, int64_t Output);
+  void record(FuncId Func, std::initializer_list<int64_t> Args,
+              int64_t Output) {
+    record(Func, std::span<const int64_t>(Args.begin(), Args.size()), Output);
+  }
 
   /// Returns the recorded output of \p Func at \p Args, if sampled.
   std::optional<int64_t> lookup(FuncId Func,

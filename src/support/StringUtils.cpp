@@ -3,6 +3,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 using namespace hotg;
@@ -65,6 +66,19 @@ std::string_view hotg::trim(std::string_view Text) {
 bool hotg::startsWith(std::string_view Text, std::string_view Prefix) {
   return Text.size() >= Prefix.size() &&
          Text.compare(0, Prefix.size(), Prefix) == 0;
+}
+
+std::optional<int64_t> hotg::parseInteger(std::string_view Text, int64_t Lo,
+                                          int64_t Hi, std::string &Error) {
+  int64_t Value = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Ec == std::errc() && Ptr == End && Value >= Lo && Value <= Hi)
+    return Value;
+  Error = formatString("expects an integer in [%lld, %lld], got '%.*s'",
+                       static_cast<long long>(Lo), static_cast<long long>(Hi),
+                       static_cast<int>(Text.size()), Text.data());
+  return std::nullopt;
 }
 
 std::string hotg::escapeString(std::string_view Text) {

@@ -8,6 +8,7 @@
 /// printf-style std::string formatting, joining and splitting helpers used by
 /// diagnostics, term printers and the benchmark harness. GCC 12 lacks
 /// <format>, so a checked vsnprintf wrapper stands in for std::format.
+/// parseInteger reads the numeric flags of the command-line tools.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,8 @@
 #define HOTG_SUPPORT_STRINGUTILS_H
 
 #include <cstdarg>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +42,13 @@ std::string_view trim(std::string_view Text);
 
 /// Returns true if \p Text starts with \p Prefix.
 bool startsWith(std::string_view Text, std::string_view Prefix);
+
+/// Reads all of \p Text as a decimal integer in [\p Lo, \p Hi]. Anything
+/// else (empty text, a stray character, a value out of range) yields
+/// nullopt and sets \p Error to "expects an integer in [Lo, Hi], got 'Text'",
+/// which a command-line tool prefixes with the flag it was parsing.
+std::optional<int64_t> parseInteger(std::string_view Text, int64_t Lo,
+                                    int64_t Hi, std::string &Error);
 
 /// Escapes control characters and quotes for diagnostics output.
 std::string escapeString(std::string_view Text);

@@ -913,7 +913,7 @@ private:
         ArgTerms.push_back(termOf(*Op.S, Op.Concrete));
         ArgValues.push_back(Op.Concrete);
       }
-      recordSample(Func, std::move(ArgValues), ConcreteResult);
+      recordSample(Func, ArgValues, ConcreteResult);
       ShadowVal Out;
       Out.Sym = Arena.mkUFApp(Func, ArgTerms);
       return Out;
@@ -943,7 +943,7 @@ private:
     return Out;
   }
 
-  void recordSample(smt::FuncId Func, std::vector<int64_t> Args,
+  void recordSample(smt::FuncId Func, std::span<const int64_t> Args,
                     int64_t Output) {
     if (!Options.RecordSamples || !Samples)
       return;
@@ -954,7 +954,7 @@ private:
       E.set("output", Output);
       S->handle(E);
     }
-    Samples->record(Func, std::move(Args), Output);
+    Samples->record(Func, Args, Output);
     ++Result.NumSamplesRecorded;
   }
 

@@ -7,7 +7,9 @@
 /// \file
 /// The validity query's per-node reads — sample lookups, per-function
 /// sample lists, application collection and model evaluation of UF
-/// applications — must not touch the heap once their buffers are warm.
+/// applications — must not touch the heap once their buffers are warm, and
+/// neither may re-recording a sample the table already holds (every
+/// external call of a run records one).
 /// This executable replaces the global operator new with a counting one
 /// (so it is built apart from hotg_tests) and checks each read allocates
 /// nothing after a warm-up call.
@@ -92,6 +94,20 @@ TEST(HotPathAllocations, SamplesForDoesNotAllocate) {
             0u);
   EXPECT_EQ(N, 2u);
   EXPECT_EQ(LastOutput, 30);
+}
+
+TEST(HotPathAllocations, ReRecordingASampleDoesNotAllocate) {
+  // Every external call of a run records its sample; after the first run
+  // most tuples are already in the table, and those must not be copied.
+  SampleTable T;
+  std::vector<int64_t> Args{7, 8};
+  T.record(0, Args, 15);
+  EXPECT_EQ(allocationsIn([&] {
+              T.record(0, Args, 15);
+              T.record(0, {7, 8}, 15);
+            }),
+            0u);
+  EXPECT_EQ(T.size(), 1u);
 }
 
 TEST(HotPathAllocations, CollectAppsIntoReservedVectorDoesNotAllocate) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 using namespace hotg;
@@ -44,6 +45,21 @@ TEST(StringUtils, TrimAndStartsWith) {
 TEST(StringUtils, EscapeString) {
   EXPECT_EQ(escapeString("a\nb\"c\\"), "a\\nb\\\"c\\\\");
   EXPECT_EQ(escapeString(std::string_view("\x01", 1)), "\\x01");
+}
+
+TEST(StringUtils, ParseIntegerTakesWholeTextInRange) {
+  std::string Error;
+  EXPECT_EQ(parseInteger("42", 0, 100, Error), 42);
+  EXPECT_EQ(parseInteger("-7", -10, 10, Error), -7);
+  EXPECT_TRUE(Error.empty());
+  for (const char *Bad : {"", "abc", "12z", " 5", "+5", "101", "-1"}) {
+    EXPECT_EQ(parseInteger(Bad, 0, 100, Error), std::nullopt) << Bad;
+    EXPECT_EQ(Error, formatString("expects an integer in [0, 100], got '%s'",
+                                  Bad));
+  }
+  EXPECT_EQ(parseInteger("9223372036854775808", 0,
+                         std::numeric_limits<int64_t>::max(), Error),
+            std::nullopt);
 }
 
 TEST(Hashing, CombineIsOrderSensitive) {

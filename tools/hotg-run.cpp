@@ -19,7 +19,7 @@
 //   --explore-paths    do not skip already-covered branch targets
 //   --order bfs|dfs    candidate exploration order (default bfs)
 //   --dump-tests       print every executed test
-//   --dump-pc          print the AST and per-test path constraints
+//   --dump-pc          print the AST and the count of IOF samples recorded
 //   --stats            print the telemetry counter/timer table to stderr
 //   --stats-json F     write the telemetry registry as JSON to F
 //   --trace-out F      write a JSONL trace (one event per line) to F;
@@ -34,6 +34,11 @@
 //   --fault-spec S     arm the deterministic fault injector, e.g.
 //                      "solver-check:0.05:7"; overrides HOTG_FAULT_SPEC
 //
+// Numbers are whole decimal integers in the ranges hotg-serve applies.
+// The job the flags describe is checked and run by app::Job, as a
+// hotg-serve request is: both tools give an invalid job the same reason
+// and a valid one the same report.
+//
 // The search runs on one thread. Programs run on the register bytecode
 // VM, or on the tree-walking interpreter pair under --summarize
 // (docs/minilang.md "Bytecode VM").
@@ -41,33 +46,29 @@
 // Available natives: hash(1), hash2(1), hash4(4), fstep(1).
 //
 // Exit codes: 0 = search completed (bugs found or not), 1 = usage or
-// input error, 2 = search stopped early (deadline/cancellation — partial
-// results were still reported), 3 = internal error.
+// input error or an invalid job, 2 = search stopped early (deadline/
+// cancellation — partial results were still reported), 3 = internal error.
 //
 //===----------------------------------------------------------------------===//
 
-#include "app/Examples.h"
-#include "core/Search.h"
-#include "dse/SymbolicExecutor.h"
-#include "lang/Parser.h"
+#include "app/Job.h"
 #include "support/Deadline.h"
 #include "support/FaultInjector.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "vm/Engine.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 using namespace hotg;
 using namespace hotg::core;
-using namespace hotg::dse;
 using namespace hotg::interp;
 
 namespace {
@@ -87,11 +88,24 @@ namespace {
   std::exit(1);
 }
 
-TestInput parseCells(const char *Spec) {
-  TestInput Input;
+/// Parses all of \p Text as a decimal integer in [Lo, Hi], the range
+/// hotg-serve applies to the same request field; anything else is a usage
+/// error naming \p Flag.
+int64_t flagInteger(const char *Flag, std::string_view Text,
+                    int64_t Lo = std::numeric_limits<int64_t>::min(),
+                    int64_t Hi = std::numeric_limits<int64_t>::max()) {
+  std::string Error;
+  std::optional<int64_t> Value = hotg::parseInteger(Text, Lo, Hi, Error);
+  if (!Value)
+    usageError(formatString("%s %s", Flag, Error.c_str()).c_str());
+  return *Value;
+}
+
+std::vector<int64_t> parseCells(const char *Flag, const char *Spec) {
+  std::vector<int64_t> Cells;
   for (const std::string &Part : split(Spec, ','))
-    Input.Cells.push_back(std::strtoll(Part.c_str(), nullptr, 10));
-  return Input;
+    Cells.push_back(flagInteger(Flag, Part));
+  return Cells;
 }
 
 /// The driver proper; main() wraps this in a catch-all so unexpected
@@ -102,84 +116,74 @@ int runTool(int Argc, char **Argv) {
     usageError("missing input file");
 
   const char *Path = nullptr;
-  std::string Entry;
-  std::string Policy = "higher-order";
-  unsigned MaxTests = 64;
-  unsigned MultiStep = 2;
-  uint64_t Seed = 42;
-  std::optional<TestInput> Initial;
-  std::vector<TestInput> Seeds;
-  bool ExplorePaths = false, DumpTests = false, DumpPc = false;
-  bool DepthFirst = false, Summarize = false, PrintStats = false;
+  app::JobSpec Spec;
+  bool DumpTests = false, DumpPc = false, Summarize = false;
+  bool PrintStats = false;
   uint64_t DeadlineMs = 0;
   uint64_t ProgressMs = 0;
   std::string SamplesIn, SamplesOut, StatsJsonPath, TracePath, FaultSpec;
 
   for (int I = 1; I != Argc; ++I) {
-    auto NextArg = [&](const char *Flag) -> const char * {
+    const char *Flag = Argv[I];
+    auto Is = [&](const char *Name) { return !std::strcmp(Flag, Name); };
+    auto NextArg = [&]() -> const char * {
       if (I + 1 >= Argc)
         usageError(formatString("%s requires an argument", Flag).c_str());
       return Argv[++I];
     };
-    if (!std::strcmp(Argv[I], "--entry"))
-      Entry = NextArg("--entry");
-    else if (!std::strcmp(Argv[I], "--policy"))
-      Policy = NextArg("--policy");
-    else if (!std::strcmp(Argv[I], "--max-tests"))
-      MaxTests = static_cast<unsigned>(
-          std::strtoul(NextArg("--max-tests"), nullptr, 10));
-    else if (!std::strcmp(Argv[I], "--multistep"))
-      MultiStep = static_cast<unsigned>(
-          std::strtoul(NextArg("--multistep"), nullptr, 10));
-    else if (!std::strcmp(Argv[I], "--input"))
-      Initial = parseCells(NextArg("--input"));
-    else if (!std::strcmp(Argv[I], "--seed-input"))
-      Seeds.push_back(parseCells(NextArg("--seed-input")));
-    else if (!std::strcmp(Argv[I], "--seed"))
-      Seed = std::strtoull(NextArg("--seed"), nullptr, 10);
-    else if (!std::strcmp(Argv[I], "--samples-in"))
-      SamplesIn = NextArg("--samples-in");
-    else if (!std::strcmp(Argv[I], "--samples-out"))
-      SamplesOut = NextArg("--samples-out");
-    else if (!std::strcmp(Argv[I], "--explore-paths"))
-      ExplorePaths = true;
-    else if (!std::strcmp(Argv[I], "--summarize"))
+    auto NextCount = [&] {
+      return static_cast<unsigned>(flagInteger(
+          Flag, NextArg(), 0, std::numeric_limits<unsigned>::max()));
+    };
+    auto NextMillis = [&] {
+      return static_cast<uint64_t>(flagInteger(Flag, NextArg(), 1));
+    };
+    if (Is("--entry"))
+      Spec.Entry = NextArg();
+    else if (Is("--policy"))
+      Spec.Policy = NextArg();
+    else if (Is("--max-tests"))
+      Spec.MaxTests = NextCount();
+    else if (Is("--multistep"))
+      Spec.MultiStep = NextCount();
+    else if (Is("--input"))
+      Spec.Input = parseCells(Flag, NextArg());
+    else if (Is("--seed-input"))
+      Spec.SeedInputs.push_back(parseCells(Flag, NextArg()));
+    else if (Is("--seed"))
+      Spec.Seed = static_cast<uint64_t>(flagInteger(Flag, NextArg()));
+    else if (Is("--samples-in"))
+      SamplesIn = NextArg();
+    else if (Is("--samples-out"))
+      SamplesOut = NextArg();
+    else if (Is("--explore-paths"))
+      Spec.ExplorePaths = true;
+    else if (Is("--summarize"))
       Summarize = true;
-    else if (!std::strcmp(Argv[I], "--order")) {
-      const char *Order = NextArg("--order");
-      if (!std::strcmp(Order, "dfs"))
-        DepthFirst = true;
-      else if (std::strcmp(Order, "bfs"))
-        usageError("--order expects bfs or dfs");
-    }
-    else if (!std::strcmp(Argv[I], "--dump-tests"))
+    else if (Is("--order"))
+      Spec.Order = NextArg();
+    else if (Is("--dump-tests"))
       DumpTests = true;
-    else if (!std::strcmp(Argv[I], "--dump-pc"))
+    else if (Is("--dump-pc"))
       DumpPc = true;
-    else if (!std::strcmp(Argv[I], "--stats"))
+    else if (Is("--stats"))
       PrintStats = true;
-    else if (!std::strcmp(Argv[I], "--stats-json"))
-      StatsJsonPath = NextArg("--stats-json");
-    else if (!std::strcmp(Argv[I], "--trace-out"))
-      TracePath = NextArg("--trace-out");
-    else if (!std::strcmp(Argv[I], "--progress-ms")) {
-      ProgressMs = std::strtoull(NextArg("--progress-ms"), nullptr, 10);
-      if (ProgressMs == 0)
-        usageError("--progress-ms expects a positive millisecond count");
-    }
-    else if (!std::strcmp(Argv[I], "--deadline-ms")) {
-      DeadlineMs = std::strtoull(NextArg("--deadline-ms"), nullptr, 10);
-      if (DeadlineMs == 0)
-        usageError("--deadline-ms expects a positive millisecond count");
-    }
-    else if (!std::strcmp(Argv[I], "--fault-spec"))
-      FaultSpec = NextArg("--fault-spec");
-    else if (Argv[I][0] == '-')
-      usageError(formatString("unknown option '%s'", Argv[I]).c_str());
+    else if (Is("--stats-json"))
+      StatsJsonPath = NextArg();
+    else if (Is("--trace-out"))
+      TracePath = NextArg();
+    else if (Is("--progress-ms"))
+      ProgressMs = NextMillis();
+    else if (Is("--deadline-ms"))
+      DeadlineMs = NextMillis();
+    else if (Is("--fault-spec"))
+      FaultSpec = NextArg();
+    else if (Flag[0] == '-')
+      usageError(formatString("unknown option '%s'", Flag).c_str());
     else if (Path)
       usageError("multiple input files");
     else
-      Path = Argv[I];
+      Path = Flag;
   }
   if (!Path)
     usageError("missing input file");
@@ -206,46 +210,20 @@ int runTool(int Argc, char **Argv) {
   }
   std::ostringstream Buffer;
   Buffer << File.rdbuf();
-  std::string Source = Buffer.str();
 
-  DiagnosticEngine Diags;
-  auto Prog = lang::parseAndCheck(Source, Diags);
-  if (!Prog) {
-    std::fprintf(stderr, "%s", Diags.render(Path).c_str());
+  std::string Error;
+  std::optional<app::Job> Job =
+      app::Job::check(Spec, Buffer.str(), Path, Error);
+  if (!Job) {
+    std::fprintf(stderr, "hotg-run: %s\n", Error.c_str());
     return 1;
   }
-  if (!Diags.diagnostics().empty())
-    std::fprintf(stderr, "%s", Diags.render(Path).c_str());
-  if (Prog->Functions.empty()) {
-    std::fprintf(stderr, "hotg-run: no functions in '%s'\n", Path);
-    return 1;
-  }
-  if (Entry.empty())
-    Entry = Prog->findFunction("main") ? "main"
-                                       : Prog->Functions.front()->Name;
-  const lang::FunctionDecl *EntryFn = Prog->findFunction(Entry);
-  if (!EntryFn) {
-    std::fprintf(stderr, "hotg-run: no function named '%s'\n",
-                 Entry.c_str());
-    return 1;
-  }
-
-  NativeRegistry Natives;
-  app::registerExampleNatives(Natives);
-  for (const lang::ExternDecl &Ext : Prog->Externs)
-    if (!Natives.find(Ext.Name)) {
-      std::fprintf(stderr,
-                   "hotg-run: extern '%s' has no native binding "
-                   "(available: hash, hash2, hash4, fstep)\n",
-                   Ext.Name.c_str());
-      return 1;
-    }
 
   if (DumpPc)
-    std::printf("=== AST ===\n%s\n", lang::dumpProgram(*Prog).c_str());
+    std::printf("=== AST ===\n%s\n", lang::dumpProgram(Job->program()).c_str());
 
-  InputLayout Layout(*EntryFn);
-  std::printf("entry %s with %u input cell(s):", Entry.c_str(),
+  const InputLayout &Layout = Job->layout();
+  std::printf("entry %s with %u input cell(s):", Job->entry().c_str(),
               Layout.size());
   for (unsigned I = 0; I != Layout.size(); ++I)
     std::printf(" %s", Layout.name(I).c_str());
@@ -264,62 +242,28 @@ int runTool(int Argc, char **Argv) {
     telemetry::setSink(Trace.get());
   }
 
-  // Arm the deadline here, not at argument-parse time, so the budget
-  // covers the search itself rather than file loading and parsing.
-  support::Deadline Deadline;
-  if (DeadlineMs != 0)
-    Deadline = support::Deadline::afterMillis(DeadlineMs);
-
-  SearchResult Result;
-  if (Policy == "random") {
-    RunLimits Limits;
-    Limits.Deadline = Deadline;
-    Result = runRandomSearch(*Prog, Natives, Entry, MaxTests, 0, 99, Seed,
-                             Limits);
-  } else {
-    SearchOptions Options;
-    if (Policy == "unsound")
-      Options.Policy = ConcretizationPolicy::Unsound;
-    else if (Policy == "sound")
-      Options.Policy = ConcretizationPolicy::Sound;
-    else if (Policy == "sound-delayed")
-      Options.Policy = ConcretizationPolicy::SoundDelayed;
-    else if (Policy == "higher-order")
-      Options.Policy = ConcretizationPolicy::HigherOrder;
-    else
-      usageError("unknown policy");
-    Options.MaxTests = MaxTests;
-    Options.MultiStepBound = MultiStep;
-    Options.Seed = Seed;
-    Options.InitialInput = Initial;
-    Options.SeedInputs = Seeds;
-    Options.SkipCoveredTargets = !ExplorePaths;
-    Options.SummarizeCalls = Summarize;
-    Options.ProgressEveryMs = ProgressMs;
-    Options.Deadline = Deadline;
-    if (DepthFirst)
-      Options.Order = SearchOptions::OrderKind::DepthFirst;
-
-    DirectedSearch Search(*Prog, Natives, Entry, Options);
-    if (!SamplesIn.empty()) {
-      std::ifstream In(SamplesIn);
-      if (!In) {
-        std::fprintf(stderr, "hotg-run: cannot open '%s'\n",
-                     SamplesIn.c_str());
-        return 1;
-      }
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      std::string Err;
-      if (!Search.importSamples(Buf.str(), &Err)) {
-        std::fprintf(stderr, "hotg-run: %s: %s\n", SamplesIn.c_str(),
-                     Err.c_str());
-        return 1;
-      }
-      std::printf("pre-loaded %zu IOF samples from %s\n",
-                  Search.samples().size(), SamplesIn.c_str());
+  app::JobHooks Hooks;
+  Hooks.BeforeRun = [&](DirectedSearch &Search) {
+    if (SamplesIn.empty())
+      return true;
+    std::ifstream In(SamplesIn);
+    if (!In) {
+      std::fprintf(stderr, "hotg-run: cannot open '%s'\n", SamplesIn.c_str());
+      return false;
     }
-    Result = Search.run();
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    std::string Err;
+    if (!Search.importSamples(Buf.str(), &Err)) {
+      std::fprintf(stderr, "hotg-run: %s: %s\n", SamplesIn.c_str(),
+                   Err.c_str());
+      return false;
+    }
+    std::printf("pre-loaded %zu IOF samples from %s\n",
+                Search.samples().size(), SamplesIn.c_str());
+    return true;
+  };
+  Hooks.AfterRun = [&](DirectedSearch &Search) {
     if (DumpPc)
       std::printf("IOF samples recorded: %zu\n", Search.samples().size());
     if (Summarize)
@@ -331,7 +275,19 @@ int runTool(int Argc, char **Argv) {
       std::printf("saved %zu IOF samples to %s\n", Search.samples().size(),
                   SamplesOut.c_str());
     }
-  }
+  };
+
+  SearchOptions Options = Job->options();
+  Options.SummarizeCalls = Summarize;
+  Options.ProgressEveryMs = ProgressMs;
+  // Arm the deadline here, not at argument-parse time, so the budget
+  // covers the search itself rather than file loading and parsing.
+  if (DeadlineMs != 0)
+    Options.Deadline = support::Deadline::afterMillis(DeadlineMs);
+  std::optional<SearchResult> Ran = Job->run(std::move(Options), Hooks);
+  if (!Ran)
+    return 1;
+  const SearchResult &Result = *Ran;
 
   if (DumpTests)
     for (size_t I = 0; I != Result.Tests.size(); ++I) {
@@ -348,7 +304,7 @@ int runTool(int Argc, char **Argv) {
     std::fprintf(stderr, "%s", Reg.statsTable().c_str());
     // Which engine actually ran the programs (--summarize forces the
     // interpreter pair; docs/minilang.md "Bytecode VM").
-    bool SummaryMode = Policy != "random" && Summarize;
+    bool SummaryMode = !Job->random() && Summarize;
     std::fprintf(stderr, "engine: %s\n",
                  vm::engineName(SummaryMode ? vm::EngineKind::Interp
                                             : vm::EngineKind::VM));
@@ -397,7 +353,7 @@ int runTool(int Argc, char **Argv) {
   // The report block (summary line, bug lines, stop reason) is rendered by
   // core::renderSearchReport — hotg-serve returns the identical bytes in
   // its job responses, and CI asserts the two tools agree.
-  std::fputs(renderSearchReport(Policy, Result).c_str(), stdout);
+  std::fputs(renderSearchReport(Spec.Policy, Result).c_str(), stdout);
 
   // Exit 2 when the search stopped early (or a run was cut mid-flight by
   // the deadline): the results above are real but possibly incomplete.

@@ -6,8 +6,8 @@
 //   hotg-serve [options]                 read frames from stdin (batch mode)
 //   hotg-serve --socket PATH [options]   accept connections on a Unix socket
 //
-//   --workers N          session worker threads (default 2); each runs
-//                        one single-threaded search at a time
+//   --workers N          session worker threads (default 2, at most 256);
+//                        each runs one single-threaded search at a time
 //   --queue-capacity N   admission-gate bound: jobs queued or running
 //                        before new ones are shed (default 8)
 //   --deadline-ms N      default per-job deadline applied when a request
@@ -47,6 +47,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include <csignal>
@@ -54,6 +55,10 @@
 using namespace hotg;
 
 namespace {
+
+/// Upper bound of --workers: each worker is one OS thread running one
+/// search, so a larger count only oversubscribes the host.
+constexpr int64_t MaxWorkers = 256;
 
 [[noreturn]] void usageError(const char *Message) {
   std::fprintf(stderr, "hotg-serve: %s\n", Message);
@@ -85,46 +90,45 @@ int runTool(int Argc, char **Argv) {
   std::string SocketPath, StatsJsonPath, TracePath, FaultSpec;
   bool PrintStats = false;
 
+  constexpr int64_t AnyCount = std::numeric_limits<unsigned>::max();
+  constexpr int64_t Int64Max = std::numeric_limits<int64_t>::max();
   for (int I = 1; I != Argc; ++I) {
     auto NextArg = [&](const char *Flag) -> const char * {
       if (I + 1 >= Argc)
         usageError(formatString("%s requires an argument", Flag).c_str());
       return Argv[++I];
     };
-    auto NextUnsigned = [&](const char *Flag) -> uint64_t {
-      const char *Text = NextArg(Flag);
-      char *End = nullptr;
-      uint64_t Value = std::strtoull(Text, &End, 10);
-      if (End == Text || *End)
-        usageError(formatString("%s expects a number", Flag).c_str());
-      return Value;
+    auto NextInteger = [&](const char *Flag, int64_t Lo, int64_t Hi) {
+      std::string Error;
+      std::optional<int64_t> Value =
+          parseInteger(NextArg(Flag), Lo, Hi, Error);
+      if (!Value)
+        usageError(formatString("%s %s", Flag, Error.c_str()).c_str());
+      return static_cast<uint64_t>(*Value);
     };
     if (!std::strcmp(Argv[I], "--socket"))
       SocketPath = NextArg("--socket");
-    else if (!std::strcmp(Argv[I], "--workers")) {
-      Options.Workers = static_cast<unsigned>(NextUnsigned("--workers"));
-      if (Options.Workers == 0)
-        usageError("--workers expects a positive count");
-    } else if (!std::strcmp(Argv[I], "--queue-capacity")) {
-      Options.QueueCapacity =
-          static_cast<unsigned>(NextUnsigned("--queue-capacity"));
-      if (Options.QueueCapacity == 0)
-        usageError("--queue-capacity expects a positive count");
-    } else if (!std::strcmp(Argv[I], "--deadline-ms"))
-      Options.Session.DefaultDeadlineMs = NextUnsigned("--deadline-ms");
+    else if (!std::strcmp(Argv[I], "--workers"))
+      Options.Workers =
+          static_cast<unsigned>(NextInteger("--workers", 1, MaxWorkers));
+    else if (!std::strcmp(Argv[I], "--queue-capacity"))
+      Options.QueueCapacity = static_cast<unsigned>(
+          NextInteger("--queue-capacity", 1, AnyCount));
+    else if (!std::strcmp(Argv[I], "--deadline-ms"))
+      Options.Session.DefaultDeadlineMs =
+          NextInteger("--deadline-ms", 0, Int64Max);
     else if (!std::strcmp(Argv[I], "--max-retries"))
       Options.Session.Retry.MaxRetries =
-          static_cast<unsigned>(NextUnsigned("--max-retries"));
+          static_cast<unsigned>(NextInteger("--max-retries", 0, AnyCount));
     else if (!std::strcmp(Argv[I], "--backoff-ms"))
-      Options.Session.Retry.BaseBackoffMs = NextUnsigned("--backoff-ms");
+      Options.Session.Retry.BaseBackoffMs =
+          NextInteger("--backoff-ms", 0, Int64Max);
     else if (!std::strcmp(Argv[I], "--program-root"))
       Options.Session.ProgramRoot = NextArg("--program-root");
-    else if (!std::strcmp(Argv[I], "--max-frame-bytes")) {
+    else if (!std::strcmp(Argv[I], "--max-frame-bytes"))
       Options.Frame.MaxFrameBytes =
-          static_cast<size_t>(NextUnsigned("--max-frame-bytes"));
-      if (Options.Frame.MaxFrameBytes == 0)
-        usageError("--max-frame-bytes expects a positive byte count");
-    } else if (!std::strcmp(Argv[I], "--stats"))
+          static_cast<size_t>(NextInteger("--max-frame-bytes", 1, Int64Max));
+    else if (!std::strcmp(Argv[I], "--stats"))
       PrintStats = true;
     else if (!std::strcmp(Argv[I], "--stats-json"))
       StatsJsonPath = NextArg("--stats-json");
